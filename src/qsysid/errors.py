@@ -78,10 +78,6 @@ class InvalidNetwork(QsysidError):
     """Network description violates a structural invariant."""
 
 
-class NotStable(QsysidError):
-    """System drift matrix is not Hurwitz; steady probing is undefined."""
-
-
 class InsufficientData(QsysidError):
     """Not enough samples for the requested fit order."""
 

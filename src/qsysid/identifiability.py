@@ -2,8 +2,9 @@
 
 Two minimal systems share a transfer function exactly when a unitary change
 of mode basis T maps one onto the other: omega2 = T omega1 T†, c2 = c1 T†.
-Equality of the moment sequences c A^k c† (k <= 2n) certifies equal transfer
-functions, and the moment sequence c omega^k c† gives the practical
+:func:`find_gauge` reads T off the two orthonormal Krylov bases of
+:func:`~qsysid.analysis.krylov_basis` and certifies it by checking both
+relations. The moment sequence c omega^k c† gives the practical
 identifiability test for parametrized families.
 """
 
@@ -13,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import observability_matrix, structure_report
-from .errors import DimensionMismatch, NotMinimal, NotUnitary
-from .model import PassiveSystem, drift_matrix, new_system
+from .analysis import krylov_basis
+from .errors import DimensionMismatch, NotMinimal
+from .model import PassiveSystem, new_system, require_unitary
 
 EQUIV_RTOL = 1e-8
-UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,9 @@ class EquivalenceVerdict:
 
     ``gauge`` holds the recovered unitary T when ``equivalent`` is true;
     ``residual`` is the largest deviation across all checked relations
-    (unitarity of T and the two matrix relations).
+    (unitarity of T and the two matrix relations). Systems of different
+    mode counts admit no T; their residual is the largest deviation
+    between the moments c omega^k c†, k <= 2 max(n1, n2).
     """
 
     equivalent: bool
@@ -56,27 +58,10 @@ def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
     return MarkovSequence(params=params, kmax=kmax)
 
 
-def drift_moment_sequence(sys: PassiveSystem, kmax: int) -> np.ndarray:
-    """Moments c A^k c† for k = 0..kmax, shape (kmax + 1, m, m).
-
-    These are the large-s expansion coefficients of the transfer function,
-    so equality up to k = 2n certifies equal transfer functions for
-    minimal systems. Compare with :func:`markov_sequence`, which uses the
-    Hamiltonian in place of the drift.
-    """
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
-    a = drift_matrix(sys)
-    cdag = sys.c.conj().T
-    out = np.empty((kmax + 1, sys.m, sys.m), dtype=complex)
-    row = sys.c
-    for k in range(kmax + 1):
-        out[k] = row @ cdag
-        row = row @ a
-    return out
-
-
-def _max_dev(seq1: np.ndarray, seq2: np.ndarray) -> tuple[float, float]:
+def _moment_gap(sys1: PassiveSystem, sys2: PassiveSystem, kmax: int) -> tuple[float, float]:
+    """Largest moment deviation and largest moment magnitude, k <= kmax."""
+    seq1 = markov_sequence(sys1, kmax).params
+    seq2 = markov_sequence(sys2, kmax).params
     dev = np.abs(seq1 - seq2).max()
     scale = max(np.abs(seq1).max(), np.abs(seq2).max())
     return float(dev), float(scale)
@@ -103,9 +88,7 @@ def markov_distinguishable(
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
     if kmax is None:
         kmax = 2 * max(sys1.n, sys2.n)
-    seq1 = markov_sequence(sys1, kmax).params
-    seq2 = markov_sequence(sys2, kmax).params
-    dev, scale = _max_dev(seq1, seq2)
+    dev, scale = _moment_gap(sys1, sys2, kmax)
     if tol is None:
         tol = EQUIV_RTOL * scale
     return dev > tol
@@ -116,15 +99,10 @@ def gauge_transform(sys: PassiveSystem, t: np.ndarray) -> PassiveSystem:
 
     Raises
     ------
-    NotUnitary
-        if max |T T† - I| exceeds 1e-10.
+    DimensionMismatch, NotUnitary
+        per :func:`~qsysid.model.require_unitary`.
     """
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (sys.n, sys.n):
-        raise DimensionMismatch(f"gauge must be {sys.n} x {sys.n}, got {t.shape}")
-    dev = np.abs(t @ t.conj().T - np.eye(sys.n)).max()
-    if dev > UNITARY_TOL:
-        raise NotUnitary(f"max |T T† - I| = {dev:.3e}")
+    t = require_unitary(t, sys.n)
     return new_system(t @ sys.omega @ t.conj().T, sys.c @ t.conj().T)
 
 
@@ -135,10 +113,13 @@ def find_gauge(
 ) -> EquivalenceVerdict:
     """Decide equivalence of two minimal systems and recover the gauge.
 
-    If the transfer functions agree (certified through the drift moment
-    sequences up to k = 2n), the unique unitary is read off the
-    observability relation O2 = O1 T† as T = (pinv(O1) O2)†, then verified
-    against unitarity and both defining relations.
+    The orthonormal Krylov bases Q1, Q2 of :func:`~qsysid.analysis.krylov_basis`
+    are square exactly when the systems are minimal. Their construction
+    commutes with a change of mode basis, and equal transfer functions give
+    equal Gram-Schmidt coefficients, so if the systems are equivalent then
+    Q2 = T Q1 and T = Q2 Q1†. That T is then checked for unitarity and
+    against both defining relations; passing the check certifies equal
+    transfer functions, so it is the whole test.
 
     Parameters
     ----------
@@ -154,18 +135,18 @@ def find_gauge(
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
     rtol = EQUIV_RTOL if tol is None else tol
+    bases = []
     for name, sys in (("first", sys1), ("second", sys2)):
-        if not structure_report(sys).minimal:
-            raise NotMinimal(f"{name} system is not minimal")
-    kmax = 2 * max(sys1.n, sys2.n)
-    seq1 = drift_moment_sequence(sys1, kmax)
-    seq2 = drift_moment_sequence(sys2, kmax)
-    dev, scale = _max_dev(seq1, seq2)
-    if sys1.n != sys2.n or dev > rtol * scale:
+        basis = krylov_basis(sys)
+        if basis.shape[1] < sys.n:
+            raise NotMinimal(
+                f"{name} system has Krylov rank {basis.shape[1]} below n = {sys.n}"
+            )
+        bases.append(basis)
+    if sys1.n != sys2.n:
+        dev, _ = _moment_gap(sys1, sys2, 2 * max(sys1.n, sys2.n))
         return EquivalenceVerdict(equivalent=False, gauge=None, residual=dev)
-    obs1 = observability_matrix(sys1)
-    obs2 = observability_matrix(sys2)
-    t = (np.linalg.pinv(obs1) @ obs2).conj().T
+    t = bases[1] @ bases[0].conj().T
     dev_u = np.abs(t @ t.conj().T - np.eye(sys1.n)).max()
     dev_omega = np.abs(t @ sys1.omega @ t.conj().T - sys2.omega).max()
     dev_c = np.abs(sys1.c @ t.conj().T - sys2.c).max()

@@ -23,6 +23,8 @@ from .errors import (
     EmptyGrid,
     NonMonotoneGrid,
     NotHermitian,
+    NotHurwitz,
+    NotUnitary,
     SingularResolvent,
     TooManyFields,
 )
@@ -31,6 +33,7 @@ from .ratfunc import RationalTF, poly_from_roots, polyval_asc
 HERMIT_RTOL = 1e-12
 HERMIT_ATOL = 1e-14
 RESOLVENT_TOL = 1e-10
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,37 @@ def new_system(omega, c) -> PassiveSystem:
 def drift_matrix(sys: PassiveSystem) -> np.ndarray:
     """Drift matrix A = -i*omega - c†c/2. Satisfies A + A† + c†c = 0."""
     return -1j * sys.omega - 0.5 * (sys.c.conj().T @ sys.c)
+
+
+def spectral_abscissa(a: np.ndarray) -> float:
+    """Largest real part among the eigenvalues of a square matrix."""
+    return float(np.linalg.eigvals(a).real.max())
+
+
+def require_hurwitz(a: np.ndarray) -> None:
+    """Raise NotHurwitz unless every eigenvalue of a has negative real part."""
+    abscissa = spectral_abscissa(a)
+    if abscissa >= 0.0:
+        raise NotHurwitz(f"spectral abscissa {abscissa:.3e} is not negative")
+
+
+def require_unitary(u, n: int) -> np.ndarray:
+    """Return u as an n x n complex array, checked to be unitary.
+
+    Raises
+    ------
+    DimensionMismatch
+        u is not n x n.
+    NotUnitary
+        max |U U† - I| exceeds 1e-10.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (n, n):
+        raise DimensionMismatch(f"gauge must be {n} x {n}, got {u.shape}")
+    dev = np.abs(u @ u.conj().T - np.eye(n)).max()
+    if dev > UNITARY_TOL:
+        raise NotUnitary(f"max |U U† - I| = {dev:.3e} exceeds {UNITARY_TOL:.0e}")
+    return u
 
 
 def _check_resolvent_point(a: np.ndarray, s: complex) -> None:

@@ -172,9 +172,7 @@ def infection_closure(net: NetworkModel, reverse_scan: bool = False) -> Infectio
     )
 
 
-def infection_identifiability_verdict(
-    net: NetworkModel, rank_tol: float | None = None
-) -> InfectionVerdict:
+def infection_identifiability_verdict(net: NetworkModel) -> InfectionVerdict:
     """Sufficient test: infecting accessible set plus minimality.
 
     Returns the positive verdict only when both conditions hold; otherwise
@@ -183,7 +181,6 @@ def infection_identifiability_verdict(
     """
     if not infection_closure(net).infecting:
         return InfectionVerdict(identifiable_by_infection=False, reason="NotInfecting")
-    report = structure_report(omega_from_network(net), rank_tol)
-    if not report.minimal:
+    if not structure_report(omega_from_network(net)).minimal:
         return InfectionVerdict(identifiable_by_infection=False, reason="NotMinimal")
     return InfectionVerdict(identifiable_by_infection=True, reason=None)

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IllConditioned,
-    InsufficientData,
-    NonMonotoneGrid,
-    NotSISO,
-    NotStable,
-)
-from .model import PassiveSystem, drift_matrix, transfer_at
+from .errors import IllConditioned, InsufficientData, NonMonotoneGrid, NotSISO
+from .model import PassiveSystem, drift_matrix, require_hurwitz, transfer_at
 from .ratfunc import RationalTF, make_rational_tf, polyval_asc
 from .realization import (
     CanonicalParams,
@@ -77,7 +71,7 @@ def sample_response(
 
     Raises
     ------
-    NotStable
+    NotHurwitz
         drift matrix is not Hurwitz.
     NonMonotoneGrid
         frequencies not strictly increasing.
@@ -87,9 +81,7 @@ def sample_response(
     freqs = np.asarray(freqs, dtype=float).ravel()
     if freqs.size == 0 or np.any(np.diff(freqs) <= 0):
         raise NonMonotoneGrid("frequencies must be strictly increasing")
-    abscissa = np.linalg.eigvals(drift_matrix(sys)).real.max()
-    if abscissa >= 0:
-        raise NotStable(f"spectral abscissa {abscissa:.3e} is not negative")
+    require_hurwitz(drift_matrix(sys))
     responses = np.empty((freqs.size, sys.m, sys.m), dtype=complex)
     for j, w in enumerate(freqs):
         responses[j] = transfer_at(sys, 1j * w)

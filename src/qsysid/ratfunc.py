@@ -31,6 +31,15 @@ def poly_roots(coeffs_asc: np.ndarray) -> np.ndarray:
     return np.roots(np.asarray(coeffs_asc, dtype=complex)[::-1])
 
 
+def require_monic(den: np.ndarray) -> None:
+    """Raise NonMonic unless den (ascending) has degree >= 1 and leading
+    coefficient 1 within ``MONIC_TOL`` relative to its largest coefficient."""
+    if len(den) < 2:
+        raise NonMonic("denominator must have degree >= 1")
+    if abs(den[-1] - 1.0) > MONIC_TOL * max(1.0, np.abs(den).max()):
+        raise NonMonic(f"denominator leading coefficient {den[-1]} is not 1")
+
+
 @dataclass(frozen=True)
 class RationalTF:
     """Matrix rational function num(s) / den(s).
@@ -84,10 +93,7 @@ def make_rational_tf(num, den, m: int | None = None) -> RationalTF:
         m = num.shape[0]
     if num.shape[0] != m:
         raise DimensionMismatch(f"numerator is {num.shape[0]}-port, expected {m}")
-    if len(den) < 2:
-        raise NonMonic("denominator must have degree >= 1")
-    if abs(den[-1] - 1.0) > MONIC_TOL * max(1.0, np.abs(den).max()):
-        raise NonMonic(f"denominator leading coefficient {den[-1]} is not 1")
+    require_monic(den)
     den = den.copy()
     den[-1] = 1.0
     if num.shape[2] < len(den):

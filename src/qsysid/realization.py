@@ -21,22 +21,18 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     NegativeResidue,
-    NonMonic,
-    NotHurwitz,
     NotPassiveTF,
     NotSISO,
-    NotUnitary,
     RankDeficientCoupling,
     SolverSingular,
 )
-from .model import PassiveSystem, new_system
-from .ratfunc import RationalTF, poly_roots, polyval_asc
+from .model import PassiveSystem, new_system, require_hurwitz, require_unitary
+from .ratfunc import RationalTF, poly_roots, polyval_asc, require_monic
 
 LYAPUNOV_RTOL = 1e-10
 PASSIVITY_RTOL = 1e-8
 POLE_SEP_RTOL = 1e-7
 RESIDUE_RTOL = 1e-8
-UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,11 +82,6 @@ def _require_siso(tf: RationalTF) -> None:
         raise NotSISO(f"operation requires m = 1, got m = {tf.m}")
 
 
-def _require_monic(den: np.ndarray) -> None:
-    if abs(den[-1] - 1.0) > 1e-9 * max(1.0, np.abs(den).max()):
-        raise NonMonic(f"denominator leading coefficient {den[-1]} is not 1")
-
-
 def companion_realization(
     tf: RationalTF, tol: float = PASSIVITY_RTOL
 ) -> ClassicalRealization:
@@ -113,10 +104,8 @@ def companion_realization(
         no realization with unit direct term exists.
     """
     _require_siso(tf)
-    _require_monic(tf.den)
+    require_monic(tf.den)
     n = tf.degree
-    if n < 1:
-        raise NonMonic("denominator must have degree >= 1")
     cpoly = tf.num[0, 0] - tf.den
     scale = max(np.abs(cpoly).max(), np.abs(tf.den).max())
     if abs(cpoly[n]) > tol * scale:
@@ -131,12 +120,6 @@ def companion_realization(
     b0[n - 1, 0] = 1.0
     c0 = cpoly[:n].reshape(1, n).copy()
     return ClassicalRealization(a0=a0, b0=b0, c0=c0)
-
-
-def _require_hurwitz(a0: np.ndarray) -> None:
-    abscissa = np.linalg.eigvals(a0).real.max()
-    if abscissa >= 0.0:
-        raise NotHurwitz(f"spectral abscissa {abscissa:.3e} is not negative")
 
 
 def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -160,7 +143,7 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
     if a0.shape != q.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch(f"shapes {a0.shape} and {q.shape} are incompatible")
-    _require_hurwitz(a0)
+    require_hurwitz(a0)
     q = 0.5 * (q + q.conj().T)
     p = solve_continuous_lyapunov(a0.conj().T, -q)
     p = 0.5 * (p + p.conj().T)
@@ -238,14 +221,7 @@ def reconstruct_passive(
     left = (sqrt_lam[:, None] * u0.conj().T) @ a0 @ (u0 / sqrt_lam[None, :])
     omega0 = 0.5j * (left - left.conj().T)
     c_row = (c0 @ u0) / sqrt_lam[None, :]
-    if u is None:
-        u = np.eye(n, dtype=complex)
-    else:
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (n, n):
-            raise DimensionMismatch(f"u must be {n} x {n}, got {u.shape}")
-        if np.abs(u @ u.conj().T - np.eye(n)).max() > UNITARY_TOL:
-            raise NotUnitary("supplied gauge u is not unitary")
+    u = np.eye(n, dtype=complex) if u is None else require_unitary(u, n)
     omega = u @ omega0 @ u.conj().T
     omega = 0.5 * (omega + omega.conj().T)
     sys = new_system(omega, c_row @ u.conj().T)
@@ -298,7 +274,7 @@ def direct_reconstruction(tf: RationalTF, tol: float = RESIDUE_RTOL) -> Canonica
         required.
     """
     _require_siso(tf)
-    _require_monic(tf.den)
+    require_monic(tf.den)
     n = tf.degree
     num = tf.num[0, 0]
     den = tf.den

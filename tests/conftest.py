@@ -46,6 +46,20 @@ def ring_system(
     return new_system(omega, c)
 
 
+def uniform_chain(n: int, cut: int | None = None) -> PassiveSystem:
+    """n-node chain with unit edge weights and unit coupling on node 0.
+
+    ``cut`` zeroes the edge between nodes cut - 1 and cut, which leaves the
+    nodes from ``cut`` on unreachable.
+    """
+    omega = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    if cut is not None:
+        omega[cut - 1, cut] = omega[cut, cut - 1] = 0.0
+    c = np.zeros((1, n))
+    c[0, 0] = 1.0
+    return new_system(omega, c)
+
+
 def one_mode_system(kappa: float, omega: float = 0.0) -> PassiveSystem:
     return new_system([[omega]], [[np.sqrt(kappa)]])
 

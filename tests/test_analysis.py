@@ -1,11 +1,12 @@
-"""Controllability/observability ranks, minimality, stability."""
+"""Krylov basis, ranks, minimality, stability."""
 
 import numpy as np
+import pytest
 
 from qsysid import (
-    controllability_matrix,
     drift_matrix,
     gauge_transform,
+    krylov_basis,
     new_system,
     observability_matrix,
     structure_report,
@@ -17,6 +18,7 @@ from conftest import (
     random_passive,
     random_unitary,
     ring_system,
+    uniform_chain,
 )
 
 
@@ -25,28 +27,88 @@ def svd_rank(mat, rel=1e-10):
     return int(np.sum(sv > sv[0] * rel)) if sv.size and sv[0] > 0 else 0
 
 
-class TestControllabilityMatrix:
+def reference_rank(sys):
+    """SVD rank of the observability stack at sigma_max * max(shape) * 1e-12."""
+    obs = observability_matrix(sys)
+    return svd_rank(obs, max(obs.shape) * 1e-12)
+
+
+def planted_rank_system(rng, n, m, rank):
+    """Random system whose reachable space generically has dimension ``rank``:
+    omega block diagonal with blocks rank and n - rank, c supported on the
+    first block, then the whole rotated by a random unitary."""
+    sys = random_passive(rng, n, m)
+    omega = sys.omega.copy()
+    omega[:rank, rank:] = 0.0
+    omega[rank:, :rank] = 0.0
+    c = sys.c.copy()
+    c[:, rank:] = 0.0
+    return gauge_transform(new_system(omega, c), random_unitary(rng, n))
+
+
+class TestKrylovBasis:
     def test_chain_full_rank(self):
-        mat = controllability_matrix(chain_system(0.5, 0.6, 0.8))
-        assert mat.shape == (3, 4)
-        assert svd_rank(mat) == 3
+        basis = krylov_basis(chain_system(0.5, 0.6, 0.8))
+        assert basis.shape == (3, 3)
 
     def test_decoupled_chain_rank_one(self):
         # modes 2 and 3 unreachable once the 1-2 coupling vanishes
-        mat = controllability_matrix(chain_system(0.5, 0.0, 0.8))
-        assert svd_rank(mat) == 1
+        assert krylov_basis(chain_system(0.5, 0.0, 0.8)).shape == (3, 1)
 
     def test_one_mode(self):
-        mat = controllability_matrix(one_mode_system(0.9))
-        assert mat.shape == (1, 2)
-        assert svd_rank(mat) == 1
+        assert krylov_basis(one_mode_system(0.9)).shape == (1, 1)
 
-    def test_blocks_match_definition(self):
-        sys = chain_system()
-        a = drift_matrix(sys)
-        cdag = sys.c.conj().T
-        expected = -np.hstack([cdag, a @ cdag, a @ a @ cdag, a @ a @ a @ cdag])
-        np.testing.assert_allclose(controllability_matrix(sys), expected, atol=1e-14)
+    def test_basis_spans_power_stack(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, n + 1))
+            sys = planted_rank_system(rng, n, m, int(rng.integers(1, n + 1)))
+            basis = krylov_basis(sys)
+            np.testing.assert_allclose(
+                basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12
+            )
+            # every block -A^k c† of the controllability stack lies in the span
+            a = drift_matrix(sys)
+            block = sys.c.conj().T
+            for _ in range(n + 1):
+                outside = block - basis @ (basis.conj().T @ block)
+                assert np.abs(outside).max() <= 1e-9 * max(np.abs(block).max(), 1.0)
+                block = a @ block
+
+    def test_rank_matches_observability_svd(self, rng):
+        checked = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, n + 1))
+            if rng.random() < 0.5:
+                sys = random_passive(rng, n, m)
+            else:
+                sys = planted_rank_system(rng, n, m, int(rng.integers(1, n + 1)))
+            assert krylov_basis(sys).shape[1] == reference_rank(sys)
+            checked += 1
+        assert checked >= 500
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            chain_system(0.5, 0.0, 0.8),
+            ring_system(0.5, 1.0, 1.0, 1.0, 1.0),
+            new_system(np.zeros((2, 2)), [[1.0, 0.0]]),
+        ],
+        ids=["decoupled_chain", "symmetric_ring", "zero_column"],
+    )
+    def test_rank_matches_observability_svd_on_deficient_fixtures(self, sys):
+        rank = krylov_basis(sys).shape[1]
+        assert rank == reference_rank(sys)
+        assert rank < sys.n
+
+    def test_gauge_covariant(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            sys = random_passive(rng, n, int(rng.integers(1, n + 1)))
+            t = random_unitary(rng, n)
+            moved = krylov_basis(gauge_transform(sys, t))
+            np.testing.assert_allclose(moved, t @ krylov_basis(sys), atol=1e-10)
 
 
 class TestObservabilityMatrix:
@@ -119,3 +181,14 @@ class TestStructureReport:
         rep = structure_report(sys)
         assert not rep.observable and not rep.minimal
         assert not rep.hurwitz
+
+    @pytest.mark.parametrize("n", [30, 100, 300])
+    def test_uniform_chain_minimal(self, n):
+        rep = structure_report(uniform_chain(n))
+        assert rep.minimal
+        assert rep.ctrb_rank == rep.obsv_rank == n
+
+    def test_cut_chain_not_minimal(self):
+        rep = structure_report(uniform_chain(100, cut=50))
+        assert rep.ctrb_rank == rep.obsv_rank == 50
+        assert not rep.minimal

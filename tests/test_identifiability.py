@@ -1,22 +1,26 @@
 """Moment sequences, distinguishability, gauge recovery."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsysid import (
     DimensionMismatch,
     NotMinimal,
     NotUnitary,
     SingularResolvent,
-    drift_matrix,
-    drift_moment_sequence,
     find_gauge,
     gauge_transform,
     markov_distinguishable,
     markov_sequence,
     new_system,
+    structure_report,
     transfer_at,
 )
+from qsysid.serialize import verdict_to_obj
 
 from conftest import (
     chain_system,
@@ -66,16 +70,6 @@ class TestMarkovSequence:
             for mk in seq:
                 scale = max(np.abs(mk).max(), 1e-300)
                 assert np.abs(mk - mk.conj().T).max() <= 1e-10 * scale
-
-    def test_drift_moments_match_powers(self, rng):
-        sys = random_passive(rng, 4, 2)
-        a = drift_matrix(sys)
-        seq = drift_moment_sequence(sys, 5)
-        power = np.eye(4, dtype=complex)
-        for k in range(6):
-            expected = sys.c @ power @ sys.c.conj().T
-            np.testing.assert_allclose(seq[k], expected, atol=1e-12)
-            power = power @ a
 
 
 class TestMarkovDistinguishable:
@@ -194,6 +188,36 @@ class TestFindGauge:
     def test_not_minimal_raises(self):
         with pytest.raises(NotMinimal):
             find_gauge(chain_system(0.5, 0.0, 0.8), chain_system(0.5, 0.6, 0.8))
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_haar_gauge_recovered_at_n100(self, rng, m):
+        sys = random_passive(rng, 100, m)
+        t = random_unitary(rng, 100)
+        verdict = find_gauge(sys, gauge_transform(sys, t))
+        assert verdict.equivalent
+        assert np.abs(verdict.gauge - t).max() <= 1e-8
+
+    def test_different_mode_counts_not_equivalent(self, rng):
+        verdict = find_gauge(random_passive(rng, 3, 1), random_passive(rng, 4, 1))
+        assert not verdict.equivalent
+        assert verdict.gauge is None
+        assert np.isfinite(verdict.residual) and verdict.residual > 0
+        json.dumps(verdict_to_obj(verdict), allow_nan=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gauge_round_trip_property(self, n, m_frac, seed):
+        rng = np.random.default_rng(seed)
+        sys = random_passive(rng, n, 1 + int(m_frac * (n - 1)))
+        assume(structure_report(sys).minimal)
+        t = random_unitary(rng, n)
+        verdict = find_gauge(sys, gauge_transform(sys, t))
+        assert verdict.equivalent
+        np.testing.assert_allclose(verdict.gauge, t, atol=1e-7)
 
 
 class TestMarkovTransferConsistency:

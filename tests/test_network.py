@@ -156,6 +156,13 @@ class TestVerdict:
         assert not verdict.identifiable_by_infection
         assert verdict.reason == "NotMinimal"
 
+    def test_long_chain_identifiable(self):
+        # a 64-node chain coupled at one end is minimal and infecting
+        net = new_network(64, [(i, i + 1, 1.0) for i in range(63)], [0])
+        verdict = infection_identifiability_verdict(net)
+        assert verdict.identifiable_by_infection
+        assert verdict.reason is None
+
 
 class TestInfectionSoundness:
     def test_distinct_weights_distinguishable(self, rng):

@@ -6,8 +6,8 @@ import pytest
 from qsysid import (
     IllConditioned,
     InsufficientData,
+    NotHurwitz,
     NotPassiveTF,
-    NotStable,
     drift_matrix,
     fit_rational,
     gauge_transform,
@@ -71,7 +71,7 @@ class TestSampleResponse:
 
     def test_unstable_rejected(self):
         sys = new_system(np.zeros((2, 2)), [[1.0, 0.0]])
-        with pytest.raises(NotStable):
+        with pytest.raises(NotHurwitz):
             sample_response(sys, [0.1, 1.0])
 
 
