@@ -41,29 +41,32 @@ def krylov_basis(sys: PassiveSystem) -> np.ndarray:
     """Orthonormal basis of span{c†, omega c†, omega² c†, ...}, shape (n, rank).
 
     Block Lanczos with full reorthogonalization: the columns of c†, then
-    omega times each accepted basis vector, are taken in turn and
+    omega' times each accepted basis vector, are taken in turn and
     orthogonalized against the basis by classical Gram-Schmidt applied
-    twice. A vector is kept when its remainder exceeds 1e-10 times the
-    Frobenius norm of the matrix that produced it (c for the columns of c†,
-    omega for the products). Every step commutes with a change of mode
+    twice, where omega' = omega - (tr omega / n) I spans the same space as
+    omega but drops a uniform detuning. A vector is kept when its remainder
+    exceeds 1e-10 times the Frobenius norm of c (for the columns of c†) or
+    of omega' (for the products). Every step commutes with a change of mode
     basis, so the basis of (T omega T†, c T†) is T times that of (omega, c).
     """
     n, m = sys.n, sys.m
-    c_norm, omega_norm = np.linalg.norm(sys.c), np.linalg.norm(sys.omega)
+    omega = sys.omega - (np.trace(sys.omega).real / n) * np.eye(n)
+    c_norm, omega_norm = np.linalg.norm(sys.c), np.linalg.norm(omega)
     basis = np.empty((n, n), dtype=complex)
+    adjoint = np.empty((n, n), dtype=complex)  # row k: conjugate of column k
     width = 0
-    # a work queue: each accepted vector appends its product with omega
+    # a work queue: each accepted vector appends its product with omega'
     candidates = list(sys.c.conj())
     for k, vec in enumerate(candidates):
         if width == n:
             break
         for _ in range(2):
-            done = basis[:, :width]
-            vec = vec - done @ (done.conj().T @ vec)
-        norm = np.linalg.norm(vec)
+            vec = vec - basis[:, :width] @ (adjoint[:width] @ vec)
+        norm = np.sqrt(np.vdot(vec, vec).real)
         if norm > KRYLOV_RTOL * (c_norm if k < m else omega_norm):
-            basis[:, width] = vec / norm
-            candidates.append(sys.omega @ basis[:, width])
+            basis[:, width] = vec = vec / norm
+            adjoint[width] = vec.conj()
+            candidates.append(omega @ vec)
             width += 1
     return basis[:, :width]
 

@@ -2,10 +2,10 @@
 
 Two minimal systems share a transfer function exactly when a unitary change
 of mode basis T maps one onto the other: omega2 = T omega1 T†, c2 = c1 T†.
-:func:`find_gauge` reads T off the two orthonormal Krylov bases of
-:func:`~qsysid.analysis.krylov_basis` and certifies it by checking both
-relations. The moment sequence c omega^k c† gives the practical
-identifiability test for parametrized families.
+So the Krylov basis Q of :func:`~qsysid.analysis.krylov_basis` is a
+canonical coordinate system, in which the chain form [c Q; Q† omega Q] of a
+transfer function is unique. :func:`markov_distinguishable` compares chain
+forms; :func:`find_gauge` certifies T = Q2 Q1† by both relations.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ class EquivalenceVerdict:
     ``gauge`` holds the recovered unitary T when ``equivalent`` is true;
     ``residual`` is the largest deviation across all checked relations
     (unitarity of T and the two matrix relations). Systems of different
-    mode counts admit no T; their residual is the largest deviation
-    between the moments c omega^k c†, k <= 2 max(n1, n2).
+    mode counts admit no T; their residual is the largest entry deviation
+    between their chain forms [c Q; Q† omega Q], the narrower padded with
+    zeros.
     """
 
     equivalent: bool
@@ -46,7 +47,10 @@ class EquivalenceVerdict:
 
 
 def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
-    """Moments c omega^k c† for k = 0..kmax, by iterated multiplication."""
+    """Moments c omega^k c† for k = 0..kmax, by iterated multiplication.
+
+    The paper's definition, kept for reference: no library path uses it,
+    because the powers of omega overflow and drown small moments."""
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     cdag = sys.c.conj().T
@@ -58,40 +62,39 @@ def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
     return MarkovSequence(params=params, kmax=kmax)
 
 
-def _moment_gap(sys1: PassiveSystem, sys2: PassiveSystem, kmax: int) -> tuple[float, float]:
-    """Largest moment deviation and largest moment magnitude, k <= kmax."""
-    seq1 = markov_sequence(sys1, kmax).params
-    seq2 = markov_sequence(sys2, kmax).params
-    dev = np.abs(seq1 - seq2).max()
-    scale = max(np.abs(seq1).max(), np.abs(seq2).max())
-    return float(dev), float(scale)
+def _chain_form(sys: PassiveSystem, q: np.ndarray) -> np.ndarray:
+    """Chain form [c Q; Q† omega Q] on the Krylov basis Q, shape (m + r, r).
+
+    Every entry is a combination of the moments c omega^k c†, so equal
+    transfer functions give equal chain forms.
+    """
+    return np.vstack([sys.c @ q, q.conj().T @ sys.omega @ q])
 
 
-def markov_distinguishable(
-    sys1: PassiveSystem,
-    sys2: PassiveSystem,
-    kmax: int | None = None,
-    tol: float | None = None,
-) -> bool:
-    """True when some moment c omega^k c† differs between the systems.
+def _chain_gap(form1: np.ndarray, form2: np.ndarray) -> tuple[float, float]:
+    """Largest entry deviation between two chain forms, the narrower padded
+    with zeros, and the largest entry of either form."""
+    r = max(form1.shape[1], form2.shape[1])
+    pads = np.zeros((2, form1.shape[0] - form1.shape[1] + r, r), dtype=complex)
+    for pad, form in zip(pads, (form1, form2)):
+        pad[: form.shape[0], : form.shape[1]] = form
+    dev = np.abs(pads[0] - pads[1]).max(initial=0.0)
+    return float(dev), float(np.abs(pads).max(initial=0.0))
 
-    A False return at the default kmax = 2 max(n1, n2) certifies, for
-    minimal systems, that the two transfer functions coincide.
 
-    Parameters
-    ----------
-    tol : float, optional
-        Absolute entry tolerance; defaults to 1e-8 times the largest
-        moment magnitude across both sequences.
+def markov_distinguishable(sys1: PassiveSystem, sys2: PassiveSystem) -> bool:
+    """True when the two systems have different transfer functions.
+
+    Compares the chain forms [c Q; Q† omega Q] on the Krylov bases Q of
+    :func:`~qsysid.analysis.krylov_basis`, the minimal parts of the systems
+    in canonical coordinates: True when the forms differ in width, or in an
+    entry by more than 1e-8 times the largest entry of either form.
     """
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
-    if kmax is None:
-        kmax = 2 * max(sys1.n, sys2.n)
-    dev, scale = _moment_gap(sys1, sys2, kmax)
-    if tol is None:
-        tol = EQUIV_RTOL * scale
-    return dev > tol
+    form1, form2 = (_chain_form(sys, krylov_basis(sys)) for sys in (sys1, sys2))
+    dev, scale = _chain_gap(form1, form2)
+    return form1.shape != form2.shape or dev > EQUIV_RTOL * scale
 
 
 def gauge_transform(sys: PassiveSystem, t: np.ndarray) -> PassiveSystem:
@@ -119,7 +122,9 @@ def find_gauge(
     equal Gram-Schmidt coefficients, so if the systems are equivalent then
     Q2 = T Q1 and T = Q2 Q1†. That T is then checked for unitarity and
     against both defining relations; passing the check certifies equal
-    transfer functions, so it is the whole test.
+    transfer functions, so it is the whole test. Minimal systems of
+    different n are never equivalent; their residual is the chain-form gap
+    of :func:`markov_distinguishable`.
 
     Parameters
     ----------
@@ -144,7 +149,7 @@ def find_gauge(
             )
         bases.append(basis)
     if sys1.n != sys2.n:
-        dev, _ = _moment_gap(sys1, sys2, 2 * max(sys1.n, sys2.n))
+        dev, _ = _chain_gap(_chain_form(sys1, bases[0]), _chain_form(sys2, bases[1]))
         return EquivalenceVerdict(equivalent=False, gauge=None, residual=dev)
     t = bases[1] @ bases[0].conj().T
     dev_u = np.abs(t @ t.conj().T - np.eye(sys1.n)).max()

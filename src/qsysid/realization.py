@@ -82,6 +82,25 @@ def _require_siso(tf: RationalTF) -> None:
         raise NotSISO(f"operation requires m = 1, got m = {tf.m}")
 
 
+def _vanishing_difference(tf: RationalTF, tol: float) -> np.ndarray:
+    """Coefficients of den I - num below s^n, shape (m, m, n), ascending.
+
+    Raises NotPassiveTF when the s^n coefficient exceeds ``tol`` times the
+    largest coefficient of den I - num or den: then I - Xi does not vanish
+    at large |s|, so no passive system (whose direct term is I) realizes Xi.
+    """
+    n = tf.degree
+    diff = tf.den * np.eye(tf.m)[:, :, None] - tf.num
+    lead = np.abs(diff[:, :, n]).max()
+    threshold = tol * max(np.abs(diff).max(), np.abs(tf.den).max())
+    if lead > threshold:
+        raise NotPassiveTF(
+            f"I - Xi does not vanish at large |s|: leading coefficient "
+            f"{lead:.3e} exceeds {threshold:.3e}"
+        )
+    return diff[:, :, :n]
+
+
 def companion_realization(
     tf: RationalTF, tol: float = PASSIVITY_RTOL
 ) -> ClassicalRealization:
@@ -106,19 +125,13 @@ def companion_realization(
     _require_siso(tf)
     require_monic(tf.den)
     n = tf.degree
-    cpoly = tf.num[0, 0] - tf.den
-    scale = max(np.abs(cpoly).max(), np.abs(tf.den).max())
-    if abs(cpoly[n]) > tol * scale:
-        raise NotPassiveTF(
-            f"transfer function tends to {tf.num[0, 0][n]} at large |s|, expected 1"
-        )
+    c0 = -_vanishing_difference(tf, tol)[0, 0].reshape(1, n)
     a0 = np.zeros((n, n), dtype=complex)
     if n > 1:
         a0[: n - 1, 1:] = np.eye(n - 1)
     a0[n - 1, :] = -tf.den[:n]
     b0 = np.zeros((n, 1), dtype=complex)
     b0[n - 1, 0] = 1.0
-    c0 = cpoly[:n].reshape(1, n).copy()
     return ClassicalRealization(a0=a0, b0=b0, c0=c0)
 
 
@@ -231,22 +244,6 @@ def reconstruct_passive(
     return sys, gauge
 
 
-def _leading_difference(tf: RationalTF, tol: float) -> np.ndarray:
-    """Coefficients of den - num (ascending), checked to drop the s^n term.
-
-    Nonzero s^n coefficient means 1 - Xi does not vanish at large |s|,
-    which is incompatible with the passive form.
-    """
-    diff = tf.den - tf.num[0, 0]
-    n = tf.degree
-    scale = max(np.abs(diff).max(), np.abs(tf.den).max())
-    if abs(diff[n]) > tol * scale:
-        raise NotPassiveTF(
-            f"1 - Xi has relative degree 0 (leading coefficient {diff[n]:.3e})"
-        )
-    return diff[:n]
-
-
 def direct_reconstruction(tf: RationalTF, tol: float = RESIDUE_RTOL) -> CanonicalParams:
     """Identifiable parameters straight from the coefficients of Xi.
 
@@ -278,7 +275,7 @@ def direct_reconstruction(tf: RationalTF, tol: float = RESIDUE_RTOL) -> Canonica
     n = tf.degree
     num = tf.num[0, 0]
     den = tf.den
-    diff = _leading_difference(tf, tol)
+    diff = _vanishing_difference(tf, tol)[0, 0]
     theta_c = diff[n - 1]
     if theta_c.real <= 0 or abs(theta_c.imag) > max(tol * abs(theta_c), 1e-300):
         raise NotPassiveTF(f"leading moment theta = {theta_c} is not positive real")
@@ -366,13 +363,7 @@ def mimo_coupling_gram(
     n = tf.degree
     m = tf.m
     den = tf.den
-    # entrywise difference delta_ij den - num_ij, ascending in axis 2
-    diff = -tf.num.copy()
-    for i in range(m):
-        diff[i, i] += den
-    scale = max(np.abs(diff).max(), np.abs(den).max())
-    if np.abs(diff[:, :, n]).max() > tol * scale:
-        raise NotPassiveTF("I - Xi does not vanish at large |s|")
+    diff = _vanishing_difference(tf, tol)
     moment0 = diff[:, :, n - 1]
     moment1 = (diff[:, :, n - 2] if n >= 2 else np.zeros((m, m))) - den[n - 1] * moment0
     gram = 0.5 * (moment0 + moment0.conj().T)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsysid import PassiveSystem, new_system
+from qsysid import PassiveSystem, gauge_transform, new_system
 
 
 def chain_system(kappa: float = 0.5, th1: float = 0.6, th2: float = 0.8) -> PassiveSystem:
@@ -70,6 +70,21 @@ def random_passive(rng: np.random.Generator, n: int, m: int) -> PassiveSystem:
     omega = 0.5 * (g + g.conj().T)
     c = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     return new_system(omega, c)
+
+
+def planted_rank_system(
+    rng: np.random.Generator, n: int, m: int, rank: int
+) -> PassiveSystem:
+    """Random system whose reachable space generically has dimension ``rank``:
+    omega block diagonal with blocks rank and n - rank, c supported on the
+    first block, then the whole rotated by a random unitary."""
+    sys = random_passive(rng, n, m)
+    omega = sys.omega.copy()
+    omega[:rank, rank:] = 0.0
+    omega[rank:, :rank] = 0.0
+    c = sys.c.copy()
+    c[:, rank:] = 0.0
+    return gauge_transform(new_system(omega, c), random_unitary(rng, n))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

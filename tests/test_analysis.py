@@ -15,6 +15,7 @@ from qsysid import (
 from conftest import (
     chain_system,
     one_mode_system,
+    planted_rank_system,
     random_passive,
     random_unitary,
     ring_system,
@@ -31,19 +32,6 @@ def reference_rank(sys):
     """SVD rank of the observability stack at sigma_max * max(shape) * 1e-12."""
     obs = observability_matrix(sys)
     return svd_rank(obs, max(obs.shape) * 1e-12)
-
-
-def planted_rank_system(rng, n, m, rank):
-    """Random system whose reachable space generically has dimension ``rank``:
-    omega block diagonal with blocks rank and n - rank, c supported on the
-    first block, then the whole rotated by a random unitary."""
-    sys = random_passive(rng, n, m)
-    omega = sys.omega.copy()
-    omega[:rank, rank:] = 0.0
-    omega[rank:, :rank] = 0.0
-    c = sys.c.copy()
-    c[:, rank:] = 0.0
-    return gauge_transform(new_system(omega, c), random_unitary(rng, n))
 
 
 class TestKrylovBasis:
@@ -101,6 +89,12 @@ class TestKrylovBasis:
         rank = krylov_basis(sys).shape[1]
         assert rank == reference_rank(sys)
         assert rank < sys.n
+
+    def test_uniform_detuning_keeps_rank(self):
+        # the drop threshold must not grow with a detuning the space ignores
+        chain = uniform_chain(30)
+        detuned = new_system(chain.omega + 1e11 * np.eye(30), chain.c)
+        assert krylov_basis(detuned).shape == (30, 30)
 
     def test_gauge_covariant(self, rng):
         for _ in range(10):

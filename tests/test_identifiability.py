@@ -1,6 +1,7 @@
 """Moment sequences, distinguishability, gauge recovery."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from qsysid.serialize import verdict_to_obj
 from conftest import (
     chain_system,
     coupling_fixing_unitary,
+    planted_rank_system,
     random_passive,
     random_unitary,
     ring_system,
     tree_system,
+    uniform_chain,
 )
 
 
@@ -91,6 +94,59 @@ class TestMarkovDistinguishable:
     def test_port_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             markov_distinguishable(random_passive(rng, 3, 1), random_passive(rng, 3, 2))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_last_edge_changed_distinguishable(self, n):
+        # only the moments of order 2n - 2 and up see the last edge, where the
+        # change is far below 1e-8 of the largest moment
+        chain = uniform_chain(n)
+        omega = chain.omega.copy()
+        omega[n - 2, n - 1] = omega[n - 1, n - 2] = 1.5
+        assert markov_distinguishable(chain, new_system(omega, chain.c))
+
+    def test_unrelated_large_systems_distinguishable(self, rng):
+        # the moments c omega^k c† up to k = 2n overflow at this size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert markov_distinguishable(
+                random_passive(rng, 128, 1), random_passive(rng, 128, 1)
+            )
+
+    def test_cut_chain_compared_by_minimal_part(self):
+        # the chain cut after node 50 has the transfer function of its first 50 nodes
+        cut = uniform_chain(100, cut=50)
+        assert not markov_distinguishable(cut, uniform_chain(50))
+        assert markov_distinguishable(cut, uniform_chain(51))
+
+    def test_gauge_indistinguishable_at_n128(self, rng):
+        sys = random_passive(rng, 128, 1)
+        moved = gauge_transform(sys, random_unitary(rng, 128))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not markov_distinguishable(sys, moved)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        m_frac=st.floats(0.0, 1.0),
+        rank_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gauge_never_distinguishable_property(self, n, m_frac, rank_frac, seed):
+        # non-minimal inputs too: the unreachable block drops out of both forms
+        rng = np.random.default_rng(seed)
+        m = 1 + int(m_frac * (min(n, 4) - 1))
+        sys = planted_rank_system(rng, n, m, 1 + int(rank_frac * (n - 1)))
+        assert not markov_distinguishable(sys, gauge_transform(sys, random_unitary(rng, n)))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the Krylov rank of a planted rank-32 system at "
+        "n = 64 absorbs rounding amplified by the Lanczos recurrence",
+    )
+    def test_gauge_indistinguishable_planted_n64(self, rng):
+        sys = planted_rank_system(rng, 64, 1, 32)
+        assert not markov_distinguishable(sys, gauge_transform(sys, random_unitary(rng, 64)))
 
 
 class TestGaugeTransform:

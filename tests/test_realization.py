@@ -32,6 +32,10 @@ from conftest import (
 )
 
 
+# the NotPassiveTF message names the measured leading coefficient and the threshold
+NOT_VANISHING = r"leading coefficient 1\.000e\+00 exceeds \d"
+
+
 def two_node_tf(a0, a1, c1):
     """Xi(s) = 1 + c1 s / (s^2 + a1 s + a0)."""
     return make_rational_tf([a0, a1 + c1, 1.0], [a0, a1, 1.0])
@@ -74,6 +78,11 @@ class TestCompanionRealization:
     def test_non_monic(self):
         with pytest.raises(NonMonic):
             make_rational_tf([1.0, 2.0], [1.0, 2.0000001])
+
+    def test_not_vanishing_at_infinity(self):
+        # Xi -> 2 at large |s|: no realization with direct term 1
+        with pytest.raises(NotPassiveTF, match=NOT_VANISHING):
+            companion_realization(make_rational_tf([0.5, 2.0], [1.0, 1.0]))
 
 
 class TestSolveLyapunov:
@@ -204,6 +213,10 @@ class TestDirectReconstruction:
                 lam_true = np.linalg.eigvalsh(np.asarray(sys.omega)[1:, 1:])
                 np.testing.assert_allclose(params.lambdas, lam_true, atol=1e-8)
 
+    def test_not_vanishing_at_infinity(self):
+        with pytest.raises(NotPassiveTF, match=NOT_VANISHING):
+            direct_reconstruction(make_rational_tf([0.5, 0.3, 2.0], [1.0, 0.3, 1.0]))
+
     def test_degenerate_spectrum_rejected(self):
         # den - num = (s + i)^2 exactly: a double pole of the interior response
         den = np.array([-0.5, -1.0 + 1.0j, 0.5 + 2.0j, 1.0])
@@ -289,6 +302,14 @@ class TestMimoCouplingGram:
         c0_2, _ = mimo_coupling_gram(transfer_rational(sys2))
         np.testing.assert_allclose(c0_1, c0_2, atol=1e-9)
         np.testing.assert_allclose(c0_1 @ c0_1.conj().T, c @ c.conj().T, atol=1e-9)
+
+    def test_not_vanishing_at_infinity(self):
+        # Xi_22 -> 2 at large |s|, so I - Xi keeps a constant entry
+        num = np.zeros((2, 2, 2), dtype=complex)
+        num[0, 0] = [0.5, 1.0]
+        num[1, 1] = [1.0, 2.0]
+        with pytest.raises(NotPassiveTF, match=NOT_VANISHING):
+            mimo_coupling_gram(make_rational_tf(num, [1.0, 1.0]))
 
     def test_rank_deficient_coupling_rejected(self, rng):
         # two ports driving the same mode combination: singular gram
