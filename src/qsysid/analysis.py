@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PassiveSystem, drift_matrix, spectral_abscissa
+from .model import PassiveSystem
 
 KRYLOV_RTOL = 1e-10
 
@@ -79,7 +79,7 @@ def observability_matrix(sys: PassiveSystem) -> np.ndarray:
     determinant formula is stated for it. No library path calls it: the
     powers of A lose the rank of a uniform chain in rounding by n = 30.
     """
-    a = drift_matrix(sys)
+    a = sys.drift
     block = sys.c
     blocks = [block]
     for _ in range(sys.n):
@@ -95,7 +95,7 @@ def structure_report(sys: PassiveSystem) -> StructureReport:
     """
     rank = krylov_basis(sys).shape[1]
     minimal = rank == sys.n
-    abscissa = spectral_abscissa(drift_matrix(sys))
+    abscissa = float(sys.poles.real.max())
     return StructureReport(
         controllable=minimal,
         observable=minimal,

@@ -20,7 +20,6 @@ from . import serialize
 from .analysis import structure_report
 from .errors import QsysidError
 from .identifiability import find_gauge
-from .model import drift_matrix
 from .network import infection_closure, infection_identifiability_verdict
 from .probe import identify_pipeline, sample_response
 from .realization import direct_reconstruction, reconstruct_passive, companion_realization
@@ -49,7 +48,7 @@ def _parse_freq_spec(spec: str) -> np.ndarray:
 
 
 def _default_freqs(sys) -> np.ndarray:
-    scale = max(1.0, float(np.abs(np.linalg.eigvals(drift_matrix(sys))).max()))
+    scale = max(1.0, float(np.abs(sys.poles).max()))
     return np.geomspace(0.01 * scale, 100.0 * scale, 200)
 
 

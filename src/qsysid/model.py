@@ -14,9 +14,11 @@ Xi(i*w) is unitary for every real w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     DimensionMismatch,
@@ -28,7 +30,7 @@ from .errors import (
     SingularResolvent,
     TooManyFields,
 )
-from .ratfunc import RationalTF, poly_from_roots, polyval_asc
+from .ratfunc import RationalTF, poly_from_roots, require_finite
 
 HERMIT_RTOL = 1e-12
 HERMIT_ATOL = 1e-14
@@ -41,7 +43,9 @@ class PassiveSystem:
     """Immutable pair (omega, c) defining a passive linear quantum system.
 
     Construct through :func:`new_system`, which validates shapes and
-    Hermiticity. Instances are safe to share between threads.
+    Hermiticity. Instances are safe to share between threads. The drift
+    matrix and its eigenvalues are computed on first use and kept, read-only,
+    on the instance.
     """
 
     omega: np.ndarray
@@ -56,6 +60,16 @@ class PassiveSystem:
     def m(self) -> int:
         """Field (port) count."""
         return self.c.shape[0]
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """Drift matrix A = -i*omega - c†c/2. Satisfies A + A† + c†c = 0."""
+        return _read_only(-1j * self.omega - 0.5 * (self.c.conj().T @ self.c))
+
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """Eigenvalues of the drift matrix: the poles of Xi(s)."""
+        return _read_only(np.linalg.eigvals(self.drift))
 
 
 @dataclass(frozen=True)
@@ -72,10 +86,9 @@ class MeanTrajectory:
     output_means: np.ndarray
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def new_system(omega, c) -> PassiveSystem:
@@ -97,9 +110,13 @@ def new_system(omega, c) -> PassiveSystem:
     NotHermitian
         omega deviates from omega† beyond 1e-12 relative (1e-14 absolute
         floor) in max norm.
+    ValueError
+        an entry of omega or c is not finite.
     """
     omega = np.atleast_2d(np.asarray(omega, dtype=complex))
     c = np.atleast_2d(np.asarray(c, dtype=complex))
+    require_finite(omega, "omega")
+    require_finite(c, "c")
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise DimensionMismatch(f"omega must be square, got shape {omega.shape}")
     n = omega.shape[0]
@@ -117,22 +134,12 @@ def new_system(omega, c) -> PassiveSystem:
     dev = np.abs(omega - omega.conj().T).max()
     if dev > tol:
         raise NotHermitian(f"max |omega - omega†| = {dev:.3e} exceeds {tol:.3e}")
-    return PassiveSystem(omega=_frozen(omega), c=_frozen(c))
+    return PassiveSystem(omega=_read_only(omega.copy()), c=_read_only(c.copy()))
 
 
-def drift_matrix(sys: PassiveSystem) -> np.ndarray:
-    """Drift matrix A = -i*omega - c†c/2. Satisfies A + A† + c†c = 0."""
-    return -1j * sys.omega - 0.5 * (sys.c.conj().T @ sys.c)
-
-
-def spectral_abscissa(a: np.ndarray) -> float:
-    """Largest real part among the eigenvalues of a square matrix."""
-    return float(np.linalg.eigvals(a).real.max())
-
-
-def require_hurwitz(a: np.ndarray) -> None:
-    """Raise NotHurwitz unless every eigenvalue of a has negative real part."""
-    abscissa = spectral_abscissa(a)
+def require_hurwitz(eigs: np.ndarray) -> None:
+    """Raise NotHurwitz unless every eigenvalue in eigs has negative real part."""
+    abscissa = float(eigs.real.max())
     if abscissa >= 0.0:
         raise NotHurwitz(f"spectral abscissa {abscissa:.3e} is not negative")
 
@@ -156,13 +163,6 @@ def require_unitary(u, n: int) -> np.ndarray:
     return u
 
 
-def _check_resolvent_point(a: np.ndarray, s: complex) -> None:
-    eigs = np.linalg.eigvals(a)
-    gap = np.abs(eigs - s).min()
-    if gap < RESOLVENT_TOL * (1.0 + abs(s)):
-        raise SingularResolvent(f"s={s} is within {gap:.3e} of an eigenvalue of A")
-
-
 def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     """Transfer function Xi(s) = I - c (sI - A)^{-1} c† at one point.
 
@@ -171,9 +171,10 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     SingularResolvent
         if s lies within 1e-10 * (1 + |s|) of an eigenvalue of A.
     """
-    a = drift_matrix(sys)
-    _check_resolvent_point(a, s)
-    res = np.linalg.solve(s * np.eye(sys.n) - a, sys.c.conj().T)
+    gap = np.abs(sys.poles - s).min()
+    if gap < RESOLVENT_TOL * (1.0 + abs(s)):
+        raise SingularResolvent(f"s={s} is within {gap:.3e} of an eigenvalue of A")
+    res = np.linalg.solve(s * np.eye(sys.n) - sys.drift, sys.c.conj().T)
     return np.eye(sys.m) - sys.c @ res
 
 
@@ -186,22 +187,15 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     2 * (1 + spectral radius), where the interpolation nodes form a
     scaled DFT grid so the Vandermonde solve is an FFT.
     """
-    a = drift_matrix(sys)
-    n, m = sys.n, sys.m
-    eigs = np.linalg.eigvals(a)
-    den = poly_from_roots(eigs)
-    radius = 2.0 * (1.0 + np.abs(eigs).max())
-    npts = n + 1
+    den = poly_from_roots(sys.poles)
+    radius = 2.0 * (1.0 + np.abs(sys.poles).max())
+    npts = sys.n + 1
     nodes = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
-    samples = np.empty((npts, m, m), dtype=complex)
-    eye = np.eye(n)
-    for k, s in enumerate(nodes):
-        res = np.linalg.solve(s * eye - a, sys.c.conj().T)
-        samples[k] = (np.eye(m) - sys.c @ res) * polyval_asc(den, s)
+    samples = np.array([transfer_at(sys, s) * polyval(s, den) for s in nodes])
     num = np.fft.fft(samples, axis=0) / npts
     num /= (radius ** np.arange(npts))[:, None, None]
     num = np.moveaxis(num, 0, 2)
-    return RationalTF(num=num, den=den, m=m)
+    return RationalTF(num=num, den=den, m=sys.m)
 
 
 def simulate_means(
@@ -235,7 +229,7 @@ def simulate_means(
         raise EmptyGrid(f"need at least 2 time points, got {t.size}")
     if np.any(np.diff(t) <= 0):
         raise NonMonotoneGrid("time grid must be strictly increasing")
-    a = drift_matrix(sys)
+    a = sys.drift
     n, m = sys.n, sys.m
     cdag = sys.c.conj().T
 

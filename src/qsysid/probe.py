@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import IllConditioned, InsufficientData, NonMonotoneGrid, NotSISO
-from .model import PassiveSystem, drift_matrix, require_hurwitz, transfer_at
-from .ratfunc import RationalTF, make_rational_tf, polyval_asc
+from .model import PassiveSystem, require_hurwitz, transfer_at
+from .ratfunc import RationalTF, make_rational_tf, require_finite
 from .realization import (
     CanonicalParams,
     companion_realization,
@@ -75,13 +76,16 @@ def sample_response(
         drift matrix is not Hurwitz.
     NonMonotoneGrid
         frequencies not strictly increasing.
+    ValueError
+        noise_sigma negative or not finite.
     """
+    require_finite(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
     freqs = np.asarray(freqs, dtype=float).ravel()
     if freqs.size == 0 or np.any(np.diff(freqs) <= 0):
         raise NonMonotoneGrid("frequencies must be strictly increasing")
-    require_hurwitz(drift_matrix(sys))
+    require_hurwitz(sys.poles)
     responses = np.empty((freqs.size, sys.m, sys.m), dtype=complex)
     for j, w in enumerate(freqs):
         responses[j] = transfer_at(sys, 1j * w)
@@ -119,9 +123,12 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
         fewer than 2 (2 degree + 1) samples.
     IllConditioned
         normal-equation condition number above 1e12 (bad frequency grid).
+    ValueError
+        a response sample is not finite.
     """
     if data.m != 1:
         raise NotSISO(f"fit requires single-port data, got m = {data.m}")
+    require_finite(data.responses, "responses")
     n = int(degree)
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -161,14 +168,14 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
         scale = max(np.linalg.norm(solution), 1e-300)
         coeffs = solution
         den_scaled = np.concatenate([coeffs[n + 1 :], [1.0]])
-        weights = 1.0 / np.maximum(np.abs(polyval_asc(den_scaled, z)), 1e-300)
+        weights = 1.0 / np.maximum(np.abs(polyval(z, den_scaled)), 1e-300)
         if change <= SK_COEFF_TOL * scale:
             break
     unscale = wref ** (n - np.arange(n + 1))
     num = coeffs[: n + 1] * unscale
     den = np.concatenate([coeffs[n + 1 :], [1.0]]) * unscale
     tf = make_rational_tf(num, den)
-    fitted = np.array([tf.eval_scalar(1j * w) for w in data.freqs])
+    fitted = tf.eval(1j * data.freqs)[:, 0, 0]
     rms = float(np.sqrt(np.mean(np.abs(fitted - resp) ** 2)))
     return FitResult(tf=tf, rms_residual=rms, iterations=iterations)
 

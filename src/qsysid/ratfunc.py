@@ -10,15 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DimensionMismatch, NonMonic
 
 MONIC_TOL = 1e-9
-
-
-def polyval_asc(coeffs: np.ndarray, s: complex) -> complex:
-    """Evaluate a polynomial given ascending coefficients."""
-    return np.polynomial.polynomial.polyval(s, coeffs)
 
 
 def poly_from_roots(roots: np.ndarray) -> np.ndarray:
@@ -29,6 +25,12 @@ def poly_from_roots(roots: np.ndarray) -> np.ndarray:
 def poly_roots(coeffs_asc: np.ndarray) -> np.ndarray:
     """Roots of a polynomial given ascending coefficients (companion eigenvalues)."""
     return np.roots(np.asarray(coeffs_asc, dtype=complex)[::-1])
+
+
+def require_finite(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless every entry of value is finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
 
 
 def require_monic(den: np.ndarray) -> None:
@@ -62,18 +64,11 @@ class RationalTF:
     def degree(self) -> int:
         return len(self.den) - 1
 
-    def eval(self, s: complex) -> np.ndarray:
-        """Value of the transfer function at one complex point, as an m x m matrix."""
-        dval = polyval_asc(self.den, s)
-        out = np.empty((self.m, self.m), dtype=complex)
-        for i in range(self.m):
-            for j in range(self.m):
-                out[i, j] = polyval_asc(self.num[i, j], s) / dval
-        return out
-
-    def eval_scalar(self, s: complex) -> complex:
-        """Convenience for single-port functions."""
-        return polyval_asc(self.num[0, 0], s) / polyval_asc(self.den, s)
+    def eval(self, s) -> np.ndarray:
+        """Value at a complex point or an array of them, shape ``s.shape + (m, m)``."""
+        s = np.asarray(s, dtype=complex)
+        num = np.moveaxis(polyval(s, np.moveaxis(self.num, 2, 0)), (0, 1), (-2, -1))
+        return num / polyval(s, self.den)[..., None, None]
 
 
 def make_rational_tf(num, den, m: int | None = None) -> RationalTF:
@@ -82,9 +77,12 @@ def make_rational_tf(num, den, m: int | None = None) -> RationalTF:
     ``num`` may be a 1-D array for the single-port case or a full
     ``(m, m, deg + 1)`` array. The denominator must be monic within
     ``MONIC_TOL``; its leading coefficient is then snapped to exactly 1.
+    A coefficient that is not finite raises ValueError.
     """
     den = np.asarray(den, dtype=complex).ravel()
     num = np.asarray(num, dtype=complex)
+    require_finite(num, "num")
+    require_finite(den, "den")
     if num.ndim == 1:
         num = num.reshape(1, 1, -1)
     if num.ndim != 3 or num.shape[0] != num.shape[1]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     DegenerateSpectrum,
@@ -27,7 +27,7 @@ from .errors import (
     SolverSingular,
 )
 from .model import PassiveSystem, new_system, require_hurwitz, require_unitary
-from .ratfunc import RationalTF, poly_roots, polyval_asc, require_monic
+from .ratfunc import RationalTF, poly_roots, require_monic
 
 LYAPUNOV_RTOL = 1e-10
 PASSIVITY_RTOL = 1e-8
@@ -156,7 +156,8 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
     if a0.shape != q.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch(f"shapes {a0.shape} and {q.shape} are incompatible")
-    require_hurwitz(a0)
+    require_hurwitz(np.linalg.eigvals(a0))
+    from scipy.linalg import solve_continuous_lyapunov  # slow; only this route needs it
     q = 0.5 * (q + q.conj().T)
     p = solve_continuous_lyapunov(a0.conj().T, -q)
     p = 0.5 * (p + p.conj().T)
@@ -303,21 +304,22 @@ def direct_reconstruction(tf: RationalTF, tol: float = RESIDUE_RTOL) -> Canonica
     pole_scale = np.abs(poles).max()
     if pole_scale == 0.0:
         pole_scale = 1.0
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) < POLE_SEP_RTOL * pole_scale:
-                raise DegenerateSpectrum(
-                    f"poles {poles[i]} and {poles[j]} are numerically coincident"
-                )
+    close = np.argwhere(
+        np.triu(np.abs(poles[:, None] - poles) < POLE_SEP_RTOL * pole_scale, k=1)
+    )
+    if close.size:
+        i, j = close[0]  # row-major order: the first pair the pairwise scan meets
+        raise DegenerateSpectrum(
+            f"poles {poles[i]} and {poles[j]} are numerically coincident"
+        )
     dprime = np.polynomial.polynomial.polyder(diff)
-    lambdas = np.empty(n - 1)
-    e_abs = np.empty(n - 1)
-    for i, pole in enumerate(poles):
-        res = polyval_asc(numt, pole) / polyval_asc(dprime, pole)
-        if res.real <= 0 or abs(res.imag) > max(tol * abs(res), 1e-300):
-            raise NegativeResidue(f"residue {res} at pole {pole} is not positive real")
-        lambdas[i] = (1j * pole).real
-        e_abs[i] = np.sqrt(res.real)
+    res = polyval(poles, numt) / polyval(poles, dprime)
+    bad = (res.real <= 0) | (np.abs(res.imag) > np.maximum(tol * np.abs(res), 1e-300))
+    if bad.any():
+        i = np.argmax(bad)
+        raise NegativeResidue(f"residue {res[i]} at pole {poles[i]} is not positive real")
+    lambdas = (1j * poles).real
+    e_abs = np.sqrt(res.real)
     order = np.argsort(lambdas)
     return CanonicalParams(
         theta=theta,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsysid import (
-    drift_matrix,
     gauge_transform,
     krylov_basis,
     new_system,
@@ -56,7 +55,7 @@ class TestKrylovBasis:
                 basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12
             )
             # every block -A^k c† of the controllability stack lies in the span
-            a = drift_matrix(sys)
+            a = sys.drift
             block = sys.c.conj().T
             for _ in range(n + 1):
                 outside = block - basis @ (basis.conj().T @ block)

@@ -23,18 +23,22 @@ from test_network import chain_network, tree_network
 PACKAGE_ROOT = Path(qsysid.__file__).resolve().parents[1]
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(PACKAGE_ROOT) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return subprocess.run(
-        [sys.executable, "-m", "qsysid", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "qsysid", *args, cwd=cwd)
 
 
 def write_json(path, obj):
@@ -72,6 +76,13 @@ class TestAnalyze:
         assert proc.returncode == 2
         err = json.loads(proc.stderr)
         assert "error" in err
+
+    def test_non_finite_system_exit_two(self, tmp_path):
+        obj = serialize.system_to_obj(chain_system())
+        obj["omega"][0][0]["re"] = float("nan")
+        proc = run_cli("analyze", write_json(tmp_path / "nan.json", obj))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "ValueError"
 
     def test_missing_file_exit_two(self):
         proc = run_cli("analyze", "/nonexistent/system.json")
@@ -224,3 +235,19 @@ class TestProbeFitCompose:
     def test_bad_freq_spec_exit_two(self, chain_file):
         proc = run_cli("probe", chain_file, "--freqs", "10:1:5:log")
         assert proc.returncode == 2
+
+
+class TestLazyScipy:
+    """SciPy serves only the Lyapunov route, so nothing else imports it."""
+
+    def test_package_import_leaves_scipy_out(self):
+        proc = run_python("-c", "import sys, qsysid; print('scipy' in sys.modules)")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+    def test_analyze_does_not_import_scipy(self, chain_file):
+        proc = run_python("-X", "importtime", "-m", "qsysid", "analyze", chain_file)
+        assert proc.returncode == 0
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "qsysid.cli" in imported
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]

@@ -10,12 +10,13 @@ from qsysid import (
     NotHermitian,
     SingularResolvent,
     TooManyFields,
-    drift_matrix,
+    make_rational_tf,
     new_system,
     simulate_means,
     transfer_at,
     transfer_rational,
 )
+from qsysid.ratfunc import poly_from_roots
 
 from conftest import chain_system, one_mode_system, random_passive
 
@@ -47,17 +48,35 @@ class TestNewSystem:
         with pytest.raises(ValueError):
             sys.omega[0, 0] = 5.0
 
+    @pytest.mark.parametrize(
+        "omega, c, name", [([[np.nan]], [[1.0]], "omega"), ([[0.0]], [[np.inf]], "c")]
+    )
+    def test_non_finite_rejected(self, omega, c, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            new_system(omega, c)
+
 
 class TestDriftMatrix:
+    def test_drift_and_poles_read_only(self):
+        sys = chain_system()
+        with pytest.raises(ValueError):
+            sys.drift[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sys.poles[0] = 1.0
+
+    def test_poles_are_drift_eigenvalues(self, rng):
+        sys = random_passive(rng, 5, 2)
+        np.testing.assert_array_equal(sys.poles, np.linalg.eigvals(sys.drift))
+
     def test_one_mode_zero_hamiltonian(self):
         kappa = 0.7
-        a = drift_matrix(one_mode_system(kappa))
+        a = one_mode_system(kappa).drift
         np.testing.assert_allclose(a, [[-kappa / 2]], atol=1e-15)
 
     def test_one_mode_scalar_formula(self):
         # independent scalar arithmetic: A = -i w - kappa / 2
         w, kappa = 1.3, 0.7
-        a = drift_matrix(one_mode_system(kappa, omega=w))
+        a = one_mode_system(kappa, omega=w).drift
         assert a[0, 0] == pytest.approx(-1j * w - kappa / 2)
 
     def test_chain_entries(self):
@@ -65,7 +84,7 @@ class TestDriftMatrix:
         kappa, th1, th2 = 0.5, 0.6, 0.8
         sys = chain_system(kappa, th1, th2)
         expected = -1j * np.array(sys.omega) - 0.5 * sys.c.conj().T @ sys.c
-        a = drift_matrix(sys)
+        a = sys.drift
         np.testing.assert_allclose(a, expected, atol=1e-15)
         assert a[0, 0] == pytest.approx(-0.5)
         assert a[0, 1] == pytest.approx(-0.6j)
@@ -78,7 +97,7 @@ class TestDriftMatrix:
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, n + 1))
             sys = random_passive(rng, n, m)
-            a = drift_matrix(sys)
+            a = sys.drift
             resid = a + a.conj().T + sys.c.conj().T @ sys.c
             scale = max(1.0, np.abs(a).max())
             assert np.abs(resid).max() <= 1e-14 * scale
@@ -158,6 +177,28 @@ class TestTransferRational:
                 dev = np.abs(tf.eval(s) - direct).max()
                 assert dev <= 1e-8 * max(1.0, np.abs(direct).max())
 
+    def test_repeat_is_bit_identical(self, rng):
+        sys = random_passive(rng, 6, 2)
+        first, second = transfer_rational(sys), transfer_rational(sys)
+        np.testing.assert_array_equal(first.den, poly_from_roots(sys.poles))
+        assert first.num.tobytes() == second.num.tobytes()
+        assert first.den.tobytes() == second.den.tobytes()
+
+
+class TestRationalTF:
+    def test_eval_batches_points(self, rng):
+        tf = transfer_rational(random_passive(rng, 4, 2))
+        s = 1j * np.geomspace(0.1, 10.0, 6).reshape(2, 3) + 0.2
+        batch = tf.eval(s)
+        assert batch.shape == (2, 3, 2, 2)
+        assert tf.eval(0.5j).shape == (2, 2)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(batch[idx], tf.eval(s[idx]), rtol=1e-13)
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="^num must be finite"):
+            make_rational_tf([1.0, np.nan], [0.5, 1.0])
+
 
 class TestSimulateMeans:
     def test_zero_dynamics(self):
@@ -193,7 +234,7 @@ class TestSimulateMeans:
         from scipy.linalg import expm
 
         sys = random_passive(rng, 3, 2)
-        a = drift_matrix(sys)
+        a = sys.drift
         x0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         t = np.linspace(0.0, 2.0, 801)
         traj = simulate_means(sys, lambda _: np.zeros(2), t, initial_mean=x0)

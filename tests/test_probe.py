@@ -8,7 +8,6 @@ from qsysid import (
     InsufficientData,
     NotHurwitz,
     NotPassiveTF,
-    drift_matrix,
     fit_rational,
     gauge_transform,
     identify_pipeline,
@@ -74,8 +73,27 @@ class TestSampleResponse:
         with pytest.raises(NotHurwitz):
             sample_response(sys, [0.1, 1.0])
 
+    def test_non_finite_sigma_rejected(self):
+        with pytest.raises(ValueError, match="^noise_sigma must be finite"):
+            sample_response(chain_system(), [0.1, 1.0], noise_sigma=np.nan)
+
+    def test_one_eigendecomposition_per_system(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        sample_response(chain_system(), np.geomspace(0.01, 100.0, 200))
+        assert len(calls) == 1
+
 
 class TestFitRational:
+    def test_non_finite_response_rejected(self):
+        data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 40))
+        responses = data.responses.copy()
+        responses[3, 0, 0] = np.nan
+        bad = ProbeDataset(freqs=data.freqs, responses=responses, noise_sigma=0.0)
+        with pytest.raises(ValueError, match="^responses must be finite"):
+            fit_rational(bad, 3)
+
     def test_noiseless_chain_recovers_coefficients(self):
         kappa, th1, th2 = 0.5, 0.6, 0.8
         sys = chain_system(kappa, th1, th2)
@@ -165,7 +183,7 @@ class TestIdentifyPipeline:
         for _ in range(8):
             n = int(rng.integers(1, 6))
             sys = random_single_node_siso(rng, n)
-            rho = np.abs(np.linalg.eigvals(drift_matrix(sys))).max()
+            rho = np.abs(np.linalg.eigvals(sys.drift)).max()
             half = np.geomspace(0.02 * rho, 8.0 * rho, 15 * n + 15)
             data = sample_response(sys, np.concatenate([-half[::-1], half]))
             rebuilt, _, _ = identify_pipeline(data, n)

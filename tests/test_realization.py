@@ -1,5 +1,7 @@
 """Companion forms, Lyapunov gauge, direct parameter extraction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from qsysid import (
     transfer_at,
     transfer_rational,
 )
-from qsysid.realization import CanonicalParams
+from qsysid.ratfunc import poly_roots
+from qsysid.realization import POLE_SEP_RTOL, CanonicalParams
 
 from conftest import (
     chain_system,
@@ -224,6 +227,25 @@ class TestDirectReconstruction:
         with pytest.raises(DegenerateSpectrum):
             direct_reconstruction(make_rational_tf(num, den))
 
+    def test_first_of_several_coincident_pairs_reported(self):
+        # den - num = (s + 1)^2 (s + 3)^2: two double poles of the interior
+        # response; the pairwise scan in row-major order names the first pair
+        diff = np.poly([-1.0, -1.0, -3.0, -3.0])[::-1]
+        den = np.poly([-0.5, -1.5, -2.5, -3.5, -4.5])[::-1]
+        poles = poly_roots(diff)
+        scale = np.abs(poles).max()
+        pairs = [
+            (poles[i], poles[j])
+            for i in range(len(poles))
+            for j in range(i + 1, len(poles))
+            if abs(poles[i] - poles[j]) < POLE_SEP_RTOL * scale
+        ]
+        assert len(pairs) > 1
+        first = f"poles {pairs[0][0]} and {pairs[0][1]} are numerically coincident"
+        with pytest.raises(DegenerateSpectrum) as exc:
+            direct_reconstruction(make_rational_tf(den - np.append(diff, 0.0), den))
+        assert str(exc.value) == first
+
     def test_merged_interior_mode_rejected(self):
         # equal couplings to two identical interior detunings: a mode
         # decouples, the cancelled pole doubles up in den - num, and the
@@ -241,7 +263,9 @@ class TestDirectReconstruction:
         theta, t1, t2 = 1.0, 0.6, 0.8
         den = [0.5 * theta * t2**2, t2**2 - t1**2, 0.5 * theta, 1.0]
         num = [-0.5 * theta * t2**2, t2**2 - t1**2, -0.5 * theta, 1.0]
-        with pytest.raises(NegativeResidue):
+        # both residues are negative; the first pole in root order is named
+        first = poly_roots(np.subtract(den, num)[:-1])[0]
+        with pytest.raises(NegativeResidue, match=re.escape(f"at pole {first} is")):
             direct_reconstruction(make_rational_tf(num, den))
 
 
