@@ -1,12 +1,12 @@
-"""Minimality and stability through one orthonormal Krylov basis.
+"""Minimality and stability from the spectral decomposition of omega.
 
 For a passive system the drift A = -i omega - c†c/2 differs from -i omega
-by a term whose range lies in that of c†, so the controllable subspace
-span{c†, A c†, A² c†, ...} equals the Krylov space span{c†, omega c†,
-omega² c†, ...}, and so does the orthogonal complement of the unobservable
-subspace (A† = i omega - c†c/2). Controllability and observability are
-therefore one condition, decided by the width of one orthonormal basis of
-that space (:func:`krylov_basis`).
+by a term whose range lies in that of c†, so the controllable subspace and
+the orthogonal complement of the unobservable one both equal span{c†,
+omega c†, omega² c†, ...}: controllability and observability are one
+condition. By the PBH (Popov-Belevitch-Hautus) test per eigenspace E of
+omega, the dimension of that space is the sum of the ranks of c V_E, read
+off the one cached ``eigh(omega)`` (:attr:`~qsysid.model.PassiveSystem.spectrum`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import PassiveSystem
 
-KRYLOV_RTOL = 1e-10
+SPECTRAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,45 +37,33 @@ class StructureReport:
     spectral_abscissa: float
 
 
-def krylov_basis(sys: PassiveSystem) -> np.ndarray:
-    """Orthonormal basis of span{c†, omega c†, omega² c†, ...}, shape (n, rank).
+def _reachable(sys: PassiveSystem) -> tuple[np.ndarray, ...]:
+    """Eigen-directions of omega that the fields reach: ``(lam, V, cV, cluster)``.
 
-    Block Lanczos with full reorthogonalization: the columns of c†, then
-    omega' times each accepted basis vector, are taken in turn and
-    orthogonalized against the basis by classical Gram-Schmidt applied
-    twice, where omega' = omega - (tr omega / n) I spans the same space as
-    omega but drops a uniform detuning. A vector is kept when its remainder
-    exceeds 1e-10 times the Frobenius norm of c (for the columns of c†) or
-    of omega' (for the products). Every step commutes with a change of mode
-    basis, so the basis of (T omega T†, c T†) is T times that of (omega, c).
+    Eigenvalues whose gap is at most 1e-10 times the larger of their spread
+    about the mean and ||c||_F² form one eigenspace, labelled in ascending
+    order by ``cluster``. An eigenspace of several eigenvalues is rotated
+    onto the right singular vectors of its block of c V. A direction is
+    kept when its column of c V has norm above 1e-10 ||c||_F.
     """
-    n, m = sys.n, sys.m
-    omega = sys.omega - (np.trace(sys.omega).real / n) * np.eye(n)
-    c_norm, omega_norm = np.linalg.norm(sys.c), np.linalg.norm(omega)
-    basis = np.empty((n, n), dtype=complex)
-    adjoint = np.empty((n, n), dtype=complex)  # row k: conjugate of column k
-    width = 0
-    # a work queue: each accepted vector appends its product with omega'
-    candidates = list(sys.c.conj())
-    for k, vec in enumerate(candidates):
-        if width == n:
-            break
-        for _ in range(2):
-            vec = vec - basis[:, :width] @ (adjoint[:width] @ vec)
-        norm = np.sqrt(np.vdot(vec, vec).real)
-        if norm > KRYLOV_RTOL * (c_norm if k < m else omega_norm):
-            basis[:, width] = vec = vec / norm
-            adjoint[width] = vec.conj()
-            candidates.append(omega @ vec)
-            width += 1
-    return basis[:, :width]
+    lam, v, cv = sys.spectrum
+    c_norm = np.linalg.norm(sys.c)
+    gap = SPECTRAL_RTOL * max(np.abs(lam - lam.mean()).max(), c_norm**2)
+    cluster = np.concatenate([[0], np.cumsum(np.diff(lam) > gap)])
+    v, cv = v.copy(), cv.copy()
+    for k in np.flatnonzero(np.bincount(cluster) > 1):
+        block = cluster == k
+        wh = np.linalg.svd(cv[:, block])[2].conj().T
+        v[:, block], cv[:, block] = v[:, block] @ wh, cv[:, block] @ wh
+    keep = np.linalg.norm(cv, axis=0) > SPECTRAL_RTOL * c_norm
+    return lam[keep], v[:, keep], cv[:, keep], cluster[keep]
 
 
 def observability_matrix(sys: PassiveSystem) -> np.ndarray:
     """Vertical stack [c; cA; ...; cA^n], shape ((n+1) m, n).
 
-    Reference construction only: tests compare the width of
-    :func:`krylov_basis` with the SVD rank of this stack, and the ring
+    Reference construction only: tests compare the rank of
+    :func:`structure_report` with the SVD rank of this stack, and the ring
     determinant formula is stated for it. No library path calls it: the
     powers of A lose the rank of a uniform chain in rounding by n = 30.
     """
@@ -91,9 +79,9 @@ def observability_matrix(sys: PassiveSystem) -> np.ndarray:
 def structure_report(sys: PassiveSystem) -> StructureReport:
     """Assemble the :class:`StructureReport` for one system.
 
-    Both ranks are the width of :func:`krylov_basis`.
+    Both ranks are the number of eigen-directions of omega the fields reach.
     """
-    rank = krylov_basis(sys).shape[1]
+    rank = _reachable(sys)[0].size
     minimal = rank == sys.n
     abscissa = float(sys.poles.real.max())
     return StructureReport(

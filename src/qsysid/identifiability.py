@@ -2,10 +2,11 @@
 
 Two minimal systems share a transfer function exactly when a unitary change
 of mode basis T maps one onto the other: omega2 = T omega1 T†, c2 = c1 T†.
-So the Krylov basis Q of :func:`~qsysid.analysis.krylov_basis` is a
-canonical coordinate system, in which the chain form [c Q; Q† omega Q] of a
-transfer function is unique. :func:`markov_distinguishable` compares chain
-forms; :func:`find_gauge` certifies T = Q2 Q1† by both relations.
+Xi depends on a system only through the spectral measure of omega seen
+from c†: one eigenvalue lam and one weight W = sum_k (c v_k)(c v_k)† per
+eigenspace of omega that the fields reach. :func:`markov_distinguishable`
+compares these measures; :func:`find_gauge` maps the eigenvectors of one
+system onto the other's, T = V2 U V1†, and certifies T by both relations.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import krylov_basis
+from .analysis import _reachable
 from .errors import DimensionMismatch, NotMinimal
 from .model import PassiveSystem, new_system, require_unitary
 
@@ -37,8 +38,7 @@ class EquivalenceVerdict:
     ``residual`` is the largest deviation across all checked relations
     (unitarity of T and the two matrix relations). Systems of different
     mode counts admit no T; their residual is the largest entry deviation
-    between their chain forms [c Q; Q† omega Q], the narrower padded with
-    zeros.
+    between their reached spectral measures, the shorter padded with zeros.
     """
 
     equivalent: bool
@@ -62,39 +62,37 @@ def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
     return MarkovSequence(params=params, kmax=kmax)
 
 
-def _chain_form(sys: PassiveSystem, q: np.ndarray) -> np.ndarray:
-    """Chain form [c Q; Q† omega Q] on the Krylov basis Q, shape (m + r, r).
+def _measure(sys: PassiveSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Reached spectral measure of omega seen from c†: the mean eigenvalue
+    and the weight W = sum (c v)(c v)† of each reached eigenspace."""
+    lam, _, cv, cluster = _reachable(sys)
+    _, starts, size = np.unique(cluster, return_index=True, return_counts=True)
+    weights = np.einsum("ik,jk->kij", cv, cv.conj())
+    return np.add.reduceat(lam, starts) / size, np.add.reduceat(weights, starts)
 
-    Every entry is a combination of the moments c omega^k c†, so equal
-    transfer functions give equal chain forms.
-    """
-    return np.vstack([sys.c @ q, q.conj().T @ sys.omega @ q])
 
-
-def _chain_gap(form1: np.ndarray, form2: np.ndarray) -> tuple[float, float]:
-    """Largest entry deviation between two chain forms, the narrower padded
-    with zeros, and the largest entry of either form."""
-    r = max(form1.shape[1], form2.shape[1])
-    pads = np.zeros((2, form1.shape[0] - form1.shape[1] + r, r), dtype=complex)
-    for pad, form in zip(pads, (form1, form2)):
-        pad[: form.shape[0], : form.shape[1]] = form
-    dev = np.abs(pads[0] - pads[1]).max(initial=0.0)
-    return float(dev), float(np.abs(pads).max(initial=0.0))
+def _measure_gaps(sys1: PassiveSystem, sys2: PassiveSystem) -> list[tuple[float, float]]:
+    """Largest entry deviation and largest entry, for the eigenvalues and then
+    the weights of the two reached measures, the shorter padded with zeros."""
+    gaps = []
+    for part1, part2 in zip(_measure(sys1), _measure(sys2)):
+        pads = np.zeros((2, max(len(part1), len(part2))) + part1.shape[1:], dtype=complex)
+        pads[0, : len(part1)], pads[1, : len(part2)] = part1, part2
+        dev = np.abs(pads[0] - pads[1]).max(initial=0.0)
+        gaps.append((float(dev), float(np.abs(pads).max(initial=0.0))))
+    return gaps
 
 
 def markov_distinguishable(sys1: PassiveSystem, sys2: PassiveSystem) -> bool:
-    """True when the two systems have different transfer functions.
-
-    Compares the chain forms [c Q; Q† omega Q] on the Krylov bases Q of
-    :func:`~qsysid.analysis.krylov_basis`, the minimal parts of the systems
-    in canonical coordinates: True when the forms differ in width, or in an
-    entry by more than 1e-8 times the largest entry of either form.
+    """True when the two systems have different transfer functions: when
+    their reached spectral measures (one mean eigenvalue and one weight
+    W = sum (c v)(c v)† per reached eigenspace of omega, the shorter padded
+    with zero weights) differ in an eigenvalue or a weight entry by more
+    than 1e-8 times the largest of its kind.
     """
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
-    form1, form2 = (_chain_form(sys, krylov_basis(sys)) for sys in (sys1, sys2))
-    dev, scale = _chain_gap(form1, form2)
-    return form1.shape != form2.shape or dev > EQUIV_RTOL * scale
+    return any(dev > EQUIV_RTOL * scale for dev, scale in _measure_gaps(sys1, sys2))
 
 
 def gauge_transform(sys: PassiveSystem, t: np.ndarray) -> PassiveSystem:
@@ -116,15 +114,13 @@ def find_gauge(
 ) -> EquivalenceVerdict:
     """Decide equivalence of two minimal systems and recover the gauge.
 
-    The orthonormal Krylov bases Q1, Q2 of :func:`~qsysid.analysis.krylov_basis`
-    are square exactly when the systems are minimal. Their construction
-    commutes with a change of mode basis, and equal transfer functions give
-    equal Gram-Schmidt coefficients, so if the systems are equivalent then
-    Q2 = T Q1 and T = Q2 Q1†. That T is then checked for unitarity and
-    against both defining relations; passing the check certifies equal
-    transfer functions, so it is the whole test. Minimal systems of
-    different n are never equivalent; their residual is the chain-form gap
-    of :func:`markov_distinguishable`.
+    T maps each eigenspace of omega1 onto the same eigenspace of omega2, so
+    T = V2 U V1† with U block diagonal: on each eigenspace, the unitary polar
+    factor of (c2 V2)† (c1 V1), a phase on a simple eigenvalue. That T is
+    then checked for unitarity and against both defining relations; passing
+    the check certifies equal transfer functions, so it is the whole test.
+    Minimal systems of different n are never equivalent; their residual is
+    the measure gap of :func:`markov_distinguishable`.
 
     Parameters
     ----------
@@ -140,18 +136,22 @@ def find_gauge(
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
     rtol = EQUIV_RTOL if tol is None else tol
-    bases = []
+    reached = []
     for name, sys in (("first", sys1), ("second", sys2)):
-        basis = krylov_basis(sys)
-        if basis.shape[1] < sys.n:
-            raise NotMinimal(
-                f"{name} system has Krylov rank {basis.shape[1]} below n = {sys.n}"
-            )
-        bases.append(basis)
+        lam, v, cv, cluster = _reachable(sys)
+        if lam.size < sys.n:
+            raise NotMinimal(f"{name} system reaches {lam.size} of its {sys.n} eigen-directions")
+        reached.append((v, cv, cluster))
     if sys1.n != sys2.n:
-        dev, _ = _chain_gap(_chain_form(sys1, bases[0]), _chain_form(sys2, bases[1]))
-        return EquivalenceVerdict(equivalent=False, gauge=None, residual=dev)
-    t = bases[1] @ bases[0].conj().T
+        residual = max(dev for dev, _ in _measure_gaps(sys1, sys2))
+        return EquivalenceVerdict(equivalent=False, gauge=None, residual=residual)
+    (v1, cv1, cluster), (v2, cv2, _) = reached
+    u = np.diag(np.exp(1j * np.angle(np.einsum("ik,ik->k", cv2.conj(), cv1))))
+    for k in np.flatnonzero(np.bincount(cluster) > 1):
+        block = cluster == k
+        x, _, yh = np.linalg.svd(cv2[:, block].conj().T @ cv1[:, block])
+        u[np.ix_(block, block)] = x @ yh
+    t = v2 @ u @ v1.conj().T
     dev_u = np.abs(t @ t.conj().T - np.eye(sys1.n)).max()
     dev_omega = np.abs(t @ sys1.omega @ t.conj().T - sys2.omega).max()
     dev_c = np.abs(sys1.c @ t.conj().T - sys2.c).max()

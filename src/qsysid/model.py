@@ -38,14 +38,15 @@ RESOLVENT_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PassiveSystem:
     """Immutable pair (omega, c) defining a passive linear quantum system.
 
     Construct through :func:`new_system`, which validates shapes and
-    Hermiticity. Instances are safe to share between threads. The drift
-    matrix and its eigenvalues are computed on first use and kept, read-only,
-    on the instance.
+    Hermiticity. Instances are safe to share between threads, and compare
+    and hash by identity. The drift matrix, its eigenvalues and the
+    spectral decomposition of omega are computed on first use and kept,
+    read-only, on the instance.
     """
 
     omega: np.ndarray
@@ -70,6 +71,13 @@ class PassiveSystem:
     def poles(self) -> np.ndarray:
         """Eigenvalues of the drift matrix: the poles of Xi(s)."""
         return _read_only(np.linalg.eigvals(self.drift))
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lam, V, c V)`` from one ``eigh(omega)``. Xi is fixed by the
+        spectral measure ``{(lam_k, (c v_k)(c v_k)†)}`` of omega seen from c†."""
+        lam, v = np.linalg.eigh(self.omega)
+        return _read_only(lam), _read_only(v), _read_only(self.c @ v)
 
 
 @dataclass(frozen=True)

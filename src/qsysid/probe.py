@@ -58,6 +58,16 @@ class FitResult:
     iterations: int
 
 
+def require_grid(freqs) -> np.ndarray:
+    """Return freqs as a flat float array. Raises ValueError unless all are
+    finite, and NonMonotoneGrid unless they are non-empty and strictly increasing."""
+    freqs = np.asarray(freqs, dtype=float).ravel()
+    require_finite(freqs, "freqs")
+    if freqs.size == 0 or np.any(np.diff(freqs) <= 0):
+        raise NonMonotoneGrid("frequencies must be strictly increasing")
+    return freqs
+
+
 def sample_response(
     sys: PassiveSystem,
     freqs,
@@ -74,17 +84,15 @@ def sample_response(
     ------
     NotHurwitz
         drift matrix is not Hurwitz.
-    NonMonotoneGrid
-        frequencies not strictly increasing.
+    NonMonotoneGrid, ValueError
+        per :func:`require_grid`.
     ValueError
         noise_sigma negative or not finite.
     """
     require_finite(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
-    freqs = np.asarray(freqs, dtype=float).ravel()
-    if freqs.size == 0 or np.any(np.diff(freqs) <= 0):
-        raise NonMonotoneGrid("frequencies must be strictly increasing")
+    freqs = require_grid(freqs)
     require_hurwitz(sys.poles)
     responses = np.empty((freqs.size, sys.m, sys.m), dtype=complex)
     for j, w in enumerate(freqs):

@@ -9,11 +9,11 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import StructureReport
-from .errors import DimensionMismatch, NonMonotoneGrid
+from .errors import DimensionMismatch
 from .identifiability import EquivalenceVerdict
 from .model import PassiveSystem, new_system
 from .network import InfectionTrace, InfectionVerdict, NetworkModel, new_network
-from .probe import FitResult, ProbeDataset
+from .probe import FitResult, ProbeDataset, require_grid
 from .ratfunc import RationalTF, make_rational_tf
 from .realization import CanonicalParams
 
@@ -118,9 +118,7 @@ def dataset_to_obj(data: ProbeDataset) -> dict:
 
 
 def dataset_from_obj(obj) -> ProbeDataset:
-    freqs = np.asarray([float(w) for w in obj["freqs"]], dtype=float)
-    if freqs.size == 0 or np.any(np.diff(freqs) <= 0):
-        raise NonMonotoneGrid("dataset frequencies must be strictly increasing")
+    freqs = require_grid([float(w) for w in obj["freqs"]])
     responses = np.array([matrix_from_obj(r) for r in obj["responses"]], dtype=complex)
     if responses.shape[0] != freqs.size:
         raise DimensionMismatch("responses length does not match frequency count")

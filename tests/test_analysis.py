@@ -1,15 +1,15 @@
-"""Krylov basis, ranks, minimality, stability."""
+"""Reachable eigen-directions, ranks, minimality, stability."""
 
 import numpy as np
 import pytest
 
 from qsysid import (
     gauge_transform,
-    krylov_basis,
     new_system,
     observability_matrix,
     structure_report,
 )
+from qsysid.analysis import _reachable
 
 from conftest import (
     chain_system,
@@ -34,26 +34,30 @@ def reference_rank(sys):
 
 
 class TestKrylovBasis:
+    """The reachable space span{c†, omega c†, omega² c†, ...}, seen through
+    the rank of :func:`structure_report` and the eigen-directions of
+    ``_reachable`` that span it."""
+
     def test_chain_full_rank(self):
-        basis = krylov_basis(chain_system(0.5, 0.6, 0.8))
-        assert basis.shape == (3, 3)
+        assert structure_report(chain_system(0.5, 0.6, 0.8)).ctrb_rank == 3
 
     def test_decoupled_chain_rank_one(self):
         # modes 2 and 3 unreachable once the 1-2 coupling vanishes
-        assert krylov_basis(chain_system(0.5, 0.0, 0.8)).shape == (3, 1)
+        assert structure_report(chain_system(0.5, 0.0, 0.8)).ctrb_rank == 1
 
     def test_one_mode(self):
-        assert krylov_basis(one_mode_system(0.9)).shape == (1, 1)
+        assert structure_report(one_mode_system(0.9)).ctrb_rank == 1
 
     def test_basis_spans_power_stack(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, n + 1))
             sys = planted_rank_system(rng, n, m, int(rng.integers(1, n + 1)))
-            basis = krylov_basis(sys)
+            lam, basis, cv, _ = _reachable(sys)
             np.testing.assert_allclose(
                 basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12
             )
+            np.testing.assert_allclose(cv, sys.c @ basis, atol=1e-12)
             # every block -A^k c† of the controllability stack lies in the span
             a = sys.drift
             block = sys.c.conj().T
@@ -71,7 +75,7 @@ class TestKrylovBasis:
                 sys = random_passive(rng, n, m)
             else:
                 sys = planted_rank_system(rng, n, m, int(rng.integers(1, n + 1)))
-            assert krylov_basis(sys).shape[1] == reference_rank(sys)
+            assert structure_report(sys).ctrb_rank == reference_rank(sys)
             checked += 1
         assert checked >= 500
 
@@ -85,23 +89,30 @@ class TestKrylovBasis:
         ids=["decoupled_chain", "symmetric_ring", "zero_column"],
     )
     def test_rank_matches_observability_svd_on_deficient_fixtures(self, sys):
-        rank = krylov_basis(sys).shape[1]
+        rank = structure_report(sys).ctrb_rank
         assert rank == reference_rank(sys)
         assert rank < sys.n
 
     def test_uniform_detuning_keeps_rank(self):
-        # the drop threshold must not grow with a detuning the space ignores
+        # the eigenspace gap must not grow with a detuning the space ignores
         chain = uniform_chain(30)
         detuned = new_system(chain.omega + 1e11 * np.eye(30), chain.c)
-        assert krylov_basis(detuned).shape == (30, 30)
+        assert structure_report(detuned).ctrb_rank == 30
 
     def test_gauge_covariant(self, rng):
+        # the directions of (T omega T†, c T†) are T times those of (omega, c),
+        # each up to a phase, and their couplings c v move with the same phase
         for _ in range(10):
             n = int(rng.integers(2, 7))
             sys = random_passive(rng, n, int(rng.integers(1, n + 1)))
             t = random_unitary(rng, n)
-            moved = krylov_basis(gauge_transform(sys, t))
-            np.testing.assert_allclose(moved, t @ krylov_basis(sys), atol=1e-10)
+            lam, v, cv, _ = _reachable(sys)
+            lam2, v2, cv2, _ = _reachable(gauge_transform(sys, t))
+            np.testing.assert_allclose(lam2, lam, atol=1e-10)
+            phase = np.einsum("ik,ik->k", v2.conj(), t @ v)
+            np.testing.assert_allclose(np.abs(phase), 1.0, atol=1e-10)
+            np.testing.assert_allclose(v2 * phase, t @ v, atol=1e-10)
+            np.testing.assert_allclose(cv2 * phase, cv, atol=1e-10)
 
 
 class TestObservabilityMatrix:

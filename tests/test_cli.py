@@ -232,6 +232,17 @@ class TestProbeFitCompose:
         assert float(first[3]) == pytest.approx(np.hypot(re, im), rel=1e-12)
         assert w == pytest.approx(0.1)
 
+    def test_non_finite_frequency_exit_two(self, tmp_path):
+        obj = serialize.dataset_to_obj(
+            qsysid.sample_response(chain_system(), np.geomspace(0.1, 10.0, 20))
+        )
+        obj["freqs"][5] = float("nan")
+        proc = run_cli("fit", write_json(tmp_path / "nan.json", obj), "--degree", "3")
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ValueError"
+        assert err["detail"].startswith("freqs must be finite")
+
     def test_bad_freq_spec_exit_two(self, chain_file):
         proc = run_cli("probe", chain_file, "--freqs", "10:1:5:log")
         assert proc.returncode == 2

@@ -56,6 +56,17 @@ class TestNewSystem:
             new_system(omega, c)
 
 
+class TestCompare:
+    def test_systems_compare_by_identity(self):
+        # a generated __eq__ would compare the array fields and raise for n > 1
+        sys, other = (new_system([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]]) for _ in range(2))
+        assert (sys == other) is False
+        assert (sys == sys) is True
+        assert sys not in [other]
+        assert sys in [other, sys]
+        assert len({sys, other}) == 2
+
+
 class TestDriftMatrix:
     def test_drift_and_poles_read_only(self):
         sys = chain_system()
@@ -63,6 +74,19 @@ class TestDriftMatrix:
             sys.drift[0, 0] = 1.0
         with pytest.raises(ValueError):
             sys.poles[0] = 1.0
+
+    def test_spectrum_is_one_cached_eigh(self, rng):
+        sys = random_passive(rng, 5, 2)
+        lam, v, cv = sys.spectrum
+        np.testing.assert_allclose(sys.omega @ v, v * lam, atol=1e-12)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
+        np.testing.assert_array_equal(cv, sys.c @ v)
+        assert np.all(np.diff(lam) >= 0)
+        for part in sys.spectrum:
+            with pytest.raises(ValueError):
+                part[0] = 1.0
+        assert sys.spectrum is sys.spectrum
+        assert sys.drift is sys.drift and sys.poles is sys.poles
 
     def test_poles_are_drift_eigenvalues(self, rng):
         sys = random_passive(rng, 5, 2)

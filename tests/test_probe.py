@@ -77,6 +77,10 @@ class TestSampleResponse:
         with pytest.raises(ValueError, match="^noise_sigma must be finite"):
             sample_response(chain_system(), [0.1, 1.0], noise_sigma=np.nan)
 
+    def test_non_finite_frequency_rejected(self):
+        with pytest.raises(ValueError, match="^freqs must be finite"):
+            sample_response(chain_system(), [0.1, np.nan, 1.0])
+
     def test_one_eigendecomposition_per_system(self, monkeypatch):
         calls = []
         eigvals = np.linalg.eigvals
