@@ -38,25 +38,36 @@ class StructureReport:
 
 
 def _reachable(sys: PassiveSystem) -> tuple[np.ndarray, ...]:
-    """Eigen-directions of omega that the fields reach: ``(lam, V, cV, cluster)``.
+    """Eigen-directions of omega that the fields reach: ``(lam, V, cV, cluster, err)``.
 
-    Eigenvalues whose gap is at most 1e-10 times the larger of their spread
-    about the mean and ||c||_F² form one eigenspace, labelled in ascending
-    order by ``cluster``. An eigenspace of several eigenvalues is rotated
-    onto the right singular vectors of its block of c V. A direction is
-    kept when its column of c V has norm above 1e-10 ||c||_F.
+    Eigenvalues within 1e-10 max(spread about the mean, ||c||_F²), or within
+    100 eps ||omega|| (eigh splits a multiple eigenvalue by about 30 eps
+    ||omega|| at n = 256), form one eigenspace, labelled by ``cluster``; one
+    of several eigenvalues is rotated onto the right singular vectors of its
+    block of c V. ``err`` = 10 eps ||omega|| / gap, gap the distance to the
+    nearest other eigenspace, bounds eigh's turn of each eigenvector and so
+    the coupling it leaks into an unreached direction, relative to ||c||_F.
+    A direction is kept when its column of c V exceeds (1e-10 + err) ||c||_F.
     """
     lam, v, cv = sys.spectrum
     c_norm = np.linalg.norm(sys.c)
-    gap = SPECTRAL_RTOL * max(np.abs(lam - lam.mean()).max(), c_norm**2)
-    cluster = np.concatenate([[0], np.cumsum(np.diff(lam) > gap)])
-    v, cv = v.copy(), cv.copy()
+    eps_omega, mean = np.finfo(float).eps * max(-lam[0], lam[-1]), lam.mean()
+    spread = max(lam[-1] - mean, mean - lam[0])
+    gaps = np.diff(lam)
+    split = gaps > max(SPECTRAL_RTOL * max(spread, c_norm**2), 100 * eps_omega)
+    cluster = np.concatenate([[0], np.cumsum(split)])
+    sides = np.concatenate([[np.inf], gaps[split], [np.inf]])
+    err = 10 * eps_omega / np.minimum(sides[:-1], sides[1:])[cluster]
+    if not split.all():
+        v, cv = v.copy(), cv.copy()
     for k in np.flatnonzero(np.bincount(cluster) > 1):
         block = cluster == k
         wh = np.linalg.svd(cv[:, block])[2].conj().T
         v[:, block], cv[:, block] = v[:, block] @ wh, cv[:, block] @ wh
-    keep = np.linalg.norm(cv, axis=0) > SPECTRAL_RTOL * c_norm
-    return lam[keep], v[:, keep], cv[:, keep], cluster[keep]
+    keep = np.linalg.norm(cv, axis=0) > (SPECTRAL_RTOL + err) * c_norm
+    if keep.all():
+        return lam, v, cv, cluster, err
+    return lam[keep], v[:, keep], cv[:, keep], cluster[keep], err[keep]
 
 
 def observability_matrix(sys: PassiveSystem) -> np.ndarray:
@@ -67,12 +78,9 @@ def observability_matrix(sys: PassiveSystem) -> np.ndarray:
     determinant formula is stated for it. No library path calls it: the
     powers of A lose the rank of a uniform chain in rounding by n = 30.
     """
-    a = sys.drift
-    block = sys.c
-    blocks = [block]
+    blocks = [sys.c]
     for _ in range(sys.n):
-        block = block @ a
-        blocks.append(block)
+        blocks.append(blocks[-1] @ sys.drift)
     return np.vstack(blocks)
 
 
@@ -85,11 +93,6 @@ def structure_report(sys: PassiveSystem) -> StructureReport:
     minimal = rank == sys.n
     abscissa = float(sys.poles.real.max())
     return StructureReport(
-        controllable=minimal,
-        observable=minimal,
-        minimal=minimal,
-        hurwitz=abscissa < 0.0,
-        ctrb_rank=rank,
-        obsv_rank=rank,
-        spectral_abscissa=abscissa,
+        controllable=minimal, observable=minimal, minimal=minimal, hurwitz=abscissa < 0.0,
+        ctrb_rank=rank, obsv_rank=rank, spectral_abscissa=abscissa,
     )

@@ -62,25 +62,32 @@ def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
     return MarkovSequence(params=params, kmax=kmax)
 
 
-def _measure(sys: PassiveSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Reached spectral measure of omega seen from c†: the mean eigenvalue
-    and the weight W = sum (c v)(c v)† of each reached eigenspace."""
-    lam, _, cv, cluster = _reachable(sys)
+def _measure(sys: PassiveSystem) -> tuple[np.ndarray, ...]:
+    """Reached spectral measure of omega seen from c†, per reached eigenspace:
+    mean eigenvalue, weight W = sum (c v)(c v)†, bound on eigh's rounding of W."""
+    lam, _, cv, cluster, err = _reachable(sys)
     _, starts, size = np.unique(cluster, return_index=True, return_counts=True)
     weights = np.einsum("ik,jk->kij", cv, cv.conj())
-    return np.add.reduceat(lam, starts) / size, np.add.reduceat(weights, starts)
+    noise = 2 * np.linalg.norm(sys.c) ** 2 * err[starts]
+    return np.add.reduceat(lam, starts) / size, np.add.reduceat(weights, starts), noise
 
 
 def _measure_gaps(sys1: PassiveSystem, sys2: PassiveSystem) -> list[tuple[float, float]]:
-    """Largest entry deviation and largest entry, for the eigenvalues and then
-    the weights of the two reached measures, the shorter padded with zeros."""
-    gaps = []
+    """Largest entry deviation and its scale, for the eigenvalues and then the
+    weights of the two reached measures, the shorter padded with zeros."""
+    padded = []
     for part1, part2 in zip(_measure(sys1), _measure(sys2)):
-        pads = np.zeros((2, max(len(part1), len(part2))) + part1.shape[1:], dtype=complex)
+        pads = np.zeros((2, max(len(part1), len(part2))) + part1.shape[1:], dtype=part1.dtype)
         pads[0, : len(part1)], pads[1, : len(part2)] = part1, part2
-        dev = np.abs(pads[0] - pads[1]).max(initial=0.0)
-        gaps.append((float(dev), float(np.abs(pads).max(initial=0.0))))
-    return gaps
+        padded.append(pads)
+    lam, w, noise = padded
+    dev_w = np.abs(w[0] - w[1]).max(axis=(1, 2), initial=0.0) - noise.sum(axis=0)
+    scale_w = np.abs(w).max(initial=0.0)
+    scale_lam = max(np.abs(sys1.spectrum[0]).max(), np.abs(sys2.spectrum[0]).max(), scale_w)
+    return [
+        (float(np.abs(lam[0] - lam[1]).max(initial=0.0)), float(scale_lam)),
+        (float(dev_w.max(initial=0.0)), float(scale_w)),
+    ]
 
 
 def markov_distinguishable(sys1: PassiveSystem, sys2: PassiveSystem) -> bool:
@@ -88,7 +95,9 @@ def markov_distinguishable(sys1: PassiveSystem, sys2: PassiveSystem) -> bool:
     their reached spectral measures (one mean eigenvalue and one weight
     W = sum (c v)(c v)† per reached eigenspace of omega, the shorter padded
     with zero weights) differ in an eigenvalue or a weight entry by more
-    than 1e-8 times the largest of its kind.
+    than 1e-8 times the largest of its kind: for eigenvalues, that of either
+    whole omega or any weight, since eigh errs by eps times it. A weight
+    deviation counts only beyond eigh's rounding bound on the two weights.
     """
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
@@ -108,17 +117,18 @@ def gauge_transform(sys: PassiveSystem, t: np.ndarray) -> PassiveSystem:
 
 
 def find_gauge(
-    sys1: PassiveSystem,
-    sys2: PassiveSystem,
-    tol: float | None = None,
+    sys1: PassiveSystem, sys2: PassiveSystem, tol: float | None = None
 ) -> EquivalenceVerdict:
     """Decide equivalence of two minimal systems and recover the gauge.
 
     T maps each eigenspace of omega1 onto the same eigenspace of omega2, so
-    T = V2 U V1† with U block diagonal: on each eigenspace, the unitary polar
-    factor of (c2 V2)† (c1 V1), a phase on a simple eigenvalue. That T is
-    then checked for unitarity and against both defining relations; passing
-    the check certifies equal transfer functions, so it is the whole test.
+    T = V2 U V1† with U block diagonal: the polar factor of (c2 V2)† (c1 V1)
+    on each eigenspace and on each run of at most m eigenvalues closer than
+    1e3 eps ||omega|| / tol, where eigh turns eigenvectors by more than tol
+    allows; a phase on any other eigenvalue. A longer run (m = 1: any such
+    pair) can fail the check although the systems are equivalent. T is
+    checked for unitarity and against both defining relations; passing
+    certifies equal transfer functions, so the check is the whole test.
     Minimal systems of different n are never equivalent; their residual is
     the measure gap of :func:`markov_distinguishable`.
 
@@ -138,29 +148,29 @@ def find_gauge(
     rtol = EQUIV_RTOL if tol is None else tol
     reached = []
     for name, sys in (("first", sys1), ("second", sys2)):
-        lam, v, cv, cluster = _reachable(sys)
+        lam, v, cv, cluster, _ = _reachable(sys)
         if lam.size < sys.n:
             raise NotMinimal(f"{name} system reaches {lam.size} of its {sys.n} eigen-directions")
-        reached.append((v, cv, cluster))
+        reached.append((lam, v, cv, cluster))
     if sys1.n != sys2.n:
         residual = max(dev for dev, _ in _measure_gaps(sys1, sys2))
         return EquivalenceVerdict(equivalent=False, gauge=None, residual=residual)
-    (v1, cv1, cluster), (v2, cv2, _) = reached
-    u = np.diag(np.exp(1j * np.angle(np.einsum("ik,ik->k", cv2.conj(), cv1))))
-    for k in np.flatnonzero(np.bincount(cluster) > 1):
-        block = cluster == k
-        x, _, yh = np.linalg.svd(cv2[:, block].conj().T @ cv1[:, block])
-        u[np.ix_(block, block)] = x @ yh
-    t = v2 @ u @ v1.conj().T
+    (lam, v1, cv1, cluster), (_, v2, cv2, _) = reached
+    v2u = v2 * np.exp(1j * np.angle(np.einsum("ik,ik->k", cv2.conj(), cv1)))
+    close = 1e3 * np.finfo(float).eps * np.abs(lam).max()
+    near = np.concatenate([[0], np.cumsum(np.diff(lam) * rtol > close)])
+    for labels in (cluster, near) if sys1.m > 1 else ():  # one field fixes only phases
+        sizes = np.bincount(labels)
+        for k in np.flatnonzero((sizes > 1) & (sizes <= sys1.m)):
+            block = labels == k
+            x, _, yh = np.linalg.svd(cv2[:, block].conj().T @ cv1[:, block])
+            v2u[:, block] = v2[:, block] @ (x @ yh)
+    t = v2u @ v1.conj().T
     dev_u = np.abs(t @ t.conj().T - np.eye(sys1.n)).max()
     dev_omega = np.abs(t @ sys1.omega @ t.conj().T - sys2.omega).max()
     dev_c = np.abs(sys1.c @ t.conj().T - sys2.c).max()
     scale_omega = max(np.abs(sys1.omega).max(), np.abs(sys2.omega).max(), 1e-300)
     scale_c = max(np.abs(sys1.c).max(), np.abs(sys2.c).max(), 1e-300)
-    ok = (
-        dev_u <= rtol
-        and dev_omega <= rtol * scale_omega
-        and dev_c <= rtol * scale_c
-    )
+    ok = dev_u <= rtol and dev_omega <= rtol * scale_omega and dev_c <= rtol * scale_c
     residual = float(max(dev_u, dev_omega, dev_c))
     return EquivalenceVerdict(equivalent=bool(ok), gauge=t if ok else None, residual=residual)

@@ -221,8 +221,8 @@ def simulate_means(
         Input mean amplitude, mapping time to an m-vector (scalars are
         broadcast for m = 1).
     t_grid : array_like
-        Strictly increasing sample instants; integration steps once per
-        interval, no substepping.
+        Finite, strictly increasing sample instants; integration steps once
+        per interval, no substepping.
     initial_mean : array_like, optional
         Mode means at t_grid[0]; defaults to the zero vector.
 
@@ -235,6 +235,7 @@ def simulate_means(
     t = np.asarray(t_grid, dtype=float).ravel()
     if t.size < 2:
         raise EmptyGrid(f"need at least 2 time points, got {t.size}")
+    require_finite(t, "t_grid")
     if np.any(np.diff(t) <= 0):
         raise NonMonotoneGrid("time grid must be strictly increasing")
     a = sys.drift
@@ -243,8 +244,6 @@ def simulate_means(
 
     def beta_vec(ti: float) -> np.ndarray:
         val = np.asarray(beta(ti), dtype=complex).reshape(-1)
-        if val.size == 1 and m == 1:
-            return val
         if val.size != m:
             raise DimensionMismatch(f"beta(t) must have length {m}, got {val.size}")
         return val
@@ -252,15 +251,10 @@ def simulate_means(
     def rhs(ti: float, x: np.ndarray) -> np.ndarray:
         return a @ x - cdag @ beta_vec(ti)
 
-    x = np.zeros(n, dtype=complex) if initial_mean is None else np.asarray(
-        initial_mean, dtype=complex
-    ).reshape(n)
+    x0 = np.zeros(n) if initial_mean is None else initial_mean
+    x = np.asarray(x0, dtype=complex).reshape(n)
     sys_means = np.empty((t.size, n), dtype=complex)
-    in_means = np.empty((t.size, m), dtype=complex)
-    out_means = np.empty((t.size, m), dtype=complex)
     sys_means[0] = x
-    in_means[0] = beta_vec(t[0])
-    out_means[0] = sys.c @ x + in_means[0]
     for k in range(t.size - 1):
         h = t[k + 1] - t[k]
         k1 = rhs(t[k], x)
@@ -269,11 +263,10 @@ def simulate_means(
         k4 = rhs(t[k] + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         sys_means[k + 1] = x
-        in_means[k + 1] = beta_vec(t[k + 1])
-        out_means[k + 1] = sys.c @ x + in_means[k + 1]
+    in_means = np.array([beta_vec(ti) for ti in t])
     return MeanTrajectory(
         times=t.copy(),
         input_means=in_means,
         system_means=sys_means,
-        output_means=out_means,
+        output_means=sys_means @ sys.c.T + in_means,
     )

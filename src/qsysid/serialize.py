@@ -6,6 +6,8 @@ row-major nested lists. All floats round-trip at full double precision.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .analysis import StructureReport
@@ -131,15 +133,7 @@ def dataset_from_obj(obj) -> ProbeDataset:
 
 
 def report_to_obj(report: StructureReport) -> dict:
-    return {
-        "controllable": report.controllable,
-        "observable": report.observable,
-        "minimal": report.minimal,
-        "hurwitz": report.hurwitz,
-        "ctrb_rank": report.ctrb_rank,
-        "obsv_rank": report.obsv_rank,
-        "spectral_abscissa": report.spectral_abscissa,
-    }
+    return dataclasses.asdict(report)
 
 
 def verdict_to_obj(verdict: EquivalenceVerdict) -> dict:

@@ -53,7 +53,7 @@ class TestKrylovBasis:
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, n + 1))
             sys = planted_rank_system(rng, n, m, int(rng.integers(1, n + 1)))
-            lam, basis, cv, _ = _reachable(sys)
+            lam, basis, cv, *_ = _reachable(sys)
             np.testing.assert_allclose(
                 basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12
             )
@@ -106,8 +106,8 @@ class TestKrylovBasis:
             n = int(rng.integers(2, 7))
             sys = random_passive(rng, n, int(rng.integers(1, n + 1)))
             t = random_unitary(rng, n)
-            lam, v, cv, _ = _reachable(sys)
-            lam2, v2, cv2, _ = _reachable(gauge_transform(sys, t))
+            lam, v, cv, *_ = _reachable(sys)
+            lam2, v2, cv2, *_ = _reachable(gauge_transform(sys, t))
             np.testing.assert_allclose(lam2, lam, atol=1e-10)
             phase = np.einsum("ik,ik->k", v2.conj(), t @ v)
             np.testing.assert_allclose(np.abs(phase), 1.0, atol=1e-10)

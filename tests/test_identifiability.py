@@ -118,6 +118,14 @@ class TestMarkovDistinguishable:
         assert not markov_distinguishable(cut, uniform_chain(50))
         assert markov_distinguishable(cut, uniform_chain(51))
 
+    @pytest.mark.parametrize("lam", [[0.0, 5.0], [1e-6, 1e6]])
+    def test_unreached_eigenvalue_sets_the_scale(self, rng, lam):
+        # eigh errs on the reached eigenvalue by eps times the largest
+        # eigenvalue of omega, reached or not
+        sys = new_system(np.diag(lam), [[1.0, 0.0]])
+        for _ in range(20):
+            assert not markov_distinguishable(sys, gauge_transform(sys, random_unitary(rng, 2)))
+
     def test_gauge_indistinguishable_at_n128(self, rng):
         sys = random_passive(rng, 128, 1)
         moved = gauge_transform(sys, random_unitary(rng, 128))
@@ -144,6 +152,67 @@ class TestMarkovDistinguishable:
     def test_gauge_indistinguishable_planted_n64(self, rng):
         sys = planted_rank_system(rng, 64, 1, 32)
         assert not markov_distinguishable(sys, gauge_transform(sys, random_unitary(rng, 64)))
+
+
+def pair_system(rng, n: int, m: int, gap: float, reached: bool):
+    """Haar-rotated system with eigenvalues spread over [-1, 1], the two lowest
+    ``gap`` apart; ``reached=False`` decouples the second of them."""
+    lam = np.sort(rng.uniform(-1.0, 1.0, n))
+    lam[1] = lam[0] + gap
+    w = random_unitary(rng, n)
+    c = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    if not reached:
+        c[:, 1] = 0.0
+    return new_system(w @ np.diag(lam) @ w.conj().T, c @ w.conj().T)
+
+
+class TestNearDegeneratePair:
+    # eigh turns the eigenvectors of a pair gap apart by about eps / gap
+    GAPS = [1e-11, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5]
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_unreached_partner_not_counted(self, rng, gap, m):
+        for _ in range(5):
+            sys = pair_system(rng, 16, m, gap, reached=False)
+            moved = gauge_transform(sys, random_unitary(rng, 16))
+            assert structure_report(sys).ctrb_rank == 15
+            assert structure_report(moved).ctrb_rank == 15
+            assert not markov_distinguishable(sys, moved)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_reached_pair_gauge_recovered_with_two_fields(self, rng, gap):
+        for _ in range(5):
+            sys = pair_system(rng, 16, 2, gap, reached=True)
+            t = random_unitary(rng, 16)
+            moved = gauge_transform(sys, t)
+            assert structure_report(sys).minimal
+            verdict = find_gauge(sys, moved)
+            assert verdict.equivalent
+            assert np.abs(verdict.gauge - t).max() <= 1e-8
+            assert not markov_distinguishable(sys, moved)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_reached_pair_with_one_field(self, rng, gap):
+        # ||c||² is about 32 here: a pair within about 3e-9 is one eigenspace,
+        # which one field cannot fill; above that, up to about 1e-7, eigh turns
+        # the pair too far for the certificate, which then refuses the gauge
+        for _ in range(5):
+            sys = pair_system(rng, 16, 1, gap, reached=True)
+            t = random_unitary(rng, 16)
+            moved = gauge_transform(sys, t)
+            assert structure_report(sys).ctrb_rank == (15 if gap <= 1e-9 else 16)
+            assert not markov_distinguishable(sys, moved)
+            if gap <= 1e-9:
+                continue
+            verdict = find_gauge(sys, moved)
+            assert verdict.equivalent or gap < 1e-7
+            if verdict.equivalent:
+                # the pair fixes T only to about eps / gap; the gauge is certified
+                g = verdict.gauge
+                dev_c = np.abs(sys.c @ g.conj().T - moved.c).max()
+                assert dev_c <= 1e-8 * np.abs(moved.c).max()
+                assert np.abs(g - t).max() <= (1e-8 if gap >= 1e-7 else 1e-6)
 
 
 class TestGaugeTransform:

@@ -271,3 +271,5 @@ class TestSimulateMeans:
             simulate_means(sys, lambda t: [0.0], [0.0])
         with pytest.raises(NonMonotoneGrid):
             simulate_means(sys, lambda t: [0.0], [0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            simulate_means(sys, lambda t: [0.0], [0.0, np.nan, 1.0])
