@@ -22,7 +22,7 @@ from .errors import QsysidError
 from .identifiability import find_gauge
 from .network import infection_closure, infection_identifiability_verdict
 from .probe import identify_pipeline, sample_response
-from .realization import direct_reconstruction, reconstruct_passive, companion_realization
+from .realization import companion_realization, reconstruct_passive
 
 
 def _load_json(path: str):
@@ -94,8 +94,7 @@ def cmd_reconstruct(args) -> int:
     gauge = None
     if args.gauge is not None:
         gauge = serialize.matrix_from_obj(_load_json(args.gauge))
-    system, _ = reconstruct_passive(companion_realization(tf), u=gauge)
-    params = direct_reconstruction(tf)
+    system, params = reconstruct_passive(companion_realization(tf), u=gauge)
     _emit(
         {
             "system": serialize.system_to_obj(system),

@@ -18,6 +18,7 @@ import numpy as np
 from .analysis import _reachable
 from .errors import DimensionMismatch, NotMinimal
 from .model import PassiveSystem, new_system, require_unitary
+from .ratfunc import require_tol
 
 EQUIV_RTOL = 1e-8
 
@@ -139,13 +140,15 @@ def find_gauge(
 
     Raises
     ------
+    ValueError
+        tol is given and is not finite and positive.
     NotMinimal
         if either system is not minimal (the equivalence theorem's
         hypothesis).
     """
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
-    rtol = EQUIV_RTOL if tol is None else tol
+    rtol = EQUIV_RTOL if tol is None else require_tol(tol)
     reached = []
     for name, sys in (("first", sys1), ("second", sys2)):
         lam, v, cv, cluster, _ = _reachable(sys)

@@ -193,13 +193,19 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     reconstructed from its eigenvalues. Numerator coefficients are
     recovered by interpolating Xi(s) * den(s) on a circle of radius
     2 * (1 + spectral radius), where the interpolation nodes form a
-    scaled DFT grid so the Vandermonde solve is an FFT.
+    scaled DFT grid so the Vandermonde solve is an FFT. Xi is evaluated at
+    all nodes at once from ``sys.spectrum``, as the Cayley transform
+    Xi = (I + G/2)^{-1} (I - G/2) of G(s) = sum_k (c v_k)(c v_k)† / (s + i lam_k).
     """
     den = poly_from_roots(sys.poles)
     radius = 2.0 * (1.0 + np.abs(sys.poles).max())
     npts = sys.n + 1
     nodes = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
-    samples = np.array([transfer_at(sys, s) * polyval(s, den) for s in nodes])
+    lam, _, cv = sys.spectrum
+    g = (cv / (nodes[:, None, None] + 1j * lam)) @ cv.conj().T
+    eye = np.eye(sys.m)
+    xi = np.linalg.solve(eye + 0.5 * g, eye - 0.5 * g)
+    samples = xi * polyval(nodes, den)[:, None, None]
     num = np.fft.fft(samples, axis=0) / npts
     num /= (radius ** np.arange(npts))[:, None, None]
     num = np.moveaxis(num, 0, 2)

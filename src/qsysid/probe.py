@@ -17,12 +17,7 @@ from numpy.polynomial.polynomial import polyval
 from .errors import IllConditioned, InsufficientData, NonMonotoneGrid, NotSISO
 from .model import PassiveSystem, require_hurwitz, transfer_at
 from .ratfunc import RationalTF, make_rational_tf, require_finite
-from .realization import (
-    CanonicalParams,
-    companion_realization,
-    direct_reconstruction,
-    reconstruct_passive,
-)
+from .realization import CanonicalParams, companion_realization, reconstruct_passive
 
 MAX_SK_ITERATIONS = 20
 SK_COEFF_TOL = 1e-10
@@ -191,21 +186,21 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
 def identify_pipeline(
     data: ProbeDataset, degree: int
 ) -> tuple[PassiveSystem, CanonicalParams, FitResult]:
-    """Full identification chain: fit, realize, reconstruct.
+    """Full identification chain: fit, then reconstruct from the measure.
 
-    Runs :func:`fit_rational`, builds the companion realization, recovers
-    a passive system through the Lyapunov gauge, and extracts the
-    canonical parameters directly from the fitted coefficients. The
-    passivity and residue tolerances are loosened in proportion to the fit
-    residual, since a noisy estimate is only approximately passive.
+    Runs :func:`fit_rational`, builds the companion realization of the fit
+    and calls :func:`~qsysid.realization.reconstruct_passive` once: the
+    spectral measure of the fit gives both the diagonal passive system and
+    the canonical parameters. The passivity tolerance is loosened in
+    proportion to the fit residual, since a noisy estimate is only
+    approximately passive.
 
-    Raises errors from any stage unchanged, including NotPassiveTF when
-    the fitted function is not consistent with a passive system at the
-    loosened tolerance.
+    Raises errors from any stage unchanged, including NotPassiveTF and
+    NegativeResidue when the fitted function is not consistent with a
+    passive system at the loosened tolerance.
     """
     fit = fit_rational(data, degree)
     tol = max(1e-7, NOISE_TOL_FACTOR * fit.rms_residual)
     realization = companion_realization(fit.tf, tol=tol)
-    sys, _ = reconstruct_passive(realization, passivity_tol=tol)
-    params = direct_reconstruction(fit.tf, tol=tol)
+    sys, params = reconstruct_passive(realization, passivity_tol=tol)
     return sys, params, fit

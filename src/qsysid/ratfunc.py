@@ -22,15 +22,18 @@ def poly_from_roots(roots: np.ndarray) -> np.ndarray:
     return np.atleast_1d(np.poly(roots))[::-1].astype(complex)
 
 
-def poly_roots(coeffs_asc: np.ndarray) -> np.ndarray:
-    """Roots of a polynomial given ascending coefficients (companion eigenvalues)."""
-    return np.roots(np.asarray(coeffs_asc, dtype=complex)[::-1])
-
-
 def require_finite(value, name: str) -> None:
     """Raise ValueError naming ``name`` unless every entry of value is finite."""
     if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite")
+
+
+def require_tol(tol) -> float:
+    """Return tol as a float. Raises ValueError unless it is finite and > 0."""
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    return tol
 
 
 def require_monic(den: np.ndarray) -> None:

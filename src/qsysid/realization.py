@@ -1,13 +1,12 @@
 """Reconstruction of system matrices from a rational transfer function.
 
-Two routes are provided. The classical route builds a companion realization
-(A0, B0, C0) of a single-port function, solves the observability-type
-Lyapunov equation P A0 + A0† P + C0† C0 = 0 for P = T†T, factors
-P = U0 Lambda U0†, and lands in the quantum gauge T = U sqrt(Lambda) U0†.
-The direct route reads the identifiable parameters (theta, omega11,
-lambda_i, |E'_i|) straight off the polynomial coefficients, with every
-"limit at infinite s" evaluated algebraically as a leading-coefficient
-ratio.
+Xi is the Cayley transform (1 - G/2) / (1 + G/2) of the reactance
+G(s) = c (sI + i omega)^{-1} c† = sum_k w_k / (s + i lam_k). For a passive
+Xi the poles of G, where Xi = -1, lie on the imaginary axis with positive
+weights (Foster's reactance theorem). For one port, :func:`_measure` reads
+this spectral measure off the companion realization by one eigenvalue
+problem; (diag(lam), sqrt(w)) realizes Xi, and one Householder reflection
+gives the canonical parameters (theta, omega11, lambda_i, |E'_i|).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     DegenerateSpectrum,
@@ -27,12 +25,11 @@ from .errors import (
     SolverSingular,
 )
 from .model import PassiveSystem, new_system, require_hurwitz, require_unitary
-from .ratfunc import RationalTF, poly_roots, require_monic
+from .ratfunc import RationalTF, require_monic, require_tol
 
 LYAPUNOV_RTOL = 1e-10
 PASSIVITY_RTOL = 1e-8
 POLE_SEP_RTOL = 1e-7
-RESIDUE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,20 +39,6 @@ class ClassicalRealization:
     a0: np.ndarray
     b0: np.ndarray
     c0: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaugeFactorization:
-    """Factorization of the Lyapunov solution P = T†T.
-
-    ``p = u0 diag(lam) u0†`` with ``lam`` positive descending, and
-    ``t0 = sqrt(diag(lam)) u0†`` is the gauge representative with U = I.
-    """
-
-    p: np.ndarray
-    lam: np.ndarray
-    u0: np.ndarray
-    t0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,18 +60,15 @@ class CanonicalParams:
         return len(self.lambdas) + 1
 
 
-def _require_siso(tf: RationalTF) -> None:
-    if tf.m != 1:
-        raise NotSISO(f"operation requires m = 1, got m = {tf.m}")
-
-
 def _vanishing_difference(tf: RationalTF, tol: float) -> np.ndarray:
     """Coefficients of den I - num below s^n, shape (m, m, n), ascending.
 
     Raises NotPassiveTF when the s^n coefficient exceeds ``tol`` times the
     largest coefficient of den I - num or den: then I - Xi does not vanish
-    at large |s|, so no passive system (whose direct term is I) realizes Xi.
+    at large |s|, so no passive system (whose direct term is I) realizes Xi,
+    and ValueError unless ``tol`` is finite and positive.
     """
+    tol = require_tol(tol)
     n = tf.degree
     diff = tf.den * np.eye(tf.m)[:, :, None] - tf.num
     lead = np.abs(diff[:, :, n]).max()
@@ -108,21 +88,16 @@ def companion_realization(
 
     A0 carries the denominator coefficients in its last row, B0 = e_n, and
     C0 holds the coefficients of Xi(s) - 1 over the common denominator.
-
-    Parameters
-    ----------
-    tol : float
-        Relative tolerance on the required unit value of Xi at large |s|;
-        loosen for fitted transfer functions.
+    ``tol`` is the relative tolerance on the unit value of Xi at large |s|.
 
     Raises
     ------
     NotSISO, NonMonic
-    NotPassiveTF
-        if Xi does not approach 1 at large |s| (numerator not monic), so
-        no realization with unit direct term exists.
+    NotPassiveTF, ValueError
+        per :func:`_vanishing_difference`.
     """
-    _require_siso(tf)
+    if tf.m != 1:
+        raise NotSISO(f"operation requires m = 1, got m = {tf.m}")
     require_monic(tf.den)
     n = tf.degree
     c0 = -_vanishing_difference(tf, tol)[0, 0].reshape(1, n)
@@ -138,12 +113,9 @@ def companion_realization(
 def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve P a0 + a0† P + q = 0 for Hermitian P.
 
-    Parameters
-    ----------
-    a0 : (n, n) ndarray
-        Must be Hurwitz, otherwise the solution is not unique.
-    q : (n, n) ndarray
-        Hermitian right-hand side (typically c0† c0).
+    With a companion a0 of a passive function and q = c0† c0, P = T†T for
+    the similarity T onto a passive system: the classical construction.
+    No library path calls it; it is the one user of SciPy.
 
     Raises
     ------
@@ -168,165 +140,113 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p
 
 
-def _ordered_eigh(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with eigenvalues descending and phase-fixed vectors.
+def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral measure (lam ascending, w) of G = 2 (1 - Xi) / (1 + Xi).
 
-    The largest-magnitude component of each eigenvector is rotated to the
-    positive real axis, making the factorization deterministic.
+    The poles s_k = -i lam_k of G, where Xi = -1, are the eigenvalues of
+    F = a0 - b0 c0 / 2, the companion of (den + num) / 2. With
+    F = X diag(s) X^-1, G(s) = -c0 (sI - F)^{-1} b0 has the residues
+    w_k = -(c0 X)_k (X^-1 b0)_k, which sum to theta = -c0 b0. The checks
+    run on eigvals(F) before the costlier eig(F). The pair scan comes
+    first, since eigvals splits a double root by about sqrt(eps) in any
+    direction, off the axis too.
+
+    Raises
+    ------
+    ValueError
+        tol is not finite and positive.
+    DegenerateSpectrum
+        two s_k are closer than 1e-7 * scale, where
+        scale = max(|s_k|, |theta|).
+    NotPassiveTF
+        some i s_k lies off the real axis by more than tol * scale.
+    NegativeResidue
+        some w_k is not real within, and above, tol * max |w|.
     """
-    lam, u = np.linalg.eigh(0.5 * (p + p.conj().T))
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    u = u[:, order]
-    for j in range(u.shape[1]):
-        k = int(np.argmax(np.abs(u[:, j])))
-        phase = u[k, j] / abs(u[k, j])
-        u[:, j] = u[:, j] / phase
-    return lam, u
+    tol = require_tol(tol)
+    f = real.a0 - 0.5 * (real.b0 @ real.c0)
+    s = np.linalg.eigvals(f)
+    s = s[np.argsort((1j * s).real)]
+    scale = max(np.abs(s).max(), abs((real.c0 @ real.b0)[0, 0]))
+    close = np.argwhere(np.triu(np.abs(s[:, None] - s) < POLE_SEP_RTOL * scale, k=1))
+    if close.size:
+        i, j = close[0]  # row-major order: the pair of lowest lam the scan meets
+        raise DegenerateSpectrum(
+            f"roots lam = {(1j * s[i]).real:.6g} and {(1j * s[j]).real:.6g} "
+            f"of den + num are numerically coincident"
+        )
+    k = int(np.argmax(np.abs(s.real)))
+    if abs(s[k].real) > tol * scale:
+        raise NotPassiveTF(
+            f"Xi = -1 at s = {s[k]:.6g}, off the imaginary axis by "
+            f"{abs(s[k].real):.3e} > {tol * scale:.3e}"
+        )
+    s, x = np.linalg.eig(f)
+    order = np.argsort((1j * s).real)
+    lam, x = (1j * s[order]).real, x[:, order]
+    w = -(real.c0 @ x)[0] * np.linalg.solve(x, real.b0)[:, 0]
+    bound = tol * np.abs(w).max()
+    bad = (w.real <= bound) | (np.abs(w.imag) > bound)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NegativeResidue(
+            f"weight {w[k]:.6g} at lam = {lam[k]:.6g} is not positive real"
+        )
+    return lam, w.real
+
+
+def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
+    """Canonical parameters of the measure (lam, w).
+
+    The Householder reflection H that maps u = sqrt(w / theta) to -e1
+    turns (diag(lam), sqrt(w)) into the single-node form with
+    omega = H diag(lam) H and c = -sqrt(theta) e1; its trailing block
+    holds the interior spectrum and its first row the couplings.
+    """
+    theta = w.sum()
+    v = np.sqrt(w / theta)
+    v[0] += 1.0  # v = u + e1: no cancellation, since u_1 > 0
+    h = np.eye(len(v)) - np.outer(v, v) * (2.0 / (v @ v))
+    reflected = h @ (lam[:, None] * h)
+    lambdas, y = np.linalg.eigh(reflected[1:, 1:])
+    e_abs = np.abs(reflected[0, 1:] @ y)
+    return CanonicalParams(float(theta), float(reflected[0, 0]), lambdas, e_abs)
 
 
 def reconstruct_passive(
     real: ClassicalRealization,
     u: np.ndarray | None = None,
     passivity_tol: float = PASSIVITY_RTOL,
-) -> tuple[PassiveSystem, GaugeFactorization]:
-    """Recover (omega, c) from a classical realization of a passive transfer function.
+) -> tuple[PassiveSystem, CanonicalParams]:
+    """Recover (omega, c) and the canonical parameters from a classical
+    realization of a passive single-port transfer function.
 
-    Solves the Lyapunov equation for P = T†T, checks the passivity
-    consistency condition P B0 = -C0†, and assembles
-
-        omega0 = (i/2) [sqrt(L) U0† A0 U0 sqrt(L)^{-1}
-                        - sqrt(L)^{-1} U0† A0† U0 sqrt(L)],
-        c      = C0 U0 sqrt(L)^{-1},
-
-    then rotates by the free unitary ``u`` (identity by default):
-    omega = u omega0 u†, c -> c u†.
-
-    Parameters
-    ----------
-    passivity_tol : float
-        Relative tolerance on max |P B0 + C0†|; loosen for transfer
-        functions estimated from noisy data.
+    The spectral measure (lam, w) of :func:`_measure` gives the diagonal
+    representative omega0 = diag(lam), lam ascending, with positive
+    couplings c0 = sqrt(w); the unitary ``u`` (identity by default) moves
+    it to omega = u omega0 u†, c = c0 u†. ``passivity_tol`` is the relative
+    tolerance of the passivity checks; loosen it for fitted functions.
 
     Raises
     ------
-    NotHurwitz
-    NotPassiveTF
-        consistency condition fails, so the function is not realizable by
-        a passive quantum system.
-    SolverSingular
-        Lyapunov solution not positive definite (realization not minimal).
-    NotUnitary
-        supplied ``u`` is not unitary.
+    ValueError, DegenerateSpectrum, NotPassiveTF, NegativeResidue
+        per :func:`_measure`.
+    DimensionMismatch, NotUnitary
+        supplied ``u`` is not an n x n unitary.
     """
-    a0, b0, c0 = real.a0, real.b0, real.c0
-    n = a0.shape[0]
-    p = solve_lyapunov(a0, c0.conj().T @ c0)
-    dev = np.abs(p @ b0 + c0.conj().T).max()
-    scale = max(np.abs(c0).max(), np.abs(p @ b0).max(), 1e-300)
-    if dev > passivity_tol * scale:
-        raise NotPassiveTF(
-            f"max |P B0 + C0†| = {dev:.3e} exceeds {passivity_tol:.1e} * {scale:.3e}"
-        )
-    lam, u0 = _ordered_eigh(p)
-    if lam[-1] <= 1e-12 * lam[0]:
-        raise SolverSingular("Lyapunov solution is numerically singular")
-    sqrt_lam = np.sqrt(lam)
-    left = (sqrt_lam[:, None] * u0.conj().T) @ a0 @ (u0 / sqrt_lam[None, :])
-    omega0 = 0.5j * (left - left.conj().T)
-    c_row = (c0 @ u0) / sqrt_lam[None, :]
-    u = np.eye(n, dtype=complex) if u is None else require_unitary(u, n)
-    omega = u @ omega0 @ u.conj().T
-    omega = 0.5 * (omega + omega.conj().T)
-    sys = new_system(omega, c_row @ u.conj().T)
-    gauge = GaugeFactorization(
-        p=p, lam=lam, u0=u0, t0=sqrt_lam[:, None] * u0.conj().T
-    )
-    return sys, gauge
+    lam, w = _measure(real, passivity_tol)
+    u = np.eye(len(lam)) if u is None else require_unitary(u, len(lam))
+    omega = (u * lam) @ u.conj().T
+    sys = new_system(0.5 * (omega + omega.conj().T), np.sqrt(w)[None, :] @ u.conj().T)
+    return sys, _canonical(lam, w)
 
 
-def direct_reconstruction(tf: RationalTF, tol: float = RESIDUE_RTOL) -> CanonicalParams:
-    """Identifiable parameters straight from the coefficients of Xi.
-
-    theta is the leading-coefficient ratio of s (1 - Xi(s)); omega11
-    follows from the next order; the interior spectrum lambda_i and
-    coupling magnitudes |E'_i| come from the simple poles and residues of
-    XiTilde(s) = theta / (1 - Xi(s)) - s - i omega11 - theta / 2.
-
-    Parameters
-    ----------
-    tol : float
-        Relative tolerance for structural checks (relative degree,
-        positivity of theta and of the residues). Loosen for fitted
-        transfer functions.
-
-    Raises
-    ------
-    NotSISO, NonMonic
-    NotPassiveTF
-        wrong relative degree or theta not positive.
-    DegenerateSpectrum
-        poles of XiTilde closer than 1e-7 times the spectral scale.
-    NegativeResidue
-        a residue with negative or non-real value where |E'_i|^2 >= 0 is
-        required.
-    """
-    _require_siso(tf)
-    require_monic(tf.den)
-    n = tf.degree
-    num = tf.num[0, 0]
-    den = tf.den
-    diff = _vanishing_difference(tf, tol)[0, 0]
-    theta_c = diff[n - 1]
-    if theta_c.real <= 0 or abs(theta_c.imag) > max(tol * abs(theta_c), 1e-300):
-        raise NotPassiveTF(f"leading moment theta = {theta_c} is not positive real")
-    theta = float(theta_c.real)
-
-    total = num + den
-    second = (num - den)[n - 2] if n >= 2 else 0.0
-    omega11_c = -(1j * theta * total[n - 1] + 2j * second) / (2.0 * theta)
-    omega11 = float(omega11_c.real)
-
-    if n == 1:
-        return CanonicalParams(
-            theta=theta,
-            omega11=omega11,
-            lambdas=np.zeros(0),
-            e_abs=np.zeros(0),
-        )
-
-    # XiTilde = [theta * den - (s + i omega11 + theta/2) * diff] / diff
-    shifted = np.zeros(n + 1, dtype=complex)
-    shifted[1:] = diff
-    numt = theta * den - shifted
-    numt[:n] -= (1j * omega11 + 0.5 * theta) * diff
-    poles = poly_roots(diff)
-    pole_scale = np.abs(poles).max()
-    if pole_scale == 0.0:
-        pole_scale = 1.0
-    close = np.argwhere(
-        np.triu(np.abs(poles[:, None] - poles) < POLE_SEP_RTOL * pole_scale, k=1)
-    )
-    if close.size:
-        i, j = close[0]  # row-major order: the first pair the pairwise scan meets
-        raise DegenerateSpectrum(
-            f"poles {poles[i]} and {poles[j]} are numerically coincident"
-        )
-    dprime = np.polynomial.polynomial.polyder(diff)
-    res = polyval(poles, numt) / polyval(poles, dprime)
-    bad = (res.real <= 0) | (np.abs(res.imag) > np.maximum(tol * np.abs(res), 1e-300))
-    if bad.any():
-        i = np.argmax(bad)
-        raise NegativeResidue(f"residue {res[i]} at pole {poles[i]} is not positive real")
-    lambdas = (1j * poles).real
-    e_abs = np.sqrt(res.real)
-    order = np.argsort(lambdas)
-    return CanonicalParams(
-        theta=theta,
-        omega11=omega11,
-        lambdas=lambdas[order],
-        e_abs=e_abs[order],
-    )
+def direct_reconstruction(tf: RationalTF, tol: float = PASSIVITY_RTOL) -> CanonicalParams:
+    """Identifiable parameters (theta, omega11, lambda_i, |E'_i|) of Xi:
+    :func:`_canonical` of :func:`_measure` of :func:`companion_realization`,
+    all three at the relative tolerance ``tol``, and the same parameters
+    :func:`reconstruct_passive` returns."""
+    return _canonical(*_measure(companion_realization(tf, tol), tol))
 
 
 def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:
@@ -335,12 +255,8 @@ def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:
     The matrix [[omega11, |E'|], [|E'|^T, diag(lambdas)]] is unitarily
     equivalent to the full Hamiltonian; the discarded phases never enter.
     """
-    k = len(params.lambdas)
-    arrow = np.zeros((k + 1, k + 1))
-    arrow[0, 0] = params.omega11
-    arrow[0, 1:] = params.e_abs
-    arrow[1:, 0] = params.e_abs
-    arrow[np.arange(1, k + 1), np.arange(1, k + 1)] = params.lambdas
+    arrow = np.diag(np.concatenate([[params.omega11], params.lambdas]))
+    arrow[0, 1:] = arrow[1:, 0] = params.e_abs
     return np.sort(np.linalg.eigvalsh(arrow))
 
 

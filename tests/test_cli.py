@@ -111,6 +111,13 @@ class TestEquiv:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "NotMinimal"
 
+    def test_nan_tolerance_exit_two(self, chain_file):
+        proc = run_cli("equiv", chain_file, chain_file, "--tol", "nan")
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ValueError"
+        assert "tol must be finite and > 0" in err["detail"]
+
 
 class TestReconstruct:
     def test_chain_roundtrip(self, tmp_path):
@@ -131,7 +138,7 @@ class TestReconstruct:
         a0, a1 = 2.0, 0.3
         tf = make_rational_tf([a0, a1 - 2 * a1, 1.0], [a0, a1, 1.0])
         tf_path = write_json(tmp_path / "tf2.json", serialize.tf_to_obj(tf))
-        gauge = np.array([[0.0, -1.0], [1j, 0.0]])
+        gauge = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
         gauge_path = write_json(tmp_path / "u.json", serialize.matrix_to_obj(gauge))
         proc = run_cli("reconstruct", tf_path, "--gauge", gauge_path)
         assert proc.returncode == 0
@@ -249,7 +256,7 @@ class TestProbeFitCompose:
 
 
 class TestLazyScipy:
-    """SciPy serves only the Lyapunov route, so nothing else imports it."""
+    """SciPy serves only solve_lyapunov, which no library path calls."""
 
     def test_package_import_leaves_scipy_out(self):
         proc = run_python("-c", "import sys, qsysid; print('scipy' in sys.modules)")
@@ -262,3 +269,20 @@ class TestLazyScipy:
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         assert "qsysid.cli" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+    def test_pipeline_and_reconstruct_do_not_import_scipy(self, tmp_path):
+        tf = transfer_rational(chain_system())
+        path = write_json(tmp_path / "tf.json", serialize.tf_to_obj(tf))
+        script = (
+            "import sys, numpy as np, qsysid\n"
+            "from qsysid.cli import main\n"
+            "omega = [[0, 0.6, 0], [0.6, 0, 0.8], [0, 0.8, 0]]\n"
+            "chain = qsysid.new_system(omega, [[1.0, 0, 0]])\n"
+            "data = qsysid.sample_response(chain, np.geomspace(0.01, 100, 200))\n"
+            "qsysid.identify_pipeline(data, 3)\n"
+            f"assert main(['reconstruct', {path!r}]) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"

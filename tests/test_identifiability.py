@@ -319,6 +319,13 @@ class TestFindGauge:
         assert verdict.equivalent
         assert np.abs(verdict.gauge - t).max() <= 1e-8
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN tolerance would make every comparison False: not equivalent to itself
+        sys = chain_system()
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            find_gauge(sys, sys, tol=tol)
+
     def test_different_mode_counts_not_equivalent(self, rng):
         verdict = find_gauge(random_passive(rng, 3, 1), random_passive(rng, 4, 1))
         assert not verdict.equivalent

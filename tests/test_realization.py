@@ -1,9 +1,11 @@
-"""Companion forms, Lyapunov gauge, direct parameter extraction."""
+"""Companion forms, the Lyapunov solve, reconstruction from the spectral measure."""
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsysid import (
     DegenerateSpectrum,
@@ -15,6 +17,7 @@ from qsysid import (
     companion_realization,
     direct_reconstruction,
     eigenvalues_from_canonical,
+    find_gauge,
     gauge_transform,
     make_rational_tf,
     mimo_coupling_gram,
@@ -24,8 +27,7 @@ from qsysid import (
     transfer_at,
     transfer_rational,
 )
-from qsysid.ratfunc import poly_roots
-from qsysid.realization import POLE_SEP_RTOL, CanonicalParams
+from qsysid.realization import CanonicalParams
 
 from conftest import (
     chain_system,
@@ -119,22 +121,19 @@ class TestSolveLyapunov:
 
 class TestReconstructPassive:
     def test_worked_two_node_default_gauge(self):
+        # den + num = 2 (s^2 + a0) and G = 2 (den - num) / (den + num)
+        # = -c1 s / (s^2 + a0): weight -c1 / 2 = 0.3 at lam = -sqrt(a0) and sqrt(a0)
         a0, a1, c1 = 2.0, 0.3, -0.6
-        real = companion_realization(two_node_tf(a0, a1, c1))
-        sys, gauge = reconstruct_passive(real)
+        sys, _ = reconstruct_passive(companion_realization(two_node_tf(a0, a1, c1)))
         np.testing.assert_allclose(
-            sys.omega, [[0.0, 1j * np.sqrt(a0)], [-1j * np.sqrt(a0), 0.0]], atol=1e-10
+            sys.omega, np.diag([-np.sqrt(a0), np.sqrt(a0)]), atol=1e-10
         )
-        np.testing.assert_allclose(sys.c, [[0.0, -np.sqrt(2 * a1)]], atol=1e-10)
-        np.testing.assert_allclose(
-            gauge.p, (c1**2 / (2 * a1)) * np.diag([a0, 1.0]), atol=1e-10
-        )
-        np.testing.assert_allclose(gauge.u0, np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(sys.c, [[np.sqrt(0.3), np.sqrt(0.3)]], atol=1e-10)
 
     def test_worked_two_node_chain_gauge(self):
         a0, a1, c1 = 2.0, 0.3, -0.6
         real = companion_realization(two_node_tf(a0, a1, c1))
-        u = np.array([[0.0, -1.0], [1j, 0.0]])
+        u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
         sys, _ = reconstruct_passive(real, u=u)
         np.testing.assert_allclose(
             sys.omega, [[0.0, np.sqrt(a0)], [np.sqrt(a0), 0.0]], atol=1e-10
@@ -151,6 +150,28 @@ class TestReconstructPassive:
     def test_non_passive_slope_rejected(self):
         with pytest.raises(NotPassiveTF):
             reconstruct_passive(companion_realization(two_node_tf(2.0, 0.3, -0.59)))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN tolerance would turn every passivity check off
+        tf_bad = two_node_tf(2.0, 0.3, -0.59)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            reconstruct_passive(companion_realization(tf_bad), passivity_tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            direct_reconstruction(two_node_tf(2.0, 0.3, -0.6), tol=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_measure_round_trip_property(self, n, seed):
+        rng = np.random.default_rng(seed)
+        sys = gauge_transform(random_single_node_siso(rng, n), random_unitary(rng, n))
+        tf = transfer_rational(sys)
+        rebuilt, params = reconstruct_passive(companion_realization(tf))
+        assert find_gauge(rebuilt, sys).equivalent
+        direct = direct_reconstruction(tf)
+        assert (direct.theta, direct.omega11) == (params.theta, params.omega11)
+        np.testing.assert_array_equal(direct.lambdas, params.lambdas)
+        np.testing.assert_array_equal(direct.e_abs, params.e_abs)
 
     def test_reproduces_transfer(self, rng):
         for _ in range(20):
@@ -228,23 +249,13 @@ class TestDirectReconstruction:
             direct_reconstruction(make_rational_tf(num, den))
 
     def test_first_of_several_coincident_pairs_reported(self):
-        # den - num = (s + 1)^2 (s + 3)^2: two double poles of the interior
-        # response; the pairwise scan in row-major order names the first pair
-        diff = np.poly([-1.0, -1.0, -3.0, -3.0])[::-1]
-        den = np.poly([-0.5, -1.5, -2.5, -3.5, -4.5])[::-1]
-        poles = poly_roots(diff)
-        scale = np.abs(poles).max()
-        pairs = [
-            (poles[i], poles[j])
-            for i in range(len(poles))
-            for j in range(i + 1, len(poles))
-            if abs(poles[i] - poles[j]) < POLE_SEP_RTOL * scale
-        ]
-        assert len(pairs) > 1
-        first = f"poles {pairs[0][0]} and {pairs[0][1]} are numerically coincident"
+        # den + num = 2 (s + i)^2 (s + 3i)^2: Xi = -1 twice at lam = 1 and
+        # twice at lam = 3; the scan in ascending lam names the first pair
+        den = np.poly([-0.5, -1.5, -2.5, -3.5])[::-1]
+        num = 2.0 * np.poly([-1j, -1j, -3j, -3j])[::-1] - den
         with pytest.raises(DegenerateSpectrum) as exc:
-            direct_reconstruction(make_rational_tf(den - np.append(diff, 0.0), den))
-        assert str(exc.value) == first
+            direct_reconstruction(make_rational_tf(num, den))
+        assert str(exc.value) == "roots lam = 1 and 1 of den + num are numerically coincident"
 
     def test_merged_interior_mode_rejected(self):
         # equal couplings to two identical interior detunings: a mode
@@ -263,9 +274,10 @@ class TestDirectReconstruction:
         theta, t1, t2 = 1.0, 0.6, 0.8
         den = [0.5 * theta * t2**2, t2**2 - t1**2, 0.5 * theta, 1.0]
         num = [-0.5 * theta * t2**2, t2**2 - t1**2, -0.5 * theta, 1.0]
-        # both residues are negative; the first pole in root order is named
-        first = poly_roots(np.subtract(den, num)[:-1])[0]
-        with pytest.raises(NegativeResidue, match=re.escape(f"at pole {first} is")):
+        # den + num = 2 s (s^2 + d) with d = t2^2 - t1^2, G = theta (s^2 + t2^2) / (s^3 + d s):
+        # both weights at lam = -+sqrt(d) are negative; the lower lam is named
+        lam = -np.sqrt(t2**2 - t1**2)
+        with pytest.raises(NegativeResidue, match=re.escape(f"at lam = {lam:.6g} is")):
             direct_reconstruction(make_rational_tf(num, den))
 
 
