@@ -190,7 +190,10 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     """Exact rational form of the transfer function.
 
     The common denominator is the characteristic polynomial of A,
-    reconstructed from its eigenvalues. Numerator coefficients are
+    reconstructed from its eigenvalues. For one port the numerator is
+    det(sI + A†), since det Xi(s) = det(sI + A†) / det(sI - A) by the
+    matrix determinant lemma and A + A† = -c†c: its roots are the poles
+    mirrored, -conj(p_k). For m > 1 numerator coefficients are
     recovered by interpolating Xi(s) * den(s) on a circle of radius
     2 * (1 + spectral radius), where the interpolation nodes form a
     scaled DFT grid so the Vandermonde solve is an FFT. Xi is evaluated at
@@ -198,6 +201,9 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     Xi = (I + G/2)^{-1} (I - G/2) of G(s) = sum_k (c v_k)(c v_k)† / (s + i lam_k).
     """
     den = poly_from_roots(sys.poles)
+    if sys.m == 1:
+        num = poly_from_roots(-sys.poles.conj())
+        return RationalTF(num=num[None, None, :], den=den, m=1)
     radius = 2.0 * (1.0 + np.abs(sys.poles).max())
     npts = sys.n + 1
     nodes = radius * np.exp(2j * np.pi * np.arange(npts) / npts)

@@ -146,45 +146,46 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
     The poles s_k = -i lam_k of G, where Xi = -1, are the eigenvalues of
     F = a0 - b0 c0 / 2, the companion of (den + num) / 2. With
     F = X diag(s) X^-1, G(s) = -c0 (sI - F)^{-1} b0 has the residues
-    w_k = -(c0 X)_k (X^-1 b0)_k, which sum to theta = -c0 b0. The checks
-    run on eigvals(F) before the costlier eig(F). The pair scan comes
-    first, since eigvals splits a double root by about sqrt(eps) in any
-    direction, off the axis too.
+    w_k = -(c0 X)_k (X^-1 b0)_k, which sum to theta = -c0 b0.
+
+    Each root is held to tol * sqrt(|w_k| theta), the geometric mean of
+    tol * |w_k|, the width of resonance k, and tol * theta: a bound on the
+    whole spectrum's scale would let a weak mode's root, and its lam_k,
+    drift off the axis by as much as its own width.
 
     Raises
     ------
     ValueError
         tol is not finite and positive.
     DegenerateSpectrum
-        two s_k are closer than 1e-7 * scale, where
-        scale = max(|s_k|, |theta|).
+        two s_k are closer than 1e-7 * max(|s_k|, |theta|).
     NotPassiveTF
-        some i s_k lies off the real axis by more than tol * scale.
+        some i s_k lies off the real axis by more than its bound.
     NegativeResidue
         some w_k is not real within, and above, tol * max |w|.
     """
     tol = require_tol(tol)
-    f = real.a0 - 0.5 * (real.b0 @ real.c0)
-    s = np.linalg.eigvals(f)
-    s = s[np.argsort((1j * s).real)]
-    scale = max(np.abs(s).max(), abs((real.c0 @ real.b0)[0, 0]))
+    s, x = np.linalg.eig(real.a0 - 0.5 * (real.b0 @ real.c0))
+    order = np.argsort((1j * s).real)
+    s, x, lam = s[order], x[:, order], (1j * s[order]).real
+    theta = abs((real.c0 @ real.b0)[0, 0])
+    scale = max(np.abs(s).max(), theta)
     close = np.argwhere(np.triu(np.abs(s[:, None] - s) < POLE_SEP_RTOL * scale, k=1))
     if close.size:
         i, j = close[0]  # row-major order: the pair of lowest lam the scan meets
         raise DegenerateSpectrum(
-            f"roots lam = {(1j * s[i]).real:.6g} and {(1j * s[j]).real:.6g} "
+            f"roots lam = {lam[i]:.6g} and {lam[j]:.6g} "
             f"of den + num are numerically coincident"
         )
-    k = int(np.argmax(np.abs(s.real)))
-    if abs(s[k].real) > tol * scale:
+    w = -(real.c0 @ x)[0] * np.linalg.solve(x, real.b0)[:, 0]
+    bound = tol * np.sqrt(np.abs(w) * theta)
+    off = np.abs(s.real) > bound
+    if off.any():
+        k = int(np.argmax(off))
         raise NotPassiveTF(
             f"Xi = -1 at s = {s[k]:.6g}, off the imaginary axis by "
-            f"{abs(s[k].real):.3e} > {tol * scale:.3e}"
+            f"{abs(s[k].real):.3e} > {bound[k]:.3e}"
         )
-    s, x = np.linalg.eig(f)
-    order = np.argsort((1j * s).real)
-    lam, x = (1j * s[order]).real, x[:, order]
-    w = -(real.c0 @ x)[0] * np.linalg.solve(x, real.b0)[:, 0]
     bound = tol * np.abs(w).max()
     bad = (w.real <= bound) | (np.abs(w.imag) > bound)
     if bad.any():
@@ -255,8 +256,12 @@ def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:
     The matrix [[omega11, |E'|], [|E'|^T, diag(lambdas)]] is unitarily
     equivalent to the full Hamiltonian; the discarded phases never enter.
     """
-    arrow = np.diag(np.concatenate([[params.omega11], params.lambdas]))
-    arrow[0, 1:] = arrow[1:, 0] = params.e_abs
+    k = len(params.lambdas)
+    arrow = np.zeros((k + 1, k + 1))
+    arrow[0, 0] = params.omega11
+    arrow[0, 1:] = params.e_abs
+    arrow[1:, 0] = params.e_abs
+    arrow[np.arange(1, k + 1), np.arange(1, k + 1)] = params.lambdas
     return np.sort(np.linalg.eigvalsh(arrow))
 
 

@@ -32,6 +32,7 @@ from qsysid.realization import CanonicalParams
 from conftest import (
     chain_system,
     one_mode_system,
+    random_passive,
     random_single_node_siso,
     random_unitary,
 )
@@ -189,6 +190,22 @@ class TestReconstructPassive:
                 np.linalg.eigvalsh(sys.omega),
                 atol=1e-7,
             )
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_dense_round_trip(self, n):
+        # the mirrored-pole numerator keeps den + num exact enough that the
+        # per-mode passivity bounds hold at the default tolerance
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            sys = random_passive(rng, n, 1)
+            rebuilt, params = reconstruct_passive(
+                companion_realization(transfer_rational(sys))
+            )
+            eigs = np.linalg.eigvalsh(sys.omega)
+            atol = 1e-9 * np.abs(eigs).max()
+            np.testing.assert_allclose(np.linalg.eigvalsh(rebuilt.omega), eigs, atol=atol)
+            np.testing.assert_allclose(eigenvalues_from_canonical(params), eigs, atol=atol)
+            assert params.theta == pytest.approx(np.vdot(sys.c, sys.c).real, rel=1e-9)
 
 
 class TestDirectReconstruction:
