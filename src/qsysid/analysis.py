@@ -25,7 +25,9 @@ class StructureReport:
     """Rank and stability summary of one system.
 
     ``minimal`` is controllable AND observable; for passive systems the two
-    ranks always agree, and minimality implies ``hurwitz``.
+    ranks always agree. ``hurwitz`` equals ``minimal``: on each unit
+    eigenvector x of A, Re lambda = -|c x|² / 2, which is negative exactly
+    when the PBH test passes. ``spectral_abscissa`` is read off the poles.
     """
 
     controllable: bool
@@ -35,6 +37,16 @@ class StructureReport:
     ctrb_rank: int
     obsv_rank: int
     spectral_abscissa: float
+
+
+def _spectral_scales(sys: PassiveSystem) -> tuple[float, float]:
+    """``(scale, eps_omega)``: the larger of the spread of omega's eigenvalues
+    about their mean and ||c||_F², which a uniform detuning leaves alone, and
+    eps ||omega||, the unit of eigh's rounding of the whole omega."""
+    lam = sys.spectrum[0]
+    mean = lam.mean()
+    scale = max(lam[-1] - mean, mean - lam[0], np.linalg.norm(sys.c) ** 2)
+    return float(scale), float(np.finfo(float).eps * max(-lam[0], lam[-1]))
 
 
 def _reachable(sys: PassiveSystem) -> tuple[np.ndarray, ...]:
@@ -51,10 +63,9 @@ def _reachable(sys: PassiveSystem) -> tuple[np.ndarray, ...]:
     """
     lam, v, cv = sys.spectrum
     c_norm = np.linalg.norm(sys.c)
-    eps_omega, mean = np.finfo(float).eps * max(-lam[0], lam[-1]), lam.mean()
-    spread = max(lam[-1] - mean, mean - lam[0])
+    scale, eps_omega = _spectral_scales(sys)
     gaps = np.diff(lam)
-    split = gaps > max(SPECTRAL_RTOL * max(spread, c_norm**2), 100 * eps_omega)
+    split = gaps > max(SPECTRAL_RTOL * scale, 100 * eps_omega)
     cluster = np.concatenate([[0], np.cumsum(split)])
     sides = np.concatenate([[np.inf], gaps[split], [np.inf]])
     err = 10 * eps_omega / np.minimum(sides[:-1], sides[1:])[cluster]
@@ -87,12 +98,13 @@ def observability_matrix(sys: PassiveSystem) -> np.ndarray:
 def structure_report(sys: PassiveSystem) -> StructureReport:
     """Assemble the :class:`StructureReport` for one system.
 
-    Both ranks are the number of eigen-directions of omega the fields reach.
+    Both ranks are the number of eigen-directions of omega the fields reach;
+    the system is Hurwitz exactly when it is minimal, whatever the rounding
+    of the abscissa, which is near 0 for a decoupled mode.
     """
     rank = _reachable(sys)[0].size
     minimal = rank == sys.n
-    abscissa = float(sys.poles.real.max())
     return StructureReport(
-        controllable=minimal, observable=minimal, minimal=minimal, hurwitz=abscissa < 0.0,
-        ctrb_rank=rank, obsv_rank=rank, spectral_abscissa=abscissa,
+        controllable=minimal, observable=minimal, minimal=minimal, hurwitz=minimal,
+        ctrb_rank=rank, obsv_rank=rank, spectral_abscissa=float(sys.poles.real.max()),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _reachable
+from .analysis import _reachable, _spectral_scales
 from .errors import DimensionMismatch, NotMinimal
 from .model import PassiveSystem, new_system, require_unitary
 from .ratfunc import require_tol
@@ -74,8 +74,11 @@ def _measure(sys: PassiveSystem) -> tuple[np.ndarray, ...]:
 
 
 def _measure_gaps(sys1: PassiveSystem, sys2: PassiveSystem) -> list[tuple[float, float]]:
-    """Largest entry deviation and its scale, for the eigenvalues and then the
-    weights of the two reached measures, the shorter padded with zeros."""
+    """Largest entry deviation beyond eigh's rounding, and its scale, for the
+    eigenvalues and then the weights of the two reached measures, the
+    shorter padded with zeros. The eigenvalues' scale is that of
+    :func:`~qsysid.analysis._spectral_scales`, which a uniform detuning
+    leaves alone; their rounding, 100 eps ||omega|| per system, grows with it."""
     padded = []
     for part1, part2 in zip(_measure(sys1), _measure(sys2)):
         pads = np.zeros((2, max(len(part1), len(part2))) + part1.shape[1:], dtype=part1.dtype)
@@ -84,9 +87,10 @@ def _measure_gaps(sys1: PassiveSystem, sys2: PassiveSystem) -> list[tuple[float,
     lam, w, noise = padded
     dev_w = np.abs(w[0] - w[1]).max(axis=(1, 2), initial=0.0) - noise.sum(axis=0)
     scale_w = np.abs(w).max(initial=0.0)
-    scale_lam = max(np.abs(sys1.spectrum[0]).max(), np.abs(sys2.spectrum[0]).max(), scale_w)
+    (scale1, eps1), (scale2, eps2) = _spectral_scales(sys1), _spectral_scales(sys2)
+    dev_lam = np.abs(lam[0] - lam[1]).max(initial=0.0) - 100 * (eps1 + eps2)
     return [
-        (float(np.abs(lam[0] - lam[1]).max(initial=0.0)), float(scale_lam)),
+        (float(dev_lam), max(scale1, scale2)),
         (float(dev_w.max(initial=0.0)), float(scale_w)),
     ]
 
@@ -96,9 +100,11 @@ def markov_distinguishable(sys1: PassiveSystem, sys2: PassiveSystem) -> bool:
     their reached spectral measures (one mean eigenvalue and one weight
     W = sum (c v)(c v)† per reached eigenspace of omega, the shorter padded
     with zero weights) differ in an eigenvalue or a weight entry by more
-    than 1e-8 times the largest of its kind: for eigenvalues, that of either
-    whole omega or any weight, since eigh errs by eps times it. A weight
-    deviation counts only beyond eigh's rounding bound on the two weights.
+    than 1e-8 times the largest of its kind: for eigenvalues, the spread of
+    either whole spectrum about its mean or ||c||_F², so that a uniform
+    detuning hides no difference. Each deviation counts only beyond eigh's
+    rounding: 100 eps ||omega|| per system for an eigenvalue, its rounding
+    bound on the two weights for a weight.
     """
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
@@ -130,6 +136,9 @@ def find_gauge(
     pair) can fail the check although the systems are equivalent. T is
     checked for unitarity and against both defining relations; passing
     certifies equal transfer functions, so the check is the whole test.
+    The omega relation is held to ``tol`` times the spread of either
+    spectrum about its mean or ||c||_F², floored at eigh's rounding of the
+    two omegas, 100 eps ||omega|| each: a uniform detuning sets no scale.
     Minimal systems of different n are never equivalent; their residual is
     the measure gap of :func:`markov_distinguishable`.
 
@@ -169,11 +178,14 @@ def find_gauge(
             x, _, yh = np.linalg.svd(cv2[:, block].conj().T @ cv1[:, block])
             v2u[:, block] = v2[:, block] @ (x @ yh)
     t = v2u @ v1.conj().T
-    dev_u = np.abs(t @ t.conj().T - np.eye(sys1.n)).max()
-    dev_omega = np.abs(t @ sys1.omega @ t.conj().T - sys2.omega).max()
+    eye = np.eye(sys1.n)
+    dev_u = np.abs(t @ t.conj().T - eye).max()
+    shift = lam.mean() * eye  # one detuning off both, so T's rounding does not scale with it
+    dev_omega = np.abs(t @ (sys1.omega - shift) @ t.conj().T - (sys2.omega - shift)).max()
     dev_c = np.abs(sys1.c @ t.conj().T - sys2.c).max()
-    scale_omega = max(np.abs(sys1.omega).max(), np.abs(sys2.omega).max(), 1e-300)
+    (scale1, eps1), (scale2, eps2) = _spectral_scales(sys1), _spectral_scales(sys2)
+    bound_omega = max(rtol * max(scale1, scale2), 100 * (eps1 + eps2))
     scale_c = max(np.abs(sys1.c).max(), np.abs(sys2.c).max(), 1e-300)
-    ok = dev_u <= rtol and dev_omega <= rtol * scale_omega and dev_c <= rtol * scale_c
+    ok = dev_u <= rtol and dev_omega <= bound_omega and dev_c <= rtol * scale_c
     residual = float(max(dev_u, dev_omega, dev_c))
     return EquivalenceVerdict(equivalent=bool(ok), gauge=t if ok else None, residual=residual)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import structure_report
+from .analysis import _reachable
 from .errors import InvalidNetwork
 from .model import PassiveSystem, new_system
 
@@ -151,19 +151,24 @@ def infection_closure(net: NetworkModel, reverse_scan: bool = False) -> Infectio
     with ``reverse_scan``), infecting whenever a scanned vertex has exactly
     one uninfected neighbour, until a full pass makes no progress. The
     final verdict is scan-order independent; the trace records the order
-    actually taken.
+    actually taken. A pass scans only the infection front, the vertices
+    infected before it that still have an uninfected neighbour: the others
+    never gain one, so skipping them changes no step.
     """
     adj = _adjacency(net)
     infected = set(net.accessible)
+    front = set(infected)
     steps: list[tuple[int, int]] = []
     progress = True
     while progress:
         progress = False
-        for v in sorted(infected, reverse=reverse_scan):
-            open_nbrs = [u for u in adj[v] if u not in infected]
+        front = {v for v in front if not adj[v] <= infected}
+        for v in sorted(front, reverse=reverse_scan):
+            open_nbrs = adj[v] - infected
             if len(open_nbrs) == 1:
-                u = open_nbrs[0]
+                u = open_nbrs.pop()
                 infected.add(u)
+                front.add(u)
                 steps.append((u, v))
                 progress = True
     residual = tuple(v for v in range(net.n) if v not in infected)
@@ -177,10 +182,12 @@ def infection_identifiability_verdict(net: NetworkModel) -> InfectionVerdict:
 
     Returns the positive verdict only when both conditions hold; otherwise
     names the failed condition without claiming non-identifiability (the
-    tree counterexample is identifiable yet not infecting).
+    tree counterexample is identifiable yet not infecting). Minimality is
+    the PBH rank of :func:`~qsysid.analysis.structure_report`, from one
+    ``eigh(omega)``; no eigenvalue of the drift is needed.
     """
     if not infection_closure(net).infecting:
         return InfectionVerdict(identifiable_by_infection=False, reason="NotInfecting")
-    if not structure_report(omega_from_network(net)).minimal:
+    if _reachable(omega_from_network(net))[0].size < net.n:
         return InfectionVerdict(identifiable_by_infection=False, reason="NotMinimal")
     return InfectionVerdict(identifiable_by_infection=True, reason=None)

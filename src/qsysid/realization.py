@@ -144,14 +144,16 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
     """Spectral measure (lam ascending, w) of G = 2 (1 - Xi) / (1 + Xi).
 
     The poles s_k = -i lam_k of G, where Xi = -1, are the eigenvalues of
-    F = a0 - b0 c0 / 2, the companion of (den + num) / 2. With
-    F = X diag(s) X^-1, G(s) = -c0 (sI - F)^{-1} b0 has the residues
-    w_k = -(c0 X)_k (X^-1 b0)_k, which sum to theta = -c0 b0.
+    F = a0 - b0 c0 / 2, the companion of the monic p = (den + num) / 2.
+    Its eigenvectors are the Vandermonde columns (1, s_k, ..., s_k^{n-1}),
+    so G(s) = -c0 (sI - F)^{-1} b0 has the residues
+    w_k = -c0(s_k) / p'(s_k), which sum to theta = -c0 b0.
 
     Each root is held to tol * sqrt(|w_k| theta), the geometric mean of
     tol * |w_k|, the width of resonance k, and tol * theta: a bound on the
     whole spectrum's scale would let a weak mode's root, and its lam_k,
-    drift off the axis by as much as its own width.
+    drift off the axis by as much as its own width. The bound is floored
+    at n eps max(|s_k|, theta), the rounding of the eigenvalues themselves.
 
     Raises
     ------
@@ -162,12 +164,13 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
     NotPassiveTF
         some i s_k lies off the real axis by more than its bound.
     NegativeResidue
-        some w_k is not real within, and above, tol * max |w|.
+        some w_k is not finite, or not real within, and above, tol * max |w|.
     """
     tol = require_tol(tol)
-    s, x = np.linalg.eig(real.a0 - 0.5 * (real.b0 @ real.c0))
+    f = real.a0 - 0.5 * (real.b0 @ real.c0)
+    s = np.linalg.eigvals(f)
     order = np.argsort((1j * s).real)
-    s, x, lam = s[order], x[:, order], (1j * s[order]).real
+    s, lam = s[order], (1j * s[order]).real
     theta = abs((real.c0 @ real.b0)[0, 0])
     scale = max(np.abs(s).max(), theta)
     close = np.argwhere(np.triu(np.abs(s[:, None] - s) < POLE_SEP_RTOL * scale, k=1))
@@ -177,8 +180,12 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
             f"roots lam = {lam[i]:.6g} and {lam[j]:.6g} "
             f"of den + num are numerically coincident"
         )
-    w = -(real.c0 @ x)[0] * np.linalg.solve(x, real.b0)[:, 0]
-    bound = tol * np.sqrt(np.abs(w) * theta)
+    n = len(s)
+    dp = np.arange(1, n + 1) * np.append(-f[-1, 1:], 1.0)  # p' ascending
+    vander = np.vander(s, n, increasing=True)
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite weight, refused below
+        w = -(vander @ real.c0[0]) / (vander @ dp)
+    bound = np.maximum(tol * np.sqrt(np.abs(w) * theta), n * np.finfo(float).eps * scale)
     off = np.abs(s.real) > bound
     if off.any():
         k = int(np.argmax(off))
@@ -186,8 +193,10 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
             f"Xi = -1 at s = {s[k]:.6g}, off the imaginary axis by "
             f"{abs(s[k].real):.3e} > {bound[k]:.3e}"
         )
-    bound = tol * np.abs(w).max()
-    bad = (w.real <= bound) | (np.abs(w.imag) > bound)
+    bad = ~np.isfinite(w)  # a NaN weight passes both comparisons below
+    if not bad.any():
+        bound = tol * np.abs(w).max()
+        bad = (w.real <= bound) | (np.abs(w.imag) > bound)
     if bad.any():
         k = int(np.argmax(bad))
         raise NegativeResidue(

@@ -186,6 +186,22 @@ class TestStructureReport:
         assert not rep.observable and not rep.minimal
         assert not rep.hurwitz
 
+    def test_hurwitz_is_minimal(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            rep = structure_report(random_passive(rng, n, int(rng.integers(1, n + 1))))
+            assert rep.hurwitz == rep.minimal
+
+    def test_decoupled_mode_never_hurwitz_under_gauge(self, rng):
+        # the mode orthogonal to the coupled one has a pole on the imaginary
+        # axis; its computed abscissa is +-2e-16, so its sign is rounding
+        omega = np.array([[0.5, 0.0, 0.0], [0.0, 0.3, 0.8], [0.0, 0.8, 0.1]])
+        sys = new_system(omega, [[1.0, 0.0, 0.0]])
+        for _ in range(200):
+            rep = structure_report(gauge_transform(sys, random_unitary(rng, 3)))
+            assert not rep.minimal and not rep.hurwitz
+            assert abs(rep.spectral_abscissa) < 1e-12
+
     @pytest.mark.parametrize("n", [30, 100, 300])
     def test_uniform_chain_minimal(self, n):
         rep = structure_report(uniform_chain(n))

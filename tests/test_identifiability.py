@@ -126,6 +126,27 @@ class TestMarkovDistinguishable:
         for _ in range(20):
             assert not markov_distinguishable(sys, gauge_transform(sys, random_unitary(rng, 2)))
 
+    @pytest.mark.parametrize("detuning", [0.0, 1e6, 1e9])
+    def test_uniform_detuning_hides_no_difference(self, detuning):
+        # the eigenvalues 1 and 1.5 differ by half the spread, whatever the
+        # common detuning: the tolerance must not scale with it
+        shift = detuning * np.eye(2)
+        sys1 = new_system(np.diag([0.0, 1.0]) + shift, [[1.0, 1.0]])
+        sys2 = new_system(np.diag([0.0, 1.5]) + shift, [[1.0, 1.0]])
+        assert markov_distinguishable(sys1, sys2)
+        verdict = find_gauge(sys1, sys2)
+        assert not verdict.equivalent and verdict.gauge is None
+        assert verdict.residual == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("detuning", [0.0, 1e6])
+    def test_detuned_gauge_copy_still_equivalent(self, rng, detuning):
+        # the deviations are measured without the detuning, above eigh's rounding of it
+        sys = new_system(np.diag([0.0, 1.0]) + detuning * np.eye(2), [[1.0, 1.0]])
+        for _ in range(20):
+            moved = gauge_transform(sys, random_unitary(rng, 2))
+            assert not markov_distinguishable(sys, moved)
+            assert find_gauge(sys, moved).equivalent
+
     def test_gauge_indistinguishable_at_n128(self, rng):
         sys = random_passive(rng, 128, 1)
         moved = gauge_transform(sys, random_unitary(rng, 128))

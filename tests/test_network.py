@@ -46,18 +46,42 @@ def ring_network(kappa=0.5, th1=0.6, th2=0.8, th3=0.7, th4=0.9):
     )
 
 
-def random_network(rng, n):
-    """Random connected-ish graph with random weights and accessible set."""
+def random_network(rng, n, p_edge=0.4, p_zero=0.0):
+    """Random connected-ish graph with random weights and accessible set; an
+    edge is kept structural, with weight zero, with probability ``p_zero``."""
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.4:
-                edges.append((i, j, float(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]))))
+            if rng.random() < p_edge:
+                w = float(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]))
+                if p_zero and rng.random() < p_zero:
+                    w = 0.0
+                edges.append((i, j, w))
     if not edges:
         edges.append((0, 1, 1.0))
     k = int(rng.integers(1, n))
     accessible = sorted(rng.choice(n, size=k, replace=False).tolist())
     return new_network(n, edges, accessible)
+
+
+def full_scan_closure(net, reverse_scan=False):
+    """Oracle for infection_closure: each pass scans every infected vertex."""
+    adj = [set() for _ in range(net.n)]
+    for i, j, _ in net.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    infected = set(net.accessible)
+    steps = []
+    progress = True
+    while progress:
+        progress = False
+        for v in sorted(infected, reverse=reverse_scan):
+            open_nbrs = [u for u in adj[v] if u not in infected]
+            if len(open_nbrs) == 1:
+                infected.add(open_nbrs[0])
+                steps.append((open_nbrs[0], v))
+                progress = True
+    return tuple(steps), tuple(v for v in range(net.n) if v not in infected)
 
 
 class TestOmegaFromNetwork:
@@ -134,6 +158,21 @@ class TestInfectionClosure:
             assert fwd.infecting == rev.infecting
             assert fwd.residual == rev.residual
 
+    @pytest.mark.parametrize("reverse_scan", [False, True])
+    def test_front_scan_matches_full_scan(self, rng, reverse_scan):
+        infecting = 0
+        for _ in range(300):
+            net = random_network(rng, int(rng.integers(2, 16)), p_edge=float(rng.uniform(0.1, 0.5)))
+            trace = infection_closure(net, reverse_scan=reverse_scan)
+            assert (trace.steps, trace.residual) == full_scan_closure(net, reverse_scan)
+            infecting += trace.infecting
+        assert 30 <= infecting <= 270
+
+    def test_long_chain_trace(self):
+        n = 500
+        trace = infection_closure(new_network(n, [(i, i + 1, 1.0) for i in range(n - 1)], [0]))
+        assert trace.steps == tuple((i + 1, i) for i in range(n - 1))
+
 
 class TestVerdict:
     def test_chain_identifiable(self):
@@ -155,6 +194,19 @@ class TestVerdict:
         verdict = infection_identifiability_verdict(chain_network(th1=0.0))
         assert not verdict.identifiable_by_infection
         assert verdict.reason == "NotMinimal"
+
+    def test_not_minimal_exactly_when_structure_report_says_so(self, rng):
+        reasons = {}
+        nets = [chain_network(th1=0.0), chain_network(th2=0.0), chain_network()]
+        nets += [random_network(rng, int(rng.integers(2, 9)), p_zero=0.3) for _ in range(300)]
+        for net in nets:
+            verdict = infection_identifiability_verdict(net)
+            reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
+            if verdict.reason != "NotInfecting":
+                minimal = structure_report(omega_from_network(net)).minimal
+                assert (verdict.reason == "NotMinimal") == (not minimal)
+                assert verdict.identifiable_by_infection == minimal
+        assert min(reasons.get(r, 0) for r in (None, "NotMinimal", "NotInfecting")) >= 10
 
     def test_long_chain_identifiable(self):
         # a 64-node chain coupled at one end is minimal and infecting

@@ -27,7 +27,7 @@ from qsysid import (
     transfer_at,
     transfer_rational,
 )
-from qsysid.realization import CanonicalParams
+from qsysid.realization import CanonicalParams, _measure
 
 from conftest import (
     chain_system,
@@ -296,6 +296,45 @@ class TestDirectReconstruction:
         lam = -np.sqrt(t2**2 - t1**2)
         with pytest.raises(NegativeResidue, match=re.escape(f"at lam = {lam:.6g} is")):
             direct_reconstruction(make_rational_tf(num, den))
+
+
+def eigenvector_weights(real):
+    """Oracle for _measure's weights: the residues of G(s) = -c0 (sI - F)^{-1} b0
+    from the eigenvectors X of F, w_k = -(c0 X)_k (X^-1 b0)_k, lam ascending."""
+    s, x = np.linalg.eig(real.a0 - 0.5 * (real.b0 @ real.c0))
+    order = np.argsort((1j * s).real)
+    x = x[:, order]
+    return -(real.c0 @ x)[0] * np.linalg.solve(x, real.b0)[:, 0]
+
+
+class TestMeasure:
+    def test_closed_form_weights_match_eigenvector_oracle(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 17))
+            real = companion_realization(transfer_rational(random_passive(rng, n, 1)))
+            _, w = _measure(real, 1e-8)
+            oracle = eigenvector_weights(real)
+            assert np.abs(w - oracle).max() <= 1e-10 * w.sum()
+
+    def test_no_eigenvectors_and_no_solve(self, monkeypatch):
+        real = companion_realization(transfer_rational(chain_system()))
+        expected = _measure(real, 1e-8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_measure needs only the eigenvalues of F")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        lam, w = _measure(real, 1e-8)
+        np.testing.assert_array_equal(lam, expected[0])
+        np.testing.assert_array_equal(w, expected[1])
+
+    def test_non_finite_weight_rejected(self):
+        # G = 1e155 s / (s^2 + 1e308) is a passive reactance, but c0(s_k) at
+        # s_k = +-1e154 i overflows: the weight comes out NaN, which passes
+        # both of the weight's comparisons and so is refused on its own
+        with pytest.raises(NegativeResidue, match="weight nan"):
+            direct_reconstruction(make_rational_tf([1e308, -5e154, 1.0], [1e308, 5e154, 1.0]))
 
 
 class TestEigenvaluesFromCanonical:
