@@ -174,14 +174,23 @@ def require_unitary(u, n: int) -> np.ndarray:
 def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     """Transfer function Xi(s) = I - c (sI - A)^{-1} c† at one point.
 
+    For one port Xi(s) = prod_k (s + conj p_k) / (s - p_k) over the poles
+    p_k (``sys.poles``), by the matrix determinant lemma and A + A† = -c†c,
+    as in :func:`transfer_rational`; on the imaginary axis each factor has
+    modulus 1 up to rounding. For m > 1 the resolvent (sI - A)^{-1} c† is
+    solved directly.
+
     Raises
     ------
     SingularResolvent
         if s lies within 1e-10 * (1 + |s|) of an eigenvalue of A.
     """
-    gap = np.abs(sys.poles - s).min()
+    d = s - sys.poles
+    gap = np.abs(d).min()
     if gap < RESOLVENT_TOL * (1.0 + abs(s)):
         raise SingularResolvent(f"s={s} is within {gap:.3e} of an eigenvalue of A")
+    if sys.m == 1:
+        return ((s + sys.poles.conj()) / d).prod(keepdims=True).reshape(1, 1)
     res = np.linalg.solve(s * np.eye(sys.n) - sys.drift, sys.c.conj().T)
     return np.eye(sys.m) - sys.c @ res
 

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import IllConditioned, InsufficientData, NonMonotoneGrid, NotSISO
-from .model import PassiveSystem, require_hurwitz, transfer_at
+from .analysis import _reachable
+from .errors import (
+    IllConditioned,
+    InsufficientData,
+    NonMonotoneGrid,
+    NotHurwitz,
+    NotSISO,
+)
+from .model import PassiveSystem, transfer_at
 from .ratfunc import RationalTF, make_rational_tf, require_finite
 from .realization import CanonicalParams, companion_realization, reconstruct_passive
 
@@ -78,7 +85,10 @@ def sample_response(
     Raises
     ------
     NotHurwitz
-        drift matrix is not Hurwitz.
+        drift matrix is not Hurwitz, decided by the PBH rank as in
+        :func:`~qsysid.analysis.structure_report`: a passive system is
+        Hurwitz exactly when the fields reach every eigen-direction of omega,
+        whatever the rounding of the abscissa.
     NonMonotoneGrid, ValueError
         per :func:`require_grid`.
     ValueError
@@ -88,7 +98,12 @@ def sample_response(
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
     freqs = require_grid(freqs)
-    require_hurwitz(sys.poles)
+    rank = _reachable(sys)[0].size
+    if rank < sys.n:
+        raise NotHurwitz(
+            f"fields reach {rank} of {sys.n} modes; "
+            "an unreached mode has a pole on the imaginary axis"
+        )
     responses = np.empty((freqs.size, sys.m, sys.m), dtype=complex)
     for j, w in enumerate(freqs):
         responses[j] = transfer_at(sys, 1j * w)
@@ -103,6 +118,23 @@ def sample_response(
     )
 
 
+def _solve_conditioned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of a x = b from one thin SVD of a.
+
+    Raises IllConditioned when the normal-equation condition number
+    (sv[0] / sv[-1])² exceeds 1e12. Below that limit no singular value falls
+    under lstsq's default cutoff, eps max(a.shape) sv[0], so the solution
+    vh† (u† b / sv) is the one lstsq would return.
+    """
+    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+    if cond**2 > CONDITION_LIMIT:
+        raise IllConditioned(
+            f"normal-equation condition {cond**2:.3e} exceeds {CONDITION_LIMIT:.1e}"
+        )
+    return vh.conj().T @ ((u.conj().T @ b) / sv)
+
+
 def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     """Fit a degree-n rational function to single-port response samples.
 
@@ -115,9 +147,11 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     from the prior denominator (s / wref + 1)^n. The frequencies are
     rescaled by their geometric mean wref before building the design
     matrix, which keeps the powers balanced; coefficients are scaled back
-    afterwards. Iteration stops after 20 passes or when the relative
-    coefficient change drops below 1e-10. Coefficients stay complex; no
-    conjugate symmetry is imposed.
+    afterwards. Each pass takes one thin SVD of the column-equilibrated
+    weighted design matrix, which gives both the condition check and the
+    least-squares solution. Iteration stops after 20 passes or when the
+    relative coefficient change drops below 1e-10. Coefficients stay
+    complex; no conjugate symmetry is imposed.
 
     Raises
     ------
@@ -146,6 +180,8 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
         wref = 1.0
     z = 1j * data.freqs / wref
     powers = z[:, None] ** np.arange(n + 1)[None, :]
+    design = np.hstack([powers, -resp[:, None] * powers[:, :n]])
+    rhs = resp * z**n
     coeffs = np.zeros(2 * n + 1, dtype=complex)
     # start from the prior denominator (z + 1)^n so the first pass is
     # weighted like the converged ones; iteration refines from there
@@ -153,20 +189,13 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     iterations = 0
     for iteration in range(1, MAX_SK_ITERATIONS + 1):
         iterations = iteration
-        design = np.hstack([powers, -resp[:, None] * powers[:, :n]])
-        rhs = resp * z**n
         wdesign = weights[:, None] * design
         # equilibrate columns before judging the grid; the solution is
         # rescaled back, so only the conditioning changes
         colnorm = np.linalg.norm(wdesign, axis=0)
         colnorm[colnorm == 0.0] = 1.0
         wdesign = wdesign / colnorm[None, :]
-        cond = np.linalg.cond(wdesign)
-        if cond**2 > CONDITION_LIMIT:
-            raise IllConditioned(
-                f"normal-equation condition {cond**2:.3e} exceeds {CONDITION_LIMIT:.1e}"
-            )
-        solution = np.linalg.lstsq(wdesign, weights * rhs, rcond=None)[0] / colnorm
+        solution = _solve_conditioned(wdesign, weights * rhs) / colnorm
         change = np.linalg.norm(solution - coeffs)
         scale = max(np.linalg.norm(solution), 1e-300)
         coeffs = solution

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsysid import (
     DimensionMismatch,
@@ -19,6 +21,14 @@ from qsysid import (
 from qsysid.ratfunc import poly_from_roots
 
 from conftest import chain_system, one_mode_system, random_passive
+
+EPS = np.finfo(float).eps
+
+
+def resolvent_transfer(sys, s):
+    """Reference Xi(s) = I - c (sI - A)^{-1} c† by one dense solve."""
+    res = np.linalg.solve(s * np.eye(sys.n) - sys.drift, sys.c.conj().T)
+    return np.eye(sys.m) - sys.c @ res
 
 
 class TestNewSystem:
@@ -156,6 +166,38 @@ class TestTransferAt:
         sys = one_mode_system(1.0)
         with pytest.raises(SingularResolvent):
             transfer_at(sys, -0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        detuning=st.floats(-100.0, 100.0),
+    )
+    def test_single_port_pole_product_matches_resolvent(self, n, seed, detuning):
+        # the product is exactly unitary on the axis; it departs from the
+        # solve by the poles' rounding, eps max|p|, over the distance to the
+        # nearest pole (at most 43 eps max|p| / gap over 9000 draws, resonances
+        # of weakly coupled modes included)
+        rng = np.random.default_rng(seed)
+        base = random_passive(rng, n, 1)
+        sys = new_system(base.omega + detuning * np.eye(n), base.c)
+        lam = np.linalg.eigvalsh(sys.omega)
+        w = rng.uniform(-3.0, 3.0, 8) - detuning
+        w = np.concatenate([w, -lam - 1e-6, -lam + 1e-6])
+        rho = np.abs(sys.poles).max()
+        for s in 1j * w:
+            xi = transfer_at(sys, s)[0, 0]
+            gap = np.abs(s - sys.poles).min()
+            assert abs(xi - resolvent_transfer(sys, s)[0, 0]) <= 100 * EPS * rho / gap
+            assert abs(abs(xi) - 1.0) <= 1e-14
+
+    def test_multi_port_is_the_resolvent_solve(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            sys = random_passive(rng, n, int(rng.integers(2, n + 1)))
+            for s in [1j * rng.uniform(-5.0, 5.0), complex(*rng.uniform(-3.0, 3.0, 2))]:
+                xi = transfer_at(sys, s)
+                assert xi.tobytes() == resolvent_transfer(sys, s).tobytes()
 
 
 class TestTransferRational:

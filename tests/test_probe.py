@@ -17,6 +17,7 @@ from qsysid import (
     transfer_at,
     transfer_rational,
 )
+from qsysid import probe
 from qsysid.probe import ProbeDataset
 
 from conftest import (
@@ -24,6 +25,7 @@ from conftest import (
     coupling_fixing_unitary,
     one_mode_system,
     random_single_node_siso,
+    random_unitary,
 )
 
 
@@ -42,6 +44,14 @@ def dataset_from_tf(tf, freqs, noise_sigma=0.0, seed=0):
         noise_sigma=noise_sigma,
         seed=seed,
     )
+
+
+def lstsq_reference(a, b):
+    """The fit's solve as two LAPACK calls: condition check, then lstsq."""
+    cond = np.linalg.cond(a)
+    if cond**2 > probe.CONDITION_LIMIT:
+        raise IllConditioned(f"normal-equation condition {cond**2:.3e}")
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 class TestSampleResponse:
@@ -72,6 +82,16 @@ class TestSampleResponse:
         sys = new_system(np.zeros((2, 2)), [[1.0, 0.0]])
         with pytest.raises(NotHurwitz):
             sample_response(sys, [0.1, 1.0])
+
+    def test_non_minimal_rejected_in_every_gauge(self):
+        # the decoupled pair rounds its abscissa to either sign; the PBH rank
+        # sees it whatever the gauge
+        rng = np.random.default_rng(0)
+        sys = new_system([[0.5, 0, 0], [0, 0.3, 0.8], [0, 0.8, 0.1]], [[1.0, 0, 0]])
+        for _ in range(200):
+            moved = gauge_transform(sys, random_unitary(rng, 3))
+            with pytest.raises(NotHurwitz, match="reach 1 of 3 modes"):
+                sample_response(moved, [0.1, 1.0])
 
     def test_non_finite_sigma_rejected(self):
         with pytest.raises(ValueError, match="^noise_sigma must be finite"):
@@ -138,6 +158,23 @@ class TestFitRational:
         data = sample_response(sys, np.geomspace(0.1, 10.0, 10))
         with pytest.raises(InsufficientData):
             fit_rational(data, 3)
+
+    def test_one_svd_keeps_the_lstsq_decisions(self, rng, monkeypatch):
+        freqs = np.geomspace(0.01, 100.0, 200)
+        cases = [(sample_response(chain_system(), freqs, 1e-4, s), 3) for s in range(5)]
+        for _ in range(8):  # the systems of test_noiseless_random_systems_consistent
+            n = int(rng.integers(1, 6))
+            sys = random_single_node_siso(rng, n)
+            rho = np.abs(sys.poles).max()
+            half = np.geomspace(0.02 * rho, 8.0 * rho, 15 * n + 15)
+            cases.append((sample_response(sys, np.concatenate([-half[::-1], half])), n))
+        fits = [fit_rational(data, n) for data, n in cases]
+        monkeypatch.setattr(probe, "_solve_conditioned", lstsq_reference)
+        for (data, n), fit in zip(cases, fits):
+            ref = fit_rational(data, n)
+            assert fit.iterations == ref.iterations
+            for got, want in [(fit.tf.den, ref.tf.den), (fit.tf.num, ref.tf.num)]:
+                assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     def test_clustered_grid_ill_conditioned(self):
         sys = chain_system()
