@@ -19,7 +19,7 @@ import numpy as np
 from . import serialize
 from .analysis import structure_report
 from .errors import QsysidError
-from .identifiability import find_gauge
+from .identifiability import find_gauge, gauge_transform
 from .network import infection_closure, infection_identifiability_verdict
 from .probe import identify_pipeline, sample_response
 from .realization import companion_realization, reconstruct_passive
@@ -94,7 +94,9 @@ def cmd_reconstruct(args) -> int:
     gauge = None
     if args.gauge is not None:
         gauge = serialize.matrix_from_obj(_load_json(args.gauge))
-    system, params = reconstruct_passive(companion_realization(tf), u=gauge)
+    system, params = reconstruct_passive(companion_realization(tf))
+    if gauge is not None:
+        system = gauge_transform(system, gauge)
     _emit(
         {
             "system": serialize.system_to_obj(system),

@@ -15,23 +15,16 @@ class NotHermitian(QsysidError):
 
 
 class DimensionMismatch(QsysidError):
-    """Matrix or vector shapes are incompatible."""
-
-
-class TooManyFields(QsysidError):
-    """More field channels than system modes (m > n)."""
+    """Matrix or vector shapes are incompatible, or a port count is out of
+    range: more fields than modes, or several where one port is required."""
 
 
 class SingularResolvent(QsysidError):
     """Evaluation point coincides with an eigenvalue of the drift matrix."""
 
 
-class EmptyGrid(QsysidError):
-    """Time grid has fewer than two points."""
-
-
 class NonMonotoneGrid(QsysidError):
-    """Grid values are not strictly increasing."""
+    """Grid has too few points, or its values are not strictly increasing."""
 
 
 class NotUnitary(QsysidError):
@@ -40,10 +33,6 @@ class NotUnitary(QsysidError):
 
 class NotMinimal(QsysidError):
     """System is not both controllable and observable."""
-
-
-class NotSISO(QsysidError):
-    """Operation requires a single-input single-output transfer function."""
 
 
 class NonMonic(QsysidError):

@@ -22,13 +22,10 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     DimensionMismatch,
-    EmptyGrid,
     NonMonotoneGrid,
     NotHermitian,
-    NotHurwitz,
     NotUnitary,
     SingularResolvent,
-    TooManyFields,
 )
 from .ratfunc import RationalTF, poly_from_roots, require_finite
 
@@ -112,9 +109,8 @@ def new_system(omega, c) -> PassiveSystem:
     Raises
     ------
     DimensionMismatch
-        omega not square, or column counts differ.
-    TooManyFields
-        more rows in c than modes (m > n).
+        omega not square, column counts differ, or more rows in c than
+        modes (m > n).
     NotHermitian
         omega deviates from omega† beyond 1e-12 relative (1e-14 absolute
         floor) in max norm.
@@ -136,7 +132,7 @@ def new_system(omega, c) -> PassiveSystem:
     if m < 1:
         raise DimensionMismatch("system needs at least one field")
     if m > n:
-        raise TooManyFields(f"m={m} fields exceed n={n} modes")
+        raise DimensionMismatch(f"m={m} fields exceed n={n} modes")
     scale = np.abs(omega).max()
     tol = max(HERMIT_RTOL * scale, HERMIT_ATOL)
     dev = np.abs(omega - omega.conj().T).max()
@@ -145,11 +141,25 @@ def new_system(omega, c) -> PassiveSystem:
     return PassiveSystem(omega=_read_only(omega.copy()), c=_read_only(c.copy()))
 
 
-def require_hurwitz(eigs: np.ndarray) -> None:
-    """Raise NotHurwitz unless every eigenvalue in eigs has negative real part."""
-    abscissa = float(eigs.real.max())
-    if abscissa >= 0.0:
-        raise NotHurwitz(f"spectral abscissa {abscissa:.3e} is not negative")
+def require_grid(values, name: str, min_size: int) -> np.ndarray:
+    """Return values as a flat float array: the one check of every time and
+    frequency grid.
+
+    Raises
+    ------
+    ValueError
+        an entry is not finite.
+    NonMonotoneGrid
+        fewer than ``min_size`` points, or the values are not strictly
+        increasing.
+    """
+    grid = np.asarray(values, dtype=float).ravel()
+    require_finite(grid, name)
+    if grid.size < min_size:
+        raise NonMonotoneGrid(f"{name} has {grid.size} points, needs at least {min_size}")
+    if np.any(np.diff(grid) <= 0):
+        raise NonMonotoneGrid(f"{name} must be strictly increasing")
+    return grid
 
 
 def require_unitary(u, n: int) -> np.ndarray:
@@ -242,8 +252,9 @@ def simulate_means(
         Input mean amplitude, mapping time to an m-vector (scalars are
         broadcast for m = 1).
     t_grid : array_like
-        Finite, strictly increasing sample instants; integration steps once
-        per interval, no substepping.
+        At least two finite, strictly increasing sample instants, checked by
+        :func:`require_grid`; integration steps once per interval, no
+        substepping.
     initial_mean : array_like, optional
         Mode means at t_grid[0]; defaults to the zero vector.
 
@@ -253,12 +264,7 @@ def simulate_means(
         Input, mode and output means at every grid instant, with the
         output read out as <b_out> = c <a> + beta.
     """
-    t = np.asarray(t_grid, dtype=float).ravel()
-    if t.size < 2:
-        raise EmptyGrid(f"need at least 2 time points, got {t.size}")
-    require_finite(t, "t_grid")
-    if np.any(np.diff(t) <= 0):
-        raise NonMonotoneGrid("time grid must be strictly increasing")
+    t = require_grid(t_grid, "t_grid", 2)
     a = sys.drift
     n, m = sys.n, sys.m
     cdag = sys.c.conj().T

@@ -11,12 +11,14 @@ converse does not hold, so a failed test asserts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import _reachable
 from .errors import InvalidNetwork
 from .model import PassiveSystem, new_system
+from .ratfunc import require_finite
 
 
 @dataclass(frozen=True)
@@ -36,13 +38,24 @@ class NetworkModel:
     coupling: np.ndarray
     detunings: np.ndarray | None = None
 
+    @cached_property
+    def _system(self) -> PassiveSystem:
+        omega = np.zeros((self.n, self.n))
+        for i, j, w in self.edges:
+            omega[i, j] += w
+            omega[j, i] += w
+        if self.detunings is not None:
+            omega[np.arange(self.n), np.arange(self.n)] += self.detunings
+        return new_system(omega, self.coupling)
+
 
 def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkModel:
     """Validate and build a :class:`NetworkModel` (0-based vertex indices).
 
     ``coupling`` defaults to one unit row per accessible vertex. Weights
     must be real; complex-weight networks are outside the infection
-    theorem and rejected.
+    theorem and rejected. Raises ValueError naming the field ("edge
+    weights", "coupling" or "detunings") when an entry is not finite.
     """
     n = int(n)
     if n < 1:
@@ -60,6 +73,7 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
         if key in canon:
             raise InvalidNetwork(f"duplicate edge {key}")
         canon[key] = float(np.real(w))
+    require_finite(list(canon.values()), "edge weights")
     accessible = tuple(sorted({int(v) for v in accessible}))
     if not accessible:
         raise InvalidNetwork("accessible set is empty")
@@ -71,6 +85,7 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
             coupling[row, v] = 1.0
     else:
         coupling = np.atleast_2d(np.asarray(coupling, dtype=complex))
+        require_finite(coupling, "coupling")
         if coupling.shape[1] != n:
             raise InvalidNetwork(f"coupling must have {n} columns, got {coupling.shape}")
         outside = [
@@ -85,7 +100,9 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     if eigs.min() <= 1e-12 * max(eigs.max(), 1e-300):
         raise InvalidNetwork("c†c restricted to the accessible set is not positive")
     if detunings is not None:
-        detunings = np.asarray(detunings, dtype=float).reshape(n)
+        detunings = np.array(detunings, dtype=float).reshape(n)
+        require_finite(detunings, "detunings")
+        detunings.setflags(write=False)
     edge_tuple = tuple((i, j, canon[(i, j)]) for (i, j) in sorted(canon))
     coupling = coupling.copy()
     coupling.setflags(write=False)
@@ -126,14 +143,13 @@ class InfectionVerdict:
 
 
 def omega_from_network(net: NetworkModel) -> PassiveSystem:
-    """Assemble the real symmetric Hamiltonian and pair it with the coupling."""
-    omega = np.zeros((net.n, net.n))
-    for i, j, w in net.edges:
-        omega[i, j] += w
-        omega[j, i] += w
-    if net.detunings is not None:
-        omega[np.arange(net.n), np.arange(net.n)] += net.detunings
-    return new_system(omega, net.coupling)
+    """Assemble the real symmetric Hamiltonian and pair it with the coupling.
+
+    The system is built on the first call and kept on ``net``: every call
+    returns the same read-only system, so its cached ``eigh(omega)`` serves
+    :func:`infection_identifiability_verdict` and any other caller alike.
+    """
+    return net._system
 
 
 def _adjacency(net: NetworkModel) -> list[set[int]]:

@@ -15,14 +15,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .analysis import _reachable
-from .errors import (
-    IllConditioned,
-    InsufficientData,
-    NonMonotoneGrid,
-    NotHurwitz,
-    NotSISO,
-)
-from .model import PassiveSystem, transfer_at
+from .errors import DimensionMismatch, IllConditioned, InsufficientData, NotHurwitz
+from .model import PassiveSystem, require_grid, transfer_at
 from .ratfunc import RationalTF, make_rational_tf, require_finite
 from .realization import CanonicalParams, companion_realization, reconstruct_passive
 
@@ -60,16 +54,6 @@ class FitResult:
     iterations: int
 
 
-def require_grid(freqs) -> np.ndarray:
-    """Return freqs as a flat float array. Raises ValueError unless all are
-    finite, and NonMonotoneGrid unless they are non-empty and strictly increasing."""
-    freqs = np.asarray(freqs, dtype=float).ravel()
-    require_finite(freqs, "freqs")
-    if freqs.size == 0 or np.any(np.diff(freqs) <= 0):
-        raise NonMonotoneGrid("frequencies must be strictly increasing")
-    return freqs
-
-
 def sample_response(
     sys: PassiveSystem,
     freqs,
@@ -90,14 +74,15 @@ def sample_response(
         Hurwitz exactly when the fields reach every eigen-direction of omega,
         whatever the rounding of the abscissa.
     NonMonotoneGrid, ValueError
-        per :func:`require_grid`.
+        per :func:`~qsysid.model.require_grid`: freqs empty, not finite,
+        or not strictly increasing.
     ValueError
         noise_sigma negative or not finite.
     """
     require_finite(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
-    freqs = require_grid(freqs)
+    freqs = require_grid(freqs, "freqs", 1)
     rank = _reachable(sys)[0].size
     if rank < sys.n:
         raise NotHurwitz(
@@ -155,7 +140,8 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
 
     Raises
     ------
-    NotSISO
+    DimensionMismatch
+        more than one port.
     InsufficientData
         fewer than 2 (2 degree + 1) samples.
     IllConditioned
@@ -164,7 +150,7 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
         a response sample is not finite.
     """
     if data.m != 1:
-        raise NotSISO(f"fit requires single-port data, got m = {data.m}")
+        raise DimensionMismatch(f"fit requires single-port data, got m = {data.m}")
     require_finite(data.responses, "responses")
     n = int(degree)
     if n < 1:

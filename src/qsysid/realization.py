@@ -19,12 +19,12 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     NegativeResidue,
+    NotHurwitz,
     NotPassiveTF,
-    NotSISO,
     RankDeficientCoupling,
     SolverSingular,
 )
-from .model import PassiveSystem, new_system, require_hurwitz, require_unitary
+from .model import PassiveSystem, new_system
 from .ratfunc import RationalTF, require_monic, require_tol
 
 LYAPUNOV_RTOL = 1e-10
@@ -92,12 +92,14 @@ def companion_realization(
 
     Raises
     ------
-    NotSISO, NonMonic
+    DimensionMismatch
+        more than one port.
+    NonMonic
     NotPassiveTF, ValueError
         per :func:`_vanishing_difference`.
     """
     if tf.m != 1:
-        raise NotSISO(f"operation requires m = 1, got m = {tf.m}")
+        raise DimensionMismatch(f"operation requires m = 1, got m = {tf.m}")
     require_monic(tf.den)
     n = tf.degree
     c0 = -_vanishing_difference(tf, tol)[0, 0].reshape(1, n)
@@ -128,7 +130,9 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
     if a0.shape != q.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch(f"shapes {a0.shape} and {q.shape} are incompatible")
-    require_hurwitz(np.linalg.eigvals(a0))
+    abscissa = float(np.linalg.eigvals(a0).real.max())
+    if abscissa >= 0.0:
+        raise NotHurwitz(f"spectral abscissa {abscissa:.3e} is not negative")
     from scipy.linalg import solve_continuous_lyapunov  # slow; only this route needs it
     q = 0.5 * (q + q.conj().T)
     p = solve_continuous_lyapunov(a0.conj().T, -q)
@@ -224,39 +228,33 @@ def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
 
 
 def reconstruct_passive(
-    real: ClassicalRealization,
-    u: np.ndarray | None = None,
-    passivity_tol: float = PASSIVITY_RTOL,
+    real: ClassicalRealization, passivity_tol: float = PASSIVITY_RTOL
 ) -> tuple[PassiveSystem, CanonicalParams]:
     """Recover (omega, c) and the canonical parameters from a classical
     realization of a passive single-port transfer function.
 
     The spectral measure (lam, w) of :func:`_measure` gives the diagonal
-    representative omega0 = diag(lam), lam ascending, with positive
-    couplings c0 = sqrt(w); the unitary ``u`` (identity by default) moves
-    it to omega = u omega0 u†, c = c0 u†. ``passivity_tol`` is the relative
-    tolerance of the passivity checks; loosen it for fitted functions.
+    representative omega = diag(lam), lam ascending, with positive
+    couplings c = sqrt(w); every other realization in its equivalence
+    class is :func:`~qsysid.identifiability.gauge_transform` of it.
+    ``passivity_tol`` is the relative tolerance of the passivity checks;
+    loosen it for fitted functions.
 
     Raises
     ------
     ValueError, DegenerateSpectrum, NotPassiveTF, NegativeResidue
         per :func:`_measure`.
-    DimensionMismatch, NotUnitary
-        supplied ``u`` is not an n x n unitary.
     """
     lam, w = _measure(real, passivity_tol)
-    u = np.eye(len(lam)) if u is None else require_unitary(u, len(lam))
-    omega = (u * lam) @ u.conj().T
-    sys = new_system(0.5 * (omega + omega.conj().T), np.sqrt(w)[None, :] @ u.conj().T)
-    return sys, _canonical(lam, w)
+    return new_system(np.diag(lam), np.sqrt(w)[None, :]), _canonical(lam, w)
 
 
-def direct_reconstruction(tf: RationalTF, tol: float = PASSIVITY_RTOL) -> CanonicalParams:
+def direct_reconstruction(tf: RationalTF) -> CanonicalParams:
     """Identifiable parameters (theta, omega11, lambda_i, |E'_i|) of Xi:
     :func:`_canonical` of :func:`_measure` of :func:`companion_realization`,
-    all three at the relative tolerance ``tol``, and the same parameters
+    all three at the relative tolerance 1e-8, and the same parameters
     :func:`reconstruct_passive` returns."""
-    return _canonical(*_measure(companion_realization(tf, tol), tol))
+    return _canonical(*_measure(companion_realization(tf), PASSIVITY_RTOL))
 
 
 def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:
@@ -274,9 +272,7 @@ def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(arrow))
 
 
-def mimo_coupling_gram(
-    tf: RationalTF, tol: float = PASSIVITY_RTOL
-) -> tuple[np.ndarray, np.ndarray]:
+def mimo_coupling_gram(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
     """Leading moments of a multiport transfer function.
 
     Returns the positive square root C0 of the coupling Gram matrix
@@ -288,19 +284,20 @@ def mimo_coupling_gram(
     Raises
     ------
     NotPassiveTF
-        I - Xi does not vanish at large |s|.
+        I - Xi does not vanish at large |s|, within 1e-8 relative.
     RankDeficientCoupling
-        the Gram matrix is singular (coupling not of full row rank).
+        the smallest Gram eigenvalue is not above 1e-8 times the largest
+        (coupling not of full row rank).
     """
     n = tf.degree
     m = tf.m
     den = tf.den
-    diff = _vanishing_difference(tf, tol)
+    diff = _vanishing_difference(tf, PASSIVITY_RTOL)
     moment0 = diff[:, :, n - 1]
     moment1 = (diff[:, :, n - 2] if n >= 2 else np.zeros((m, m))) - den[n - 1] * moment0
     gram = 0.5 * (moment0 + moment0.conj().T)
     lam, u = np.linalg.eigh(gram)
-    if lam[0] <= tol * max(lam[-1], 0.0) or lam[-1] <= 0.0:
+    if lam[0] <= PASSIVITY_RTOL * max(lam[-1], 0.0) or lam[-1] <= 0.0:
         raise RankDeficientCoupling(f"gram eigenvalues {lam} are not all positive")
     c0 = (u * np.sqrt(lam)) @ u.conj().T
     c0_inv = (u / np.sqrt(lam)) @ u.conj().T

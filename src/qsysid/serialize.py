@@ -13,9 +13,9 @@ import numpy as np
 from .analysis import StructureReport
 from .errors import DimensionMismatch
 from .identifiability import EquivalenceVerdict
-from .model import PassiveSystem, new_system
+from .model import PassiveSystem, new_system, require_grid
 from .network import InfectionTrace, InfectionVerdict, NetworkModel, new_network
-from .probe import FitResult, ProbeDataset, require_grid
+from .probe import FitResult, ProbeDataset
 from .ratfunc import RationalTF, make_rational_tf
 from .realization import CanonicalParams
 
@@ -120,7 +120,7 @@ def dataset_to_obj(data: ProbeDataset) -> dict:
 
 
 def dataset_from_obj(obj) -> ProbeDataset:
-    freqs = require_grid([float(w) for w in obj["freqs"]])
+    freqs = require_grid([float(w) for w in obj["freqs"]], "freqs", 1)
     responses = np.array([matrix_from_obj(r) for r in obj["responses"]], dtype=complex)
     if responses.shape[0] != freqs.size:
         raise DimensionMismatch("responses length does not match frequency count")

@@ -12,8 +12,9 @@ import pytest
 import qsysid
 from qsysid import serialize, transfer_rational
 
-from conftest import chain_system
+from conftest import chain_system, random_single_node_siso, random_unitary
 from test_network import chain_network, tree_network
+from test_realization import gauged_measure
 
 
 # The directory holding the qsysid package this process imported. It goes
@@ -148,6 +149,29 @@ class TestReconstruct:
         )
         np.testing.assert_allclose(system.c, [[np.sqrt(2 * a1), 0.0]], atol=1e-10)
 
+    def test_gauge_flag_matches_formula(self, tmp_path, rng):
+        from qsysid import companion_realization, gauge_transform, make_rational_tf
+
+        # the README's two-mode function and U, then random single-port draws
+        cases = [
+            (
+                make_rational_tf([2.0, -0.3, 1.0], [2.0, 0.3, 1.0]),
+                np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0),
+            )
+        ]
+        for n in (1, 4, 8):
+            sys = gauge_transform(random_single_node_siso(rng, n), random_unitary(rng, n))
+            cases.append((transfer_rational(sys), random_unitary(rng, n)))
+        for k, (tf, u) in enumerate(cases):
+            tf_path = write_json(tmp_path / f"tf{k}.json", serialize.tf_to_obj(tf))
+            u_path = write_json(tmp_path / f"u{k}.json", serialize.matrix_to_obj(u))
+            proc = run_cli("reconstruct", tf_path, "--gauge", u_path)
+            assert proc.returncode == 0
+            system = serialize.system_from_obj(json.loads(proc.stdout)["system"])
+            omega, c = gauged_measure(companion_realization(tf), u)
+            np.testing.assert_allclose(system.omega, omega, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(system.c, c, rtol=0, atol=1e-12)
+
     def test_non_passive_exit_one(self, tmp_path):
         a0, a1, c1 = 2.0, 0.3, -0.45
         from qsysid import make_rational_tf
@@ -180,6 +204,15 @@ class TestInfect:
         out = json.loads(proc.stdout)
         assert out["verdict"] == "NotApplicable"
         assert out["reason"] == "NotInfecting"
+
+    def test_non_finite_edge_weight_exit_two(self, tmp_path):
+        obj = serialize.network_to_obj(chain_network())
+        obj["edges"][0][2] = float("nan")
+        proc = run_cli("infect", write_json(tmp_path / "nan_net.json", obj))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ValueError"
+        assert err["detail"] == "edge weights must be finite"
 
 
 class TestProbeFitCompose:

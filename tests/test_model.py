@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from qsysid import (
     DimensionMismatch,
-    EmptyGrid,
     NonMonotoneGrid,
     NotHermitian,
     SingularResolvent,
-    TooManyFields,
     make_rational_tf,
     new_system,
+    sample_response,
+    serialize,
     simulate_means,
     transfer_at,
     transfer_rational,
@@ -50,7 +50,7 @@ class TestNewSystem:
             new_system([[0.0, 0.0]], [[1.0, 0.0]])
         with pytest.raises(DimensionMismatch):
             new_system([[0.0]], [[1.0, 0.0]])
-        with pytest.raises(TooManyFields):
+        with pytest.raises(DimensionMismatch):
             new_system([[0.0]], [[1.0], [2.0]])
 
     def test_matrices_frozen(self):
@@ -309,9 +309,47 @@ class TestSimulateMeans:
 
     def test_grid_errors(self):
         sys = one_mode_system(1.0)
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(NonMonotoneGrid):
             simulate_means(sys, lambda t: [0.0], [0.0])
         with pytest.raises(NonMonotoneGrid):
             simulate_means(sys, lambda t: [0.0], [0.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="t_grid must be finite"):
             simulate_means(sys, lambda t: [0.0], [0.0, np.nan, 1.0])
+
+
+def _dataset_obj(freqs):
+    one = [[{"re": 1.0, "im": 0.0}]]
+    return {"freqs": list(freqs), "responses": [one] * len(freqs), "noise_sigma": 0.0}
+
+
+class TestOneGridCheck:
+    """simulate_means, sample_response and dataset_from_obj refuse a bad
+    grid with the same class and a message naming the argument."""
+
+    @pytest.mark.parametrize(
+        "grid, cls",
+        [
+            ([], NonMonotoneGrid),
+            ([0.0, np.nan, 1.0], ValueError),
+            ([0.0, 1.0, 1.0], NonMonotoneGrid),
+            ([1.0, 0.5, 0.0], NonMonotoneGrid),
+        ],
+    )
+    def test_bad_grid(self, grid, cls):
+        sys = one_mode_system(1.0)
+        for name, call in (
+            ("t_grid", lambda: simulate_means(sys, lambda t: [0.0], grid)),
+            ("freqs", lambda: sample_response(sys, grid)),
+            ("freqs", lambda: serialize.dataset_from_obj(_dataset_obj(grid))),
+        ):
+            with pytest.raises(cls, match=f"^{name} ") as info:
+                call()
+            assert type(info.value) is cls
+
+    def test_one_point(self):
+        # a time grid needs an interval to step over; one frequency is a dataset
+        sys = one_mode_system(1.0)
+        with pytest.raises(NonMonotoneGrid, match="^t_grid has 1 points, needs at least 2"):
+            simulate_means(sys, lambda t: [0.0], [0.0])
+        assert sample_response(sys, [0.5]).freqs.size == 1
+        assert serialize.dataset_from_obj(_dataset_obj([0.5])).freqs.size == 1

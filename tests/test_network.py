@@ -115,6 +115,40 @@ class TestOmegaFromNetwork:
         with pytest.raises(InvalidNetwork):
             new_network(3, [(0, 1, 1.0)], [0], coupling=[[1.0, 0.5, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_edge_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="^edge weights must be finite"):
+            new_network(3, [(0, 1, 0.6), (1, 2, bad)], [0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coupling_rejected(self, bad):
+        with pytest.raises(ValueError, match="^coupling must be finite"):
+            new_network(3, [(0, 1, 0.6), (1, 2, 0.8)], [0], coupling=[[bad, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_detunings_rejected(self, bad):
+        with pytest.raises(ValueError, match="^detunings must be finite"):
+            new_network(3, [(0, 1, 0.6), (1, 2, 0.8)], [0], detunings=[0.0, bad, 0.0])
+
+    def test_one_system_per_network(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        net = chain_network()
+        sys = omega_from_network(net)
+        assert structure_report(sys).minimal
+        assert infection_identifiability_verdict(net).identifiable_by_infection
+        assert omega_from_network(net) is sys
+        assert len(calls) == 1
+        assert not sys.omega.flags.writeable
+
+    def test_detunings_copied_read_only(self):
+        detunings = np.array([0.0, 0.3, 0.0])
+        net = new_network(3, [(0, 1, 0.6), (0, 2, 0.8)], [0], detunings=detunings)
+        detunings[1] = 5.0
+        assert net.detunings[1] == 0.3
+        assert not net.detunings.flags.writeable
+
 
 class TestInfectionClosure:
     def test_chain_infecting(self):

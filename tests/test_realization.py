@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from qsysid import (
     DegenerateSpectrum,
+    DimensionMismatch,
     NegativeResidue,
     NonMonic,
     NotHurwitz,
     NotPassiveTF,
-    NotSISO,
     companion_realization,
     direct_reconstruction,
     eigenvalues_from_canonical,
@@ -27,7 +27,7 @@ from qsysid import (
     transfer_at,
     transfer_rational,
 )
-from qsysid.realization import CanonicalParams, _measure
+from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _measure
 
 from conftest import (
     chain_system,
@@ -45,6 +45,14 @@ NOT_VANISHING = r"leading coefficient 1\.000e\+00 exceeds \d"
 def two_node_tf(a0, a1, c1):
     """Xi(s) = 1 + c1 s / (s^2 + a1 s + a0)."""
     return make_rational_tf([a0, a1 + c1, 1.0], [a0, a1, 1.0])
+
+
+def gauged_measure(real, u):
+    """Reference (u diag(lam) u†, sqrt(w) u†) of the measure (lam, w), with
+    omega symmetrized: the realization in gauge u, by the explicit formula."""
+    lam, w = _measure(real, PASSIVITY_RTOL)
+    omega = (u * lam) @ u.conj().T
+    return 0.5 * (omega + omega.conj().T), np.sqrt(w)[None, :] @ u.conj().T
 
 
 def eval_realization(real, s):
@@ -78,7 +86,7 @@ class TestCompanionRealization:
     def test_not_siso(self, rng):
         num = np.zeros((2, 2, 2), dtype=complex)
         num[0, 0] = num[1, 1] = [1.0, 1.0]
-        with pytest.raises(NotSISO):
+        with pytest.raises(DimensionMismatch):
             companion_realization(make_rational_tf(num, [1.0, 1.0]))
 
     def test_non_monic(self):
@@ -135,11 +143,26 @@ class TestReconstructPassive:
         a0, a1, c1 = 2.0, 0.3, -0.6
         real = companion_realization(two_node_tf(a0, a1, c1))
         u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-        sys, _ = reconstruct_passive(real, u=u)
+        sys = gauge_transform(reconstruct_passive(real)[0], u)
         np.testing.assert_allclose(
             sys.omega, [[0.0, np.sqrt(a0)], [np.sqrt(a0), 0.0]], atol=1e-10
         )
         np.testing.assert_allclose(sys.c, [[np.sqrt(2 * a1), 0.0]], atol=1e-10)
+
+    def test_gauge_transform_of_diagonal_matches_formula(self, rng):
+        # the README's worked U on the two-node function, then random draws
+        readme_u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        cases = [(two_node_tf(2.0, 0.3, -0.6), readme_u)]
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            sys = gauge_transform(random_single_node_siso(rng, n), random_unitary(rng, n))
+            cases.append((transfer_rational(sys), random_unitary(rng, n)))
+        for tf, u in cases:
+            real = companion_realization(tf)
+            omega, c = gauged_measure(real, u)
+            rebuilt = gauge_transform(reconstruct_passive(real)[0], u)
+            np.testing.assert_allclose(rebuilt.omega, omega, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rebuilt.c, c, rtol=0, atol=1e-12)
 
     def test_one_mode_roundtrip(self):
         kappa = 0.9
@@ -158,8 +181,6 @@ class TestReconstructPassive:
         tf_bad = two_node_tf(2.0, 0.3, -0.59)
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             reconstruct_passive(companion_realization(tf_bad), passivity_tol=tol)
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            direct_reconstruction(two_node_tf(2.0, 0.3, -0.6), tol=tol)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
