@@ -51,14 +51,6 @@ class NotPassiveTF(QsysidError):
     """Transfer function is not realizable by a passive quantum system."""
 
 
-class DegenerateSpectrum(QsysidError):
-    """Repeated poles where simple poles are required."""
-
-
-class NegativeResidue(QsysidError):
-    """A residue that must be positive real is not."""
-
-
 class RankDeficientCoupling(QsysidError):
     """Leading moment of the transfer function is singular."""
 

@@ -21,9 +21,10 @@ from .model import PassiveSystem, new_system
 from .ratfunc import require_finite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Undirected weighted graph with an accessible vertex subset.
+    """Undirected weighted graph with an accessible vertex subset; instances
+    compare and hash by identity.
 
     ``edges`` maps canonical pairs (i, j), i < j, to real weights; a weight
     of zero keeps the edge structural. ``coupling`` is the m x n field

@@ -205,14 +205,15 @@ def identify_pipeline(
 
     Runs :func:`fit_rational`, builds the companion realization of the fit
     and calls :func:`~qsysid.realization.reconstruct_passive` once: the
-    spectral measure of the fit gives both the diagonal passive system and
-    the canonical parameters. The passivity tolerance is loosened in
-    proportion to the fit residual, since a noisy estimate is only
-    approximately passive.
+    fitted den gives the poles, each held to the mirror of the nearest zero
+    of the fitted num, and the cascade of those poles gives both the
+    diagonal passive system and the canonical parameters. The passivity
+    tolerance is loosened in proportion to the fit residual, since a noisy
+    estimate is only approximately passive.
 
-    Raises errors from any stage unchanged, including NotPassiveTF and
-    NegativeResidue when the fitted function is not consistent with a
-    passive system at the loosened tolerance.
+    Raises errors from any stage unchanged, including NotHurwitz for an
+    unstable fitted pole and NotPassiveTF when the fitted num is not the
+    mirror of den at the loosened tolerance.
     """
     fit = fit_rational(data, degree)
     tol = max(1e-7, NOISE_TOL_FACTOR * fit.rms_residual)

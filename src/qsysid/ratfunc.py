@@ -57,11 +57,15 @@ class RationalTF:
         Common denominator coefficients, ascending degree, monic.
     m : int
         Port count.
+    poles : ndarray or None
+        The exact roots of den when they are known (a single-port
+        :func:`~qsysid.model.transfer_rational`), else None.
     """
 
     num: np.ndarray
     den: np.ndarray
     m: int
+    poles: np.ndarray | None = None
 
     @property
     def degree(self) -> int:

@@ -1,11 +1,9 @@
 """Reconstruction of system matrices from a rational transfer function.
 
-Xi is the Cayley transform (1 - G/2) / (1 + G/2) of the reactance
-G(s) = c (sI + i omega)^{-1} c† = sum_k w_k / (s + i lam_k). For a passive
-Xi the poles of G, where Xi = -1, lie on the imaginary axis with positive
-weights (Foster's reactance theorem). For one port, :func:`_measure` reads
-this spectral measure off the companion realization by one eigenvalue
-problem; (diag(lam), sqrt(w)) realizes Xi, and one Householder reflection
+A single-port passive Xi(s) = prod_k (s + conj p_k) / (s - p_k) is the
+series product (cascade) of one-mode cavities, one per pole. :func:`_measure`
+reads the spectral measure (lam, w) of the cascade's Hamiltonian off one
+``eigh``; (diag(lam), sqrt(w)) realizes Xi, and one Householder reflection
 gives the canonical parameters (theta, omega11, lambda_i, |E'_i|).
 """
 
@@ -14,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (
-    DegenerateSpectrum,
     DimensionMismatch,
-    NegativeResidue,
     NotHurwitz,
     NotPassiveTF,
     RankDeficientCoupling,
@@ -29,16 +26,16 @@ from .ratfunc import RationalTF, require_monic, require_tol
 
 LYAPUNOV_RTOL = 1e-10
 PASSIVITY_RTOL = 1e-8
-POLE_SEP_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
 class ClassicalRealization:
-    """Companion-form state-space triple with Xi(s) = 1 + c0 (sI - a0)^{-1} b0."""
+    """Companion triple, Xi(s) = 1 + c0 (sI - a0)^{-1} b0, and the poles if known."""
 
     a0: np.ndarray
     b0: np.ndarray
     c0: np.ndarray
+    poles: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,8 @@ def companion_realization(
 
     A0 carries the denominator coefficients in its last row, B0 = e_n, and
     C0 holds the coefficients of Xi(s) - 1 over the common denominator.
-    ``tol`` is the relative tolerance on the unit value of Xi at large |s|.
+    The exact poles of ``tf``, if any, are carried on. ``tol`` is the
+    relative tolerance on the unit value of Xi at large |s|.
 
     Raises
     ------
@@ -109,7 +107,7 @@ def companion_realization(
     a0[n - 1, :] = -tf.den[:n]
     b0 = np.zeros((n, 1), dtype=complex)
     b0[n - 1, 0] = 1.0
-    return ClassicalRealization(a0=a0, b0=b0, c0=c0)
+    return ClassicalRealization(a0=a0, b0=b0, c0=c0, poles=tf.poles)
 
 
 def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -144,69 +142,66 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p
 
 
+def _mirror_gap(real: ClassicalRealization, p: np.ndarray) -> np.ndarray:
+    """g_k = num(-conj p_k) / prod_{j != k} (conj p_j - conj p_k): one Newton
+    step from -conj p_k to the nearest zero of num, 0 for a passive Xi. A gap
+    that overflows comes out inf or NaN, which no bound admits."""
+    q = p.conj()
+    diff = q - q[:, None]
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(all="ignore"):
+        return polyval(-q, np.append(real.c0[0] - real.a0[-1], 1.0)) / diff.prod(axis=1)
+
+
 def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral measure (lam ascending, w) of G = 2 (1 - Xi) / (1 + Xi).
+    """Spectral measure (lam ascending, w) of Xi from the cascade of its poles.
 
-    The poles s_k = -i lam_k of G, where Xi = -1, are the eigenvalues of
-    F = a0 - b0 c0 / 2, the companion of the monic p = (den + num) / 2.
-    Its eigenvectors are the Vandermonde columns (1, s_k, ..., s_k^{n-1}),
-    so G(s) = -c0 (sI - F)^{-1} b0 has the residues
-    w_k = -c0(s_k) / p'(s_k), which sum to theta = -c0 b0.
-
-    Each root is held to tol * sqrt(|w_k| theta), the geometric mean of
-    tol * |w_k|, the width of resonance k, and tol * theta: a bound on the
-    whole spectrum's scale would let a weak mode's root, and its lam_k,
-    drift off the axis by as much as its own width. The bound is floored
-    at n eps max(|s_k|, theta), the rounding of the eigenvalues themselves.
+    With C_k = sqrt(-2 Re p_k) and T upper triangular, T_kk = p_k and
+    T_jk = -C_j C_k (j < k), Omega' = i (T + C C^T / 2) and C realize Xi, so
+    ``eigh(Omega') = V diag(lam) V†`` gives w = |C V|^2. Poles from
+    ``eigvals(a0)``, not ``real.poles``, are held to the mirror gap g_k of
+    :func:`_mirror_gap`, then move by conj(g_k) / 2; the root of den + num
+    near the mode j nearest -Im p_k lies Re g_k / 2 off the imaginary axis.
 
     Raises
     ------
     ValueError
         tol is not finite and positive.
-    DegenerateSpectrum
-        two s_k are closer than 1e-7 * max(|s_k|, |theta|).
+    NotHurwitz
+        some Re p_k is not below -n eps max(1, max|p|), the poles' rounding.
     NotPassiveTF
-        some i s_k lies off the real axis by more than its bound.
-    NegativeResidue
-        some w_k is not finite, or not real within, and above, tol * max |w|.
+        poles from coefficients with some |g_k| not within -Re p_k, or some
+        |Re g_k| above 2 tol sqrt(w_j theta).
     """
     tol = require_tol(tol)
-    f = real.a0 - 0.5 * (real.b0 @ real.c0)
-    s = np.linalg.eigvals(f)
-    order = np.argsort((1j * s).real)
-    s, lam = s[order], (1j * s[order]).real
-    theta = abs((real.c0 @ real.b0)[0, 0])
-    scale = max(np.abs(s).max(), theta)
-    close = np.argwhere(np.triu(np.abs(s[:, None] - s) < POLE_SEP_RTOL * scale, k=1))
-    if close.size:
-        i, j = close[0]  # row-major order: the pair of lowest lam the scan meets
-        raise DegenerateSpectrum(
-            f"roots lam = {lam[i]:.6g} and {lam[j]:.6g} "
-            f"of den + num are numerically coincident"
-        )
-    n = len(s)
-    dp = np.arange(1, n + 1) * np.append(-f[-1, 1:], 1.0)  # p' ascending
-    vander = np.vander(s, n, increasing=True)
-    with np.errstate(all="ignore"):  # an overflow leaves a non-finite weight, refused below
-        w = -(vander @ real.c0[0]) / (vander @ dp)
-    bound = np.maximum(tol * np.sqrt(np.abs(w) * theta), n * np.finfo(float).eps * scale)
-    off = np.abs(s.real) > bound
-    if off.any():
-        k = int(np.argmax(off))
-        raise NotPassiveTF(
-            f"Xi = -1 at s = {s[k]:.6g}, off the imaginary axis by "
-            f"{abs(s[k].real):.3e} > {bound[k]:.3e}"
-        )
-    bad = ~np.isfinite(w)  # a NaN weight passes both comparisons below
-    if not bad.any():
-        bound = tol * np.abs(w).max()
-        bad = (w.real <= bound) | (np.abs(w.imag) > bound)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NegativeResidue(
-            f"weight {w[k]:.6g} at lam = {lam[k]:.6g} is not positive real"
-        )
-    return lam, w.real
+    exact = real.poles is not None
+    p = real.poles if exact else np.linalg.eigvals(real.a0)
+    floor = len(p) * np.finfo(float).eps * max(1.0, np.abs(p).max())
+    k = int(np.argmax(p.real))
+    if not p[k].real < -floor:
+        raise NotHurwitz(f"pole {p[k]:.6g} has a real part not below -{floor:.3e}")
+    if not exact:
+        g = _mirror_gap(real, p)
+        k = int(np.argmax(np.abs(g) + p.real))
+        if not abs(g[k]) <= -p[k].real:
+            raise NotPassiveTF(
+                f"zero of num {abs(g[k]):.3e} from the mirrored pole "
+                f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}"
+            )
+        p = p + 0.5 * g.conj()
+    c = np.sqrt(-2.0 * p.real)
+    lam, v = np.linalg.eigh(np.diag(-p.imag) + 0.5j * np.tril(np.outer(c, c), -1))
+    w = np.abs(c @ v) ** 2
+    if not exact:
+        j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
+        bound = tol * np.sqrt(w[j]) * np.sqrt(w.sum())
+        k = int(np.argmax(0.5 * np.abs(g.real) - bound))
+        if 0.5 * abs(g[k].real) > bound[k]:
+            raise NotPassiveTF(
+                f"Xi = -1 near lam = {lam[j[k]]:.6g}, off the imaginary axis by "
+                f"{0.5 * abs(g[k].real):.3e} > {bound[k]:.3e}"
+            )
+    return lam, w
 
 
 def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
@@ -233,16 +228,15 @@ def reconstruct_passive(
     """Recover (omega, c) and the canonical parameters from a classical
     realization of a passive single-port transfer function.
 
-    The spectral measure (lam, w) of :func:`_measure` gives the diagonal
-    representative omega = diag(lam), lam ascending, with positive
-    couplings c = sqrt(w); every other realization in its equivalence
-    class is :func:`~qsysid.identifiability.gauge_transform` of it.
-    ``passivity_tol`` is the relative tolerance of the passivity checks;
-    loosen it for fitted functions.
+    The measure (lam, w) of the cascade of the poles (:func:`_measure`)
+    gives omega = diag(lam), lam ascending, and c = sqrt(w) > 0; the rest of
+    the class is :func:`~qsysid.identifiability.gauge_transform` of it. Poles
+    from coefficients are held to the mirror of num at the relative
+    tolerance ``passivity_tol``; loosen it for fitted functions.
 
     Raises
     ------
-    ValueError, DegenerateSpectrum, NotPassiveTF, NegativeResidue
+    ValueError, NotHurwitz, NotPassiveTF
         per :func:`_measure`.
     """
     lam, w = _measure(real, passivity_tol)
@@ -250,10 +244,10 @@ def reconstruct_passive(
 
 
 def direct_reconstruction(tf: RationalTF) -> CanonicalParams:
-    """Identifiable parameters (theta, omega11, lambda_i, |E'_i|) of Xi:
-    :func:`_canonical` of :func:`_measure` of :func:`companion_realization`,
-    all three at the relative tolerance 1e-8, and the same parameters
-    :func:`reconstruct_passive` returns."""
+    """Identifiable parameters (theta, omega11, lambda_i, |E'_i|) of Xi, as
+    :func:`reconstruct_passive` returns them: :func:`_canonical` of
+    :func:`_measure` of :func:`companion_realization` at the relative
+    tolerance 1e-8, from the exact poles of ``tf`` when it carries them."""
     return _canonical(*_measure(companion_realization(tf), PASSIVITY_RTOL))
 
 

@@ -142,6 +142,18 @@ class TestOmegaFromNetwork:
         assert len(calls) == 1
         assert not sys.omega.flags.writeable
 
+    def test_networks_compare_and_hash_by_identity(self):
+        # a generated __eq__ and __hash__ would compare the coupling array,
+        # raising ValueError for ==, in, and TypeError for hash
+        net = new_network(3, [(0, 1, 0.6), (1, 2, 0.8)], [0, 1])
+        other = new_network(3, [(0, 1, 0.6), (1, 2, 0.8)], [0, 1])
+        assert (net == net) is True
+        assert (net == other) is False
+        assert net not in [other]
+        assert net in [other, net]
+        assert hash(net) == hash(net)
+        assert len({net, other}) == 2
+
     def test_detunings_copied_read_only(self):
         detunings = np.array([0.0, 0.3, 0.0])
         net = new_network(3, [(0, 1, 0.6), (0, 2, 0.8)], [0], detunings=detunings)

@@ -219,15 +219,15 @@ class TestIdentifyPipeline:
             identify_pipeline(data, 2)
 
     def test_noisy_fit_root_off_axis_by_its_own_width_rejected(self):
-        # the degree-4 fit of this draw at sigma = 1e-4 puts a root of
-        # den + num 2.9e-2 off the imaginary axis, inside tol times the
-        # spectral scale but 7 times its own mode's bound; accepted, it gave
-        # eigenvalues off by 1.3, far outside the noise
+        # the degree-4 fit of this draw at sigma = 1e-4 puts a zero of num
+        # 5.6e-2 from the mirror of its pole, beyond that mode's width 4.1e-2,
+        # though inside tol times the spectral scale; accepted, such a fit
+        # gave eigenvalues off by 1.3, far outside the noise
         sys = random_single_node_siso(np.random.default_rng(4), 4)
         rho = np.abs(sys.poles).max()
         freqs = np.geomspace(0.01 * rho, 100.0 * rho, 60)
         data = sample_response(sys, freqs, noise_sigma=1e-4, seed=4)
-        with pytest.raises(NotPassiveTF, match="off the imaginary axis"):
+        with pytest.raises(NotPassiveTF, match="beyond its width"):
             identify_pipeline(data, 4)
 
     def test_noiseless_random_systems_consistent(self, rng):
