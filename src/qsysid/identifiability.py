@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _reachable, _spectral_scales
 from .errors import DimensionMismatch, NotMinimal
 from .model import PassiveSystem, new_system, require_unitary
 from .ratfunc import require_tol
@@ -23,7 +22,7 @@ from .ratfunc import require_tol
 EQUIV_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovSequence:
     """Moment matrices params[k] = c omega^k c†, each Hermitian m x m."""
 
@@ -31,7 +30,7 @@ class MarkovSequence:
     kmax: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceVerdict:
     """Outcome of a transfer-function equivalence test.
 
@@ -66,18 +65,18 @@ def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
 def _measure(sys: PassiveSystem) -> tuple[np.ndarray, ...]:
     """Reached spectral measure of omega seen from c†, per reached eigenspace:
     mean eigenvalue, weight W = sum (c v)(c v)†, bound on eigh's rounding of W."""
-    lam, _, cv, cluster, err = _reachable(sys)
-    _, starts, size = np.unique(cluster, return_index=True, return_counts=True)
-    weights = np.einsum("ik,jk->kij", cv, cv.conj())
-    noise = 2 * np.linalg.norm(sys.c) ** 2 * err[starts]
-    return np.add.reduceat(lam, starts) / size, np.add.reduceat(weights, starts), noise
+    r = sys.reached
+    _, starts, size = np.unique(r.cluster, return_index=True, return_counts=True)
+    weights = np.einsum("ik,jk->kij", r.cv, r.cv.conj())
+    noise = 2 * np.linalg.norm(sys.c) ** 2 * r.err[starts]
+    return np.add.reduceat(r.lam, starts) / size, np.add.reduceat(weights, starts), noise
 
 
 def _measure_gaps(sys1: PassiveSystem, sys2: PassiveSystem) -> list[tuple[float, float]]:
     """Largest entry deviation beyond eigh's rounding, and its scale, for the
     eigenvalues and then the weights of the two reached measures, the
-    shorter padded with zeros. The eigenvalues' scale is that of
-    :func:`~qsysid.analysis._spectral_scales`, which a uniform detuning
+    shorter padded with zeros. The eigenvalues' scale is the ``scale`` of
+    :attr:`~qsysid.model.PassiveSystem.reached`, which a uniform detuning
     leaves alone; their rounding, 100 eps ||omega|| per system, grows with it."""
     padded = []
     for part1, part2 in zip(_measure(sys1), _measure(sys2)):
@@ -87,10 +86,10 @@ def _measure_gaps(sys1: PassiveSystem, sys2: PassiveSystem) -> list[tuple[float,
     lam, w, noise = padded
     dev_w = np.abs(w[0] - w[1]).max(axis=(1, 2), initial=0.0) - noise.sum(axis=0)
     scale_w = np.abs(w).max(initial=0.0)
-    (scale1, eps1), (scale2, eps2) = _spectral_scales(sys1), _spectral_scales(sys2)
-    dev_lam = np.abs(lam[0] - lam[1]).max(initial=0.0) - 100 * (eps1 + eps2)
+    r1, r2 = sys1.reached, sys2.reached
+    dev_lam = np.abs(lam[0] - lam[1]).max(initial=0.0) - 100 * (r1.eps_omega + r2.eps_omega)
     return [
-        (float(dev_lam), max(scale1, scale2)),
+        (float(dev_lam), max(r1.scale, r2.scale)),
         (float(dev_w.max(initial=0.0)), float(scale_w)),
     ]
 
@@ -158,33 +157,30 @@ def find_gauge(
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
     rtol = EQUIV_RTOL if tol is None else require_tol(tol)
-    reached = []
     for name, sys in (("first", sys1), ("second", sys2)):
-        lam, v, cv, cluster, _ = _reachable(sys)
-        if lam.size < sys.n:
-            raise NotMinimal(f"{name} system reaches {lam.size} of its {sys.n} eigen-directions")
-        reached.append((lam, v, cv, cluster))
+        rank = sys.reached.lam.size
+        if rank < sys.n:
+            raise NotMinimal(f"{name} system reaches {rank} of its {sys.n} eigen-directions")
     if sys1.n != sys2.n:
         residual = max(dev for dev, _ in _measure_gaps(sys1, sys2))
         return EquivalenceVerdict(equivalent=False, gauge=None, residual=residual)
-    (lam, v1, cv1, cluster), (_, v2, cv2, _) = reached
-    v2u = v2 * np.exp(1j * np.angle(np.einsum("ik,ik->k", cv2.conj(), cv1)))
-    close = 1e3 * np.finfo(float).eps * np.abs(lam).max()
-    near = np.concatenate([[0], np.cumsum(np.diff(lam) * rtol > close)])
-    for labels in (cluster, near) if sys1.m > 1 else ():  # one field fixes only phases
+    r1, r2 = sys1.reached, sys2.reached
+    v2u = r2.v * np.exp(1j * np.angle(np.einsum("ik,ik->k", r2.cv.conj(), r1.cv)))
+    close = 1e3 * np.finfo(float).eps * np.abs(r1.lam).max()
+    near = np.concatenate([[0], np.cumsum(np.diff(r1.lam) * rtol > close)])
+    for labels in (r1.cluster, near) if sys1.m > 1 else ():  # one field fixes only phases
         sizes = np.bincount(labels)
         for k in np.flatnonzero((sizes > 1) & (sizes <= sys1.m)):
             block = labels == k
-            x, _, yh = np.linalg.svd(cv2[:, block].conj().T @ cv1[:, block])
-            v2u[:, block] = v2[:, block] @ (x @ yh)
-    t = v2u @ v1.conj().T
+            x, _, yh = np.linalg.svd(r2.cv[:, block].conj().T @ r1.cv[:, block])
+            v2u[:, block] = r2.v[:, block] @ (x @ yh)
+    t = v2u @ r1.v.conj().T
     eye = np.eye(sys1.n)
     dev_u = np.abs(t @ t.conj().T - eye).max()
-    shift = lam.mean() * eye  # one detuning off both, so T's rounding does not scale with it
+    shift = r1.lam.mean() * eye  # one detuning off both, so T's rounding does not scale with it
     dev_omega = np.abs(t @ (sys1.omega - shift) @ t.conj().T - (sys2.omega - shift)).max()
     dev_c = np.abs(sys1.c @ t.conj().T - sys2.c).max()
-    (scale1, eps1), (scale2, eps2) = _spectral_scales(sys1), _spectral_scales(sys2)
-    bound_omega = max(rtol * max(scale1, scale2), 100 * (eps1 + eps2))
+    bound_omega = max(rtol * max(r1.scale, r2.scale), 100 * (r1.eps_omega + r2.eps_omega))
     scale_c = max(np.abs(sys1.c).max(), np.abs(sys2.c).max(), 1e-300)
     ok = dev_u <= rtol and dev_omega <= bound_omega and dev_c <= rtol * scale_c
     residual = float(max(dev_u, dev_omega, dev_c))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -32,7 +32,20 @@ from .ratfunc import RationalTF, poly_from_roots, require_finite
 HERMIT_RTOL = 1e-12
 HERMIT_ATOL = 1e-14
 RESOLVENT_TOL = 1e-10
+SPECTRAL_RTOL = 1e-10
 UNITARY_TOL = 1e-10
+
+
+class Reached(NamedTuple):
+    """Read-only value of :attr:`PassiveSystem.reached`."""
+
+    lam: np.ndarray
+    v: np.ndarray
+    cv: np.ndarray
+    cluster: np.ndarray
+    err: np.ndarray
+    scale: float
+    eps_omega: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +54,9 @@ class PassiveSystem:
 
     Construct through :func:`new_system`, which validates shapes and
     Hermiticity. Instances are safe to share between threads, and compare
-    and hash by identity. The drift matrix, its eigenvalues and the
-    spectral decomposition of omega are computed on first use and kept,
-    read-only, on the instance.
+    and hash by identity. The drift matrix, its eigenvalues, the
+    spectral decomposition of omega and the part of it the fields reach are
+    computed on first use and kept, read-only, on the instance.
     """
 
     omega: np.ndarray
@@ -76,8 +89,43 @@ class PassiveSystem:
         lam, v = np.linalg.eigh(self.omega)
         return _read_only(lam), _read_only(v), _read_only(self.c @ v)
 
+    @cached_property
+    def reached(self) -> Reached:
+        """Eigen-directions ``(lam, v, cv)`` of omega the fields reach (the PBH
+        test per eigenspace), with ``scale``, the larger of the spread of the
+        eigenvalues about their mean and ||c||_F², which a uniform detuning
+        leaves alone, and ``eps_omega`` = eps ||omega||, the unit of eigh's
+        rounding. Eigenvalues within 1e-10 scale or 100 eps_omega (eigh
+        splits a multiple eigenvalue by about 30 eps ||omega|| at n = 256)
+        form one eigenspace, labelled by ``cluster``; one of several is
+        rotated onto the right singular vectors of its block of c V.
+        ``err`` = 10 eps_omega / gap, gap the distance to the nearest other
+        eigenspace, bounds eigh's turn of each eigenvector and so the coupling
+        it leaks into an unreached direction, relative to ||c||_F. A direction
+        is kept when its column of c V exceeds (1e-10 + err) ||c||_F.
+        """
+        lam, v, cv = self.spectrum
+        mean = lam.mean()
+        scale = float(max(lam[-1] - mean, mean - lam[0], np.linalg.norm(self.c) ** 2))
+        eps_omega = float(np.finfo(float).eps * max(-lam[0], lam[-1]))
+        gaps = np.diff(lam)
+        split = gaps > max(SPECTRAL_RTOL * scale, 100 * eps_omega)
+        cluster = np.concatenate([[0], np.cumsum(split)])
+        sides = np.concatenate([[np.inf], gaps[split], [np.inf]])
+        err = 10 * eps_omega / np.minimum(sides[:-1], sides[1:])[cluster]
+        if not split.all():
+            v, cv = v.copy(), cv.copy()
+        for k in np.flatnonzero(np.bincount(cluster) > 1):
+            block = cluster == k
+            wh = np.linalg.svd(cv[:, block])[2].conj().T
+            v[:, block], cv[:, block] = v[:, block] @ wh, cv[:, block] @ wh
+        keep = np.linalg.norm(cv, axis=0) > (SPECTRAL_RTOL + err) * np.linalg.norm(self.c)
+        if not keep.all():
+            lam, v, cv, cluster, err = (a[..., keep] for a in (lam, v, cv, cluster, err))
+        return Reached(*map(_read_only, (lam, v, cv, cluster, err)), scale, eps_omega)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class MeanTrajectory:
     """Sampled first-moment trajectories of a driven system.
 

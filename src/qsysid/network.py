@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import _reachable
 from .errors import InvalidNetwork
 from .model import PassiveSystem, new_system
 from .ratfunc import require_finite
@@ -205,6 +204,6 @@ def infection_identifiability_verdict(net: NetworkModel) -> InfectionVerdict:
     """
     if not infection_closure(net).infecting:
         return InfectionVerdict(identifiable_by_infection=False, reason="NotInfecting")
-    if _reachable(omega_from_network(net))[0].size < net.n:
+    if omega_from_network(net).reached.lam.size < net.n:
         return InfectionVerdict(identifiable_by_infection=False, reason="NotMinimal")
     return InfectionVerdict(identifiable_by_infection=True, reason=None)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .analysis import _reachable
 from .errors import DimensionMismatch, IllConditioned, InsufficientData, NotHurwitz
 from .model import PassiveSystem, require_grid, transfer_at
 from .ratfunc import RationalTF, make_rational_tf, require_finite
@@ -26,7 +25,7 @@ CONDITION_LIMIT = 1e12
 NOISE_TOL_FACTOR = 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeDataset:
     """Sampled frequency response.
 
@@ -45,7 +44,7 @@ class ProbeDataset:
         return self.responses.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Fitted rational function with its root-mean-square residual."""
 
@@ -83,7 +82,7 @@ def sample_response(
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
     freqs = require_grid(freqs, "freqs", 1)
-    rank = _reachable(sys)[0].size
+    rank = sys.reached.lam.size
     if rank < sys.n:
         raise NotHurwitz(
             f"fields reach {rank} of {sys.n} modes; "

@@ -45,7 +45,7 @@ def require_monic(den: np.ndarray) -> None:
         raise NonMonic(f"denominator leading coefficient {den[-1]} is not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalTF:
     """Matrix rational function num(s) / den(s).
 

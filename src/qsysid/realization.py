@@ -28,7 +28,7 @@ LYAPUNOV_RTOL = 1e-10
 PASSIVITY_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalRealization:
     """Companion triple, Xi(s) = 1 + c0 (sI - a0)^{-1} b0, and the poles if known."""
 
@@ -38,7 +38,7 @@ class ClassicalRealization:
     poles: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalParams:
     """Identifiable parameters of a single-port system with one accessible node.
 
@@ -120,7 +120,7 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotHurwitz
-        eigenvalue of a0 with nonnegative real part.
+        some Re eig(a0) is not below -n eps max(1, max|eig|), the eigenvalues' rounding.
     SolverSingular
         residual above 1e-10 * max|q|.
     """
@@ -128,9 +128,7 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
     if a0.shape != q.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch(f"shapes {a0.shape} and {q.shape} are incompatible")
-    abscissa = float(np.linalg.eigvals(a0).real.max())
-    if abscissa >= 0.0:
-        raise NotHurwitz(f"spectral abscissa {abscissa:.3e} is not negative")
+    _require_hurwitz(np.linalg.eigvals(a0))
     from scipy.linalg import solve_continuous_lyapunov  # slow; only this route needs it
     q = 0.5 * (q + q.conj().T)
     p = solve_continuous_lyapunov(a0.conj().T, -q)
@@ -140,6 +138,14 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     if residual > LYAPUNOV_RTOL * qscale:
         raise SolverSingular(f"Lyapunov residual {residual:.3e} exceeds tolerance")
     return p
+
+
+def _require_hurwitz(p: np.ndarray) -> None:
+    """Raise NotHurwitz unless every Re p_k < -n eps max(1, max|p|), the poles' rounding."""
+    floor = len(p) * np.finfo(float).eps * max(1.0, np.abs(p).max())
+    k = int(np.argmax(p.real))
+    if not p[k].real < -floor:
+        raise NotHurwitz(f"pole {p[k]:.6g} has a real part not below -{floor:.3e}")
 
 
 def _mirror_gap(real: ClassicalRealization, p: np.ndarray) -> np.ndarray:
@@ -158,49 +164,45 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
 
     With C_k = sqrt(-2 Re p_k) and T upper triangular, T_kk = p_k and
     T_jk = -C_j C_k (j < k), Omega' = i (T + C C^T / 2) and C realize Xi, so
-    ``eigh(Omega') = V diag(lam) V†`` gives w = |C V|^2. Poles from
-    ``eigvals(a0)``, not ``real.poles``, are held to the mirror gap g_k of
-    :func:`_mirror_gap`, then move by conj(g_k) / 2; the root of den + num
-    near the mode j nearest -Im p_k lies Re g_k / 2 off the imaginary axis.
+    ``eigh(Omega') = V diag(lam) V†`` gives w = |C V|^2. The poles, exact
+    ``real.poles`` or else ``eigvals(a0)``, are held to the mirror gap g_k
+    of :func:`_mirror_gap` (0 for exact poles), then move by conj(g_k) / 2;
+    the root of den + num near the mode j nearest -Im p_k lies Re g_k / 2
+    off the imaginary axis.
 
     Raises
     ------
     ValueError
         tol is not finite and positive.
     NotHurwitz
-        some Re p_k is not below -n eps max(1, max|p|), the poles' rounding.
+        per :func:`_require_hurwitz`.
     NotPassiveTF
-        poles from coefficients with some |g_k| not within -Re p_k, or some
-        |Re g_k| above 2 tol sqrt(w_j theta).
+        some |g_k| not within -Re p_k, or some |Re g_k| above
+        2 tol sqrt(w_j theta).
     """
     tol = require_tol(tol)
     exact = real.poles is not None
     p = real.poles if exact else np.linalg.eigvals(real.a0)
-    floor = len(p) * np.finfo(float).eps * max(1.0, np.abs(p).max())
-    k = int(np.argmax(p.real))
-    if not p[k].real < -floor:
-        raise NotHurwitz(f"pole {p[k]:.6g} has a real part not below -{floor:.3e}")
-    if not exact:
-        g = _mirror_gap(real, p)
-        k = int(np.argmax(np.abs(g) + p.real))
-        if not abs(g[k]) <= -p[k].real:
-            raise NotPassiveTF(
-                f"zero of num {abs(g[k]):.3e} from the mirrored pole "
-                f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}"
-            )
-        p = p + 0.5 * g.conj()
+    _require_hurwitz(p)
+    g = np.zeros_like(p) if exact else _mirror_gap(real, p)
+    k = int(np.argmax(np.abs(g) + p.real))
+    if not abs(g[k]) <= -p[k].real:
+        raise NotPassiveTF(
+            f"zero of num {abs(g[k]):.3e} from the mirrored pole "
+            f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}"
+        )
+    p = p + 0.5 * g.conj()
     c = np.sqrt(-2.0 * p.real)
     lam, v = np.linalg.eigh(np.diag(-p.imag) + 0.5j * np.tril(np.outer(c, c), -1))
     w = np.abs(c @ v) ** 2
-    if not exact:
-        j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
-        bound = tol * np.sqrt(w[j]) * np.sqrt(w.sum())
-        k = int(np.argmax(0.5 * np.abs(g.real) - bound))
-        if 0.5 * abs(g[k].real) > bound[k]:
-            raise NotPassiveTF(
-                f"Xi = -1 near lam = {lam[j[k]]:.6g}, off the imaginary axis by "
-                f"{0.5 * abs(g[k].real):.3e} > {bound[k]:.3e}"
-            )
+    j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
+    bound = tol * np.sqrt(w[j]) * np.sqrt(w.sum())
+    k = int(np.argmax(0.5 * np.abs(g.real) - bound))
+    if 0.5 * abs(g[k].real) > bound[k]:
+        raise NotPassiveTF(
+            f"Xi = -1 near lam = {lam[j[k]]:.6g}, off the imaginary axis by "
+            f"{0.5 * abs(g[k].real):.3e} > {bound[k]:.3e}"
+        )
     return lam, w
 
 

@@ -76,13 +76,11 @@ def tf_to_obj(tf: RationalTF) -> dict:
 
 
 def tf_from_obj(obj) -> RationalTF:
-    m = int(obj["m"])
+    num = [[vector_from_obj(entry) for entry in row] for row in obj["num"]]
+    if not num or any(len(row) != len(num) for row in num):
+        raise DimensionMismatch("num must be a square array of polynomials")
     den = vector_from_obj(obj["den"])
-    num = np.array(
-        [[vector_from_obj(obj["num"][i][j]) for j in range(m)] for i in range(m)],
-        dtype=complex,
-    )
-    return make_rational_tf(num, den, m)
+    return make_rational_tf(np.array(num, dtype=complex), den, int(obj["m"]))
 
 
 def network_to_obj(net: NetworkModel) -> dict:
@@ -122,8 +120,9 @@ def dataset_to_obj(data: ProbeDataset) -> dict:
 def dataset_from_obj(obj) -> ProbeDataset:
     freqs = require_grid([float(w) for w in obj["freqs"]], "freqs", 1)
     responses = np.array([matrix_from_obj(r) for r in obj["responses"]], dtype=complex)
-    if responses.shape[0] != freqs.size:
-        raise DimensionMismatch("responses length does not match frequency count")
+    shape = responses.shape
+    if len(shape) != 3 or shape[0] != freqs.size or shape[1] != shape[2]:
+        raise DimensionMismatch(f"responses must be {freqs.size} square matrices, not {shape}")
     return ProbeDataset(
         freqs=freqs,
         responses=responses,

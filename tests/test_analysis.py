@@ -1,15 +1,19 @@
 """Reachable eigen-directions, ranks, minimality, stability."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from qsysid import (
+    PassiveSystem,
+    find_gauge,
     gauge_transform,
+    markov_distinguishable,
     new_system,
     observability_matrix,
     structure_report,
 )
-from qsysid.analysis import _reachable
 
 from conftest import (
     chain_system,
@@ -36,7 +40,7 @@ def reference_rank(sys):
 class TestKrylovBasis:
     """The reachable space span{c†, omega c†, omega² c†, ...}, seen through
     the rank of :func:`structure_report` and the eigen-directions of
-    ``_reachable`` that span it."""
+    ``sys.reached`` that span it."""
 
     def test_chain_full_rank(self):
         assert structure_report(chain_system(0.5, 0.6, 0.8)).ctrb_rank == 3
@@ -53,7 +57,7 @@ class TestKrylovBasis:
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, n + 1))
             sys = planted_rank_system(rng, n, m, int(rng.integers(1, n + 1)))
-            lam, basis, cv, *_ = _reachable(sys)
+            _, basis, cv, *_ = sys.reached
             np.testing.assert_allclose(
                 basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12
             )
@@ -106,13 +110,50 @@ class TestKrylovBasis:
             n = int(rng.integers(2, 7))
             sys = random_passive(rng, n, int(rng.integers(1, n + 1)))
             t = random_unitary(rng, n)
-            lam, v, cv, *_ = _reachable(sys)
-            lam2, v2, cv2, *_ = _reachable(gauge_transform(sys, t))
+            lam, v, cv, *_ = sys.reached
+            lam2, v2, cv2, *_ = gauge_transform(sys, t).reached
             np.testing.assert_allclose(lam2, lam, atol=1e-10)
             phase = np.einsum("ik,ik->k", v2.conj(), t @ v)
             np.testing.assert_allclose(np.abs(phase), 1.0, atol=1e-10)
             np.testing.assert_allclose(v2 * phase, t @ v, atol=1e-10)
             np.testing.assert_allclose(cv2 * phase, cv, atol=1e-10)
+
+
+class TestReached:
+    """``sys.reached``: the PBH reduction, once per system and read-only."""
+
+    def test_computed_once_per_system(self, rng, monkeypatch):
+        # the analysis stages of one certify op: the system, its gauge copy
+        # and the other system each reduce once, however many verdicts read them
+        computed = []
+        reduce = PassiveSystem.reached.func
+        counting = cached_property(lambda sys: computed.append(sys) or reduce(sys))
+        counting.__set_name__(PassiveSystem, "reached")
+        monkeypatch.setattr(PassiveSystem, "reached", counting)
+        sys, other = random_passive(rng, 8, 1), random_passive(rng, 8, 1)
+        gauged = gauge_transform(sys, random_unitary(rng, 8))
+        assert structure_report(sys).minimal
+        assert find_gauge(sys, gauged).equivalent
+        assert markov_distinguishable(sys, other)
+        assert structure_report(gauged).minimal and not markov_distinguishable(sys, gauged)
+        assert computed == [sys, gauged, other]
+
+    def test_read_only_including_rotated_copies(self, rng):
+        # a double eigenvalue reached by two fields is rotated onto the right
+        # singular vectors of its block of c V, in copies of the cached spectrum
+        sys = new_system(np.diag([1.0, 1.0, 2.0]), rng.standard_normal((2, 3)))
+        lam, v, cv = (a.copy() for a in sys.spectrum)
+        reached = sys.reached
+        assert reached.cluster.tolist() == [0, 0, 1]
+        assert not np.allclose(reached.v, v)
+        for name in ("lam", "v", "cv", "cluster", "err"):
+            array = getattr(reached, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
+        for before, after in zip((lam, v, cv), sys.spectrum):
+            np.testing.assert_array_equal(before, after)
+        assert sys.reached is reached
 
 
 class TestObservabilityMatrix:

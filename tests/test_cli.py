@@ -182,6 +182,15 @@ class TestReconstruct:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "NotPassiveTF"
 
+    def test_num_beyond_declared_ports_exit_one(self, tmp_path):
+        # a 2 x 2 num under m = 1 is refused, not read from its first entry
+        obj = serialize.tf_to_obj(transfer_rational(chain_system()))
+        entry = obj["num"][0][0]
+        obj["num"] = [[entry, entry], [entry, entry]]
+        proc = run_cli("reconstruct", write_json(tmp_path / "wide.json", obj))
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "DimensionMismatch"
+
 
 class TestInfect:
     def test_chain_verdict(self, tmp_path):
@@ -282,6 +291,17 @@ class TestProbeFitCompose:
         err = json.loads(proc.stderr)
         assert err["error"] == "ValueError"
         assert err["detail"].startswith("freqs must be finite")
+
+    def test_non_square_response_exit_one(self, tmp_path):
+        # a 1 x 2 response per frequency is refused, not fit from its first column
+        obj = serialize.dataset_to_obj(
+            qsysid.sample_response(chain_system(), np.geomspace(0.1, 10.0, 20))
+        )
+        for response in obj["responses"]:
+            response[0].append(response[0][0])
+        proc = run_cli("fit", write_json(tmp_path / "wide.json", obj), "--degree", "3")
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "DimensionMismatch"
 
     def test_bad_freq_spec_exit_two(self, chain_file):
         proc = run_cli("probe", chain_file, "--freqs", "10:1:5:log")

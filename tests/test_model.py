@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsysid
 from qsysid import (
     DimensionMismatch,
     NonMonotoneGrid,
@@ -23,6 +24,7 @@ from qsysid.ratfunc import poly_from_roots
 from conftest import chain_system, one_mode_system, random_passive
 
 EPS = np.finfo(float).eps
+GRID = np.geomspace(0.1, 10.0, 40)
 
 
 def resolvent_transfer(sys, s):
@@ -75,6 +77,39 @@ class TestCompare:
         assert sys not in [other]
         assert sys in [other, sys]
         assert len({sys, other}) == 2
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("RationalTF", lambda: transfer_rational(chain_system())),
+            (
+                "ClassicalRealization",
+                lambda: qsysid.companion_realization(transfer_rational(chain_system())),
+            ),
+            (
+                "CanonicalParams",
+                lambda: qsysid.direct_reconstruction(transfer_rational(chain_system())),
+            ),
+            ("FitResult", lambda: qsysid.fit_rational(sample_response(chain_system(), GRID), 3)),
+            ("ProbeDataset", lambda: sample_response(chain_system(), GRID)),
+            (
+                "MeanTrajectory",
+                lambda: simulate_means(chain_system(), lambda t: 1.0, np.linspace(0.0, 1.0, 5)),
+            ),
+            ("EquivalenceVerdict", lambda: qsysid.find_gauge(chain_system(), chain_system())),
+            ("MarkovSequence", lambda: qsysid.markov_sequence(chain_system(), 3)),
+        ],
+    )
+    def test_results_compare_and_hash_by_identity(self, name, make):
+        # each holds array fields, which a generated __eq__ would compare and
+        # a generated __hash__ would refuse
+        result, other = make(), make()
+        assert type(result).__name__ == name
+        assert (result == other) is False
+        assert (result == result) is True
+        assert result not in [other]
+        assert result in [other, result]
+        assert len({result, other, result}) == 2
 
 
 class TestDriftMatrix:

@@ -26,6 +26,7 @@ from qsysid import (
     transfer_at,
     transfer_rational,
 )
+from qsysid import realization
 from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _measure
 
 from conftest import (
@@ -142,6 +143,22 @@ class TestSolveLyapunov:
     def test_not_hurwitz(self):
         with pytest.raises(NotHurwitz):
             solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("route", ["lyapunov", "coefficients", "exact"])
+    def test_pole_within_rounding_refused_by_both(self, route):
+        # Xi = (s - 1e-17) / (s + 1e-17): its pole -1e-17 is negative by sign
+        # alone, within the rounding of a computed pole, so neither the
+        # Lyapunov solve nor the reconstruction takes it as Hurwitz
+        tf = make_rational_tf([-1e-17, 1.0], [1e-17, 1.0])
+        if route == "exact":
+            tf = dataclasses.replace(tf, poles=np.array([-1e-17 + 0j]))
+        real = companion_realization(tf)
+        assert np.linalg.eigvals(real.a0).real.max() < 0.0
+        with pytest.raises(NotHurwitz, match="real part not below"):
+            if route == "lyapunov":
+                solve_lyapunov(real.a0, real.c0.conj().T @ real.c0)
+            else:
+                reconstruct_passive(real)
 
 
 class TestReconstructPassive:
@@ -407,6 +424,22 @@ class TestMeasure:
         lam, w = _measure(real, 1e-8)
         np.testing.assert_array_equal(lam, expected[0])
         np.testing.assert_array_equal(w, expected[1])
+
+    def test_exact_poles_take_no_mirror_gap(self, monkeypatch):
+        # exact poles have g = 0: they pass the same checks without the
+        # Newton step from the coefficients
+        real = companion_realization(transfer_rational(chain_system()))
+        expected = _measure(real, 1e-8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact poles need no mirror gap")
+
+        monkeypatch.setattr(realization, "_mirror_gap", refuse)
+        lam, w = _measure(real, 1e-8)
+        np.testing.assert_array_equal(lam, expected[0])
+        np.testing.assert_array_equal(w, expected[1])
+        with pytest.raises(AssertionError, match="no mirror gap"):
+            _measure(dataclasses.replace(real, poles=None), 1e-8)
 
     def test_huge_scale_rebuilt_without_warning(self):
         # G = 1e155 s / (s^2 + 1e308) is a passive reactance: the two-node
