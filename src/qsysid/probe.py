@@ -53,6 +53,14 @@ class FitResult:
     iterations: int
 
 
+def require_sigma(noise_sigma) -> float:
+    """Return noise_sigma as a float. Raises ValueError unless finite and >= 0."""
+    require_finite(noise_sigma, "noise_sigma")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be nonnegative")
+    return float(noise_sigma)
+
+
 def sample_response(
     sys: PassiveSystem,
     freqs,
@@ -78,9 +86,7 @@ def sample_response(
     ValueError
         noise_sigma negative or not finite.
     """
-    require_finite(noise_sigma, "noise_sigma")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    noise_sigma = require_sigma(noise_sigma)
     freqs = require_grid(freqs, "freqs", 1)
     rank = sys.reached.lam.size
     if rank < sys.n:
@@ -97,9 +103,7 @@ def sample_response(
         responses = responses + noise_sigma * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         )
-    return ProbeDataset(
-        freqs=freqs, responses=responses, noise_sigma=float(noise_sigma), seed=seed
-    )
+    return ProbeDataset(freqs, responses, noise_sigma, seed)
 
 
 def _solve_conditioned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,27 +124,30 @@ def _solve_conditioned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
-    """Fit a degree-n rational function to single-port response samples.
+    """Fit a degree-n rational function with Xi(inf) = 1 to single-port samples.
 
-    Iteratively reweighted linear least squares: each pass solves for
-    numerator and denominator coefficients minimizing
+    Iteratively reweighted linear least squares (Sanathanan-Koerner): num
+    and den are monic, as for every passive Xi, and each pass solves for
+    their 2n lower coefficients minimizing
 
         sum_j w_j |num(i w_j) - response_j * den(i w_j)|^2
 
-    with weights 1 / |den_prev(i w_j)|^2, den constrained monic, starting
-    from the prior denominator (s / wref + 1)^n. The frequencies are
-    rescaled by their geometric mean wref before building the design
-    matrix, which keeps the powers balanced; coefficients are scaled back
-    afterwards. Each pass takes one thin SVD of the column-equilibrated
-    weighted design matrix, which gives both the condition check and the
-    least-squares solution. Iteration stops after 20 passes or when the
-    relative coefficient change drops below 1e-10. Coefficients stay
-    complex; no conjugate symmetry is imposed.
+    with weights 1 / |den_prev(i w_j)|^2, starting from the prior
+    denominator (s / wref + 1)^n. The frequencies are rescaled by their
+    geometric mean wref before building the design matrix, which keeps the
+    powers balanced; coefficients are scaled back afterwards. Each pass
+    takes one thin SVD of the column-equilibrated weighted design matrix,
+    which gives both the condition check and the least-squares solution.
+    Iteration stops after 20 passes or when the relative coefficient change
+    drops below 1e-10. Coefficients stay complex; no conjugate symmetry is
+    imposed. ``rms_residual`` is that of the returned function.
 
     Raises
     ------
     DimensionMismatch
         more than one port.
+    NonMonotoneGrid, ValueError
+        freqs not strictly increasing, or not finite.
     InsufficientData
         fewer than 2 (2 degree + 1) samples.
     IllConditioned
@@ -150,30 +157,26 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     """
     if data.m != 1:
         raise DimensionMismatch(f"fit requires single-port data, got m = {data.m}")
+    freqs = require_grid(data.freqs, "freqs", 1)
     require_finite(data.responses, "responses")
     n = int(degree)
     if n < 1:
         raise ValueError("degree must be >= 1")
-    nfreq = data.freqs.size
-    if nfreq < 2 * (2 * n + 1):
+    if freqs.size < 2 * (2 * n + 1):
         raise InsufficientData(
-            f"{nfreq} samples for degree {n}; need at least {2 * (2 * n + 1)}"
+            f"{freqs.size} samples for degree {n}; need at least {2 * (2 * n + 1)}"
         )
     resp = data.responses[:, 0, 0]
-    wref = np.exp(np.mean(np.log(np.abs(data.freqs[data.freqs != 0.0]))))
-    if not np.isfinite(wref) or wref == 0.0:
-        wref = 1.0
-    z = 1j * data.freqs / wref
-    powers = z[:, None] ** np.arange(n + 1)[None, :]
-    design = np.hstack([powers, -resp[:, None] * powers[:, :n]])
-    rhs = resp * z**n
-    coeffs = np.zeros(2 * n + 1, dtype=complex)
+    wref = np.exp(np.mean(np.log(np.abs(freqs[freqs != 0.0]))))
+    z = 1j * freqs / wref
+    powers = z[:, None] ** np.arange(n)[None, :]
+    design = np.hstack([powers, -resp[:, None] * powers])
+    rhs = (resp - 1.0) * z**n
+    coeffs = np.zeros(2 * n, dtype=complex)
     # start from the prior denominator (z + 1)^n so the first pass is
     # weighted like the converged ones; iteration refines from there
     weights = 1.0 / np.abs(z + 1.0) ** n
-    iterations = 0
-    for iteration in range(1, MAX_SK_ITERATIONS + 1):
-        iterations = iteration
+    for iterations in range(1, MAX_SK_ITERATIONS + 1):
         wdesign = weights[:, None] * design
         # equilibrate columns before judging the grid; the solution is
         # rescaled back, so only the conditioning changes
@@ -184,15 +187,15 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
         change = np.linalg.norm(solution - coeffs)
         scale = max(np.linalg.norm(solution), 1e-300)
         coeffs = solution
-        den_scaled = np.concatenate([coeffs[n + 1 :], [1.0]])
+        den_scaled = np.append(coeffs[n:], 1.0)
         weights = 1.0 / np.maximum(np.abs(polyval(z, den_scaled)), 1e-300)
         if change <= SK_COEFF_TOL * scale:
             break
     unscale = wref ** (n - np.arange(n + 1))
-    num = coeffs[: n + 1] * unscale
-    den = np.concatenate([coeffs[n + 1 :], [1.0]]) * unscale
+    num = np.append(coeffs[:n], 1.0) * unscale
+    den = np.append(coeffs[n:], 1.0) * unscale
     tf = make_rational_tf(num, den)
-    fitted = tf.eval(1j * data.freqs)[:, 0, 0]
+    fitted = tf.eval(1j * freqs)[:, 0, 0]
     rms = float(np.sqrt(np.mean(np.abs(fitted - resp) ** 2)))
     return FitResult(tf=tf, rms_residual=rms, iterations=iterations)
 
@@ -206,9 +209,9 @@ def identify_pipeline(
     and calls :func:`~qsysid.realization.reconstruct_passive` once: the
     fitted den gives the poles, each held to the mirror of the nearest zero
     of the fitted num, and the cascade of those poles gives both the
-    diagonal passive system and the canonical parameters. The passivity
-    tolerance is loosened in proportion to the fit residual, since a noisy
-    estimate is only approximately passive.
+    diagonal passive system and the canonical parameters. The fit holds
+    Xi(inf) = 1; the one passivity tolerance is loosened in proportion to
+    the fit residual, since a noisy estimate is only approximately passive.
 
     Raises errors from any stage unchanged, including NotHurwitz for an
     unstable fitted pole and NotPassiveTF when the fitted num is not the
@@ -216,6 +219,5 @@ def identify_pipeline(
     """
     fit = fit_rational(data, degree)
     tol = max(1e-7, NOISE_TOL_FACTOR * fit.rms_residual)
-    realization = companion_realization(fit.tf, tol=tol)
-    sys, params = reconstruct_passive(realization, passivity_tol=tol)
+    sys, params = reconstruct_passive(companion_realization(fit.tf), passivity_tol=tol)
     return sys, params, fit

@@ -57,19 +57,17 @@ class CanonicalParams:
         return len(self.lambdas) + 1
 
 
-def _vanishing_difference(tf: RationalTF, tol: float) -> np.ndarray:
+def _vanishing_difference(tf: RationalTF) -> np.ndarray:
     """Coefficients of den I - num below s^n, shape (m, m, n), ascending.
 
-    Raises NotPassiveTF when the s^n coefficient exceeds ``tol`` times the
-    largest coefficient of den I - num or den: then I - Xi does not vanish
-    at large |s|, so no passive system (whose direct term is I) realizes Xi,
-    and ValueError unless ``tol`` is finite and positive.
+    Raises NotPassiveTF when the s^n coefficient exceeds 1e-8 times the
+    largest coefficient of den I - num or den: I - Xi does not vanish at
+    large |s|, so no passive system (whose direct term is I) realizes Xi.
     """
-    tol = require_tol(tol)
     n = tf.degree
     diff = tf.den * np.eye(tf.m)[:, :, None] - tf.num
     lead = np.abs(diff[:, :, n]).max()
-    threshold = tol * max(np.abs(diff).max(), np.abs(tf.den).max())
+    threshold = PASSIVITY_RTOL * max(np.abs(diff).max(), np.abs(tf.den).max())
     if lead > threshold:
         raise NotPassiveTF(
             f"I - Xi does not vanish at large |s|: leading coefficient "
@@ -78,32 +76,28 @@ def _vanishing_difference(tf: RationalTF, tol: float) -> np.ndarray:
     return diff[:, :, :n]
 
 
-def companion_realization(
-    tf: RationalTF, tol: float = PASSIVITY_RTOL
-) -> ClassicalRealization:
+def companion_realization(tf: RationalTF) -> ClassicalRealization:
     """Companion realization of a single-port rational function.
 
     A0 carries the denominator coefficients in its last row, B0 = e_n, and
     C0 holds the coefficients of Xi(s) - 1 over the common denominator.
-    The exact poles of ``tf``, if any, are carried on. ``tol`` is the
-    relative tolerance on the unit value of Xi at large |s|.
+    The exact poles of ``tf``, if any, are carried on. Xi(inf) must be 1,
+    the direct term of every passive system, within 1e-8 relative.
 
     Raises
     ------
     DimensionMismatch
         more than one port.
     NonMonic
-    NotPassiveTF, ValueError
+    NotPassiveTF
         per :func:`_vanishing_difference`.
     """
     if tf.m != 1:
         raise DimensionMismatch(f"operation requires m = 1, got m = {tf.m}")
     require_monic(tf.den)
     n = tf.degree
-    c0 = -_vanishing_difference(tf, tol)[0, 0].reshape(1, n)
-    a0 = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        a0[: n - 1, 1:] = np.eye(n - 1)
+    c0 = -_vanishing_difference(tf)[0, 0].reshape(1, n)
+    a0 = np.eye(n, k=1, dtype=complex)
     a0[n - 1, :] = -tf.den[:n]
     b0 = np.zeros((n, 1), dtype=complex)
     b0[n - 1, 0] = 1.0
@@ -288,7 +282,7 @@ def mimo_coupling_gram(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
     n = tf.degree
     m = tf.m
     den = tf.den
-    diff = _vanishing_difference(tf, PASSIVITY_RTOL)
+    diff = _vanishing_difference(tf)
     moment0 = diff[:, :, n - 1]
     moment1 = (diff[:, :, n - 2] if n >= 2 else np.zeros((m, m))) - den[n - 1] * moment0
     gram = 0.5 * (moment0 + moment0.conj().T)

@@ -15,7 +15,7 @@ from .errors import DimensionMismatch
 from .identifiability import EquivalenceVerdict
 from .model import PassiveSystem, new_system, require_grid
 from .network import InfectionTrace, InfectionVerdict, NetworkModel, new_network
-from .probe import FitResult, ProbeDataset
+from .probe import FitResult, ProbeDataset, require_sigma
 from .ratfunc import RationalTF, make_rational_tf
 from .realization import CanonicalParams
 
@@ -80,7 +80,10 @@ def tf_from_obj(obj) -> RationalTF:
     if not num or any(len(row) != len(num) for row in num):
         raise DimensionMismatch("num must be a square array of polynomials")
     den = vector_from_obj(obj["den"])
-    return make_rational_tf(np.array(num, dtype=complex), den, int(obj["m"]))
+    # pad ragged entries; make_rational_tf refuses nonzero terms beyond den's degree
+    size = max(len(den), *(len(entry) for row in num for entry in row))
+    num = [[np.pad(entry, (0, size - len(entry))) for entry in row] for row in num]
+    return make_rational_tf(np.array(num), den, int(obj["m"]))
 
 
 def network_to_obj(net: NetworkModel) -> dict:
@@ -126,7 +129,7 @@ def dataset_from_obj(obj) -> ProbeDataset:
     return ProbeDataset(
         freqs=freqs,
         responses=responses,
-        noise_sigma=float(obj.get("noise_sigma", 0.0)),
+        noise_sigma=require_sigma(obj.get("noise_sigma", 0.0)),
         seed=int(obj["seed"]) if "seed" in obj else None,
     )
 

@@ -292,6 +292,18 @@ class TestProbeFitCompose:
         assert err["error"] == "ValueError"
         assert err["detail"].startswith("freqs must be finite")
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_bad_noise_sigma_exit_two(self, tmp_path, sigma):
+        obj = serialize.dataset_to_obj(
+            qsysid.sample_response(chain_system(), np.geomspace(0.1, 10.0, 20))
+        )
+        obj["noise_sigma"] = sigma
+        proc = run_cli("fit", write_json(tmp_path / "sigma.json", obj), "--degree", "3")
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ValueError"
+        assert err["detail"].startswith("noise_sigma must be")
+
     def test_non_square_response_exit_one(self, tmp_path):
         # a 1 x 2 response per frequency is refused, not fit from its first column
         obj = serialize.dataset_to_obj(

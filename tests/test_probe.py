@@ -6,13 +6,18 @@ import pytest
 from qsysid import (
     IllConditioned,
     InsufficientData,
+    NonMonotoneGrid,
     NotHurwitz,
     NotPassiveTF,
+    QsysidError,
+    companion_realization,
+    eigenvalues_from_canonical,
     fit_rational,
     gauge_transform,
     identify_pipeline,
     make_rational_tf,
     new_system,
+    reconstruct_passive,
     sample_response,
     transfer_at,
     transfer_rational,
@@ -118,6 +123,35 @@ class TestFitRational:
         with pytest.raises(ValueError, match="^responses must be finite"):
             fit_rational(bad, 3)
 
+    def test_non_finite_frequency_rejected(self):
+        data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 40))
+        freqs = data.freqs.copy()
+        freqs[3] = np.nan
+        bad = ProbeDataset(freqs=freqs, responses=data.responses, noise_sigma=0.0)
+        with pytest.raises(ValueError, match="^freqs must be finite"):
+            fit_rational(bad, 3)
+
+    @pytest.mark.parametrize(
+        "reorder",
+        [lambda f: f[::-1], lambda f: np.repeat(f[::2], 2)],
+        ids=["decreasing", "repeated"],
+    )
+    def test_non_increasing_grid_rejected(self, reorder):
+        data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 40))
+        bad = ProbeDataset(
+            freqs=reorder(data.freqs), responses=data.responses, noise_sigma=0.0
+        )
+        with pytest.raises(NonMonotoneGrid):
+            fit_rational(bad, 3)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4])
+    def test_numerator_monic_by_construction(self, sigma):
+        # Xi(inf) = 1 for every passive system, so the fit does not estimate it
+        data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 200), sigma, seed=3)
+        fit = fit_rational(data, 3)
+        assert fit.tf.num[0, 0, -1] == 1.0
+        assert fit.tf.den[-1] == 1.0
+
     def test_noiseless_chain_recovers_coefficients(self):
         kappa, th1, th2 = 0.5, 0.6, 0.8
         sys = chain_system(kappa, th1, th2)
@@ -219,16 +253,64 @@ class TestIdentifyPipeline:
             identify_pipeline(data, 2)
 
     def test_noisy_fit_root_off_axis_by_its_own_width_rejected(self):
-        # the degree-4 fit of this draw at sigma = 1e-4 puts a zero of num
-        # 5.6e-2 from the mirror of its pole, beyond that mode's width 4.1e-2,
-        # though inside tol times the spectral scale; accepted, such a fit
-        # gave eigenvalues off by 1.3, far outside the noise
+        # a fit that left num's leading coefficient free gave this degree-4 fit
+        # of the draw below at sigma = 1e-4, with that coefficient
+        # 1 - 6e-6 + 2e-4j; it is set to 1 here, and the realization never
+        # reads it. A zero of num lies 5.6e-2 from the mirror of its pole,
+        # beyond that mode's width 4.1e-2, though inside tol times the
+        # spectral scale; accepted, such a fit gave eigenvalues off by 1.3,
+        # far outside the noise
+        num = [
+            1.865189581343622 - 0.8363811868416955j,
+            -1.1581211793215307 - 0.25667439038203366j,
+            4.468521877033311 - 0.5882372894552849j,
+            -0.9045578054919309 - 0.1758285767132553j,
+            1.0,
+        ]
+        den = [
+            1.9403389311012778 + 0.643467088705297j,
+            1.3942152972003057 - 0.2824607711983715j,
+            4.545644764573164 + 0.47820667219895896j,
+            0.9913226499102473 - 0.17605777604673273j,
+            1.0,
+        ]
+        tol = 0.018622321642699988  # max(1e-7, 100 rms) of that fit
+        with pytest.raises(NotPassiveTF, match="beyond its width 4.093e-02"):
+            reconstruct_passive(companion_realization(make_rational_tf(num, den)), tol)
+        # the monic fit of the same data is refused too
         sys = random_single_node_siso(np.random.default_rng(4), 4)
         rho = np.abs(sys.poles).max()
         freqs = np.geomspace(0.01 * rho, 100.0 * rho, 60)
         data = sample_response(sys, freqs, noise_sigma=1e-4, seed=4)
-        with pytest.raises(NotPassiveTF, match="beyond its width"):
+        with pytest.raises(NotPassiveTF):
             identify_pipeline(data, 4)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4])
+    @pytest.mark.parametrize(
+        "num",
+        [[2.0, -0.3, v] for v in (2.0, 1.1, 1.01, 0.5)] + [[1.8, -0.27, 0.9]],
+        ids=["xi_inf_2", "xi_inf_1.1", "xi_inf_1.01", "xi_inf_0.5", "scaled_0.9"],
+    )
+    def test_direct_term_not_one_rejected(self, num, sigma):
+        # the passive two-node function has num = [2, -0.3, 1] over this den;
+        # a fit that holds Xi(inf) = 1 must not turn these into passive ones
+        tf = make_rational_tf(num, [2.0, 0.3, 1.0])
+        data = dataset_from_tf(tf, np.geomspace(0.01, 100.0, 40), sigma, seed=0)
+        with pytest.raises(QsysidError):
+            identify_pipeline(data, 2)
+
+    def test_noisy_chain_near_the_axis_bound_recovered(self):
+        # the paper's chain at sigma = 1e-4 with this noise stream: a fit of
+        # num's leading coefficient put Xi = -1 6.3e-3 off the imaginary axis,
+        # beyond the bound 5.9e-3, and was refused; the monic fit recovers the
+        # spectrum within the 100 sigma tolerance
+        sys = chain_system()
+        data = sample_response(sys, np.geomspace(0.01, 100.0, 200), 1e-4, seed=606842042)
+        rebuilt, params, _ = identify_pipeline(data, 3)
+        truth = [-1.0, 0.0, 1.0]
+        np.testing.assert_allclose(np.linalg.eigvalsh(rebuilt.omega), truth, atol=1e-2)
+        np.testing.assert_allclose(eigenvalues_from_canonical(params), truth, atol=1e-2)
+        assert params.theta == pytest.approx(1.0, abs=1e-2)
 
     def test_noiseless_random_systems_consistent(self, rng):
         # complex Hamiltonians put resonances at both signs of omega, so the

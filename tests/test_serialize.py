@@ -52,6 +52,26 @@ class TestTfFormat:
         np.testing.assert_array_equal(back.num, tf.num)
         assert back.m == tf.m
 
+    def test_entries_of_different_lengths_padded(self):
+        one, zero = {"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}
+        diag, off = [{"re": 0.5, "im": 0.0}, {"re": -0.2, "im": 0.1}, one], [zero]
+        obj = {"m": 2, "den": [{"re": 0.5, "im": 0.0}, {"re": 0.2, "im": 0.0}, one]}
+        ragged = serialize.tf_from_obj(dict(obj, num=[[diag, off], [off, diag]]))
+        off = [zero, zero, zero]
+        padded = serialize.tf_from_obj(dict(obj, num=[[diag, off], [off, diag]]))
+        np.testing.assert_array_equal(ragged.num, padded.num)
+        np.testing.assert_array_equal(ragged.den, padded.den)
+
+    def test_entry_beyond_den_degree_rejected(self):
+        import pytest
+
+        from qsysid import DimensionMismatch
+
+        one = {"re": 1.0, "im": 0.0}
+        obj = {"m": 2, "den": [one, one], "num": [[[one], [one, one, one]], [[one], [one]]]}
+        with pytest.raises(DimensionMismatch):
+            serialize.tf_from_obj(obj)
+
 
 class TestNetworkFormat:
     def test_roundtrip_with_detunings(self):
