@@ -60,8 +60,5 @@ class InvalidNetwork(QsysidError):
 
 
 class InsufficientData(QsysidError):
-    """Not enough samples for the requested fit order."""
-
-
-class IllConditioned(QsysidError):
-    """Fit normal equations exceed the conditioning limit."""
+    """Samples cannot determine the requested fit: too few of them, or a
+    fit design of rank below 2n for degree n."""

@@ -13,6 +13,7 @@ Xi(i*w) is unitary for every real w.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -215,12 +216,15 @@ def require_unitary(u, n: int) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        u has an entry that is not finite.
     DimensionMismatch
         u is not n x n.
     NotUnitary
         max |U U† - I| exceeds 1e-10.
     """
     u = np.asarray(u, dtype=complex)
+    require_finite(u, "gauge")
     if u.shape != (n, n):
         raise DimensionMismatch(f"gauge must be {n} x {n}, got {u.shape}")
     dev = np.abs(u @ u.conj().T - np.eye(n)).max()
@@ -240,9 +244,13 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        s is not finite.
     SingularResolvent
         if s lies within 1e-10 * (1 + |s|) of an eigenvalue of A.
     """
+    if not cmath.isfinite(s):
+        raise ValueError("s must be finite")
     d = s - sys.poles
     gap = np.abs(d).min()
     if gap < RESOLVENT_TOL * (1.0 + abs(s)):

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import DimensionMismatch, IllConditioned, InsufficientData, NotHurwitz
+from .errors import DimensionMismatch, InsufficientData, NotHurwitz
 from .model import PassiveSystem, require_grid, transfer_at
 from .ratfunc import RationalTF, make_rational_tf, require_finite
 from .realization import CanonicalParams, companion_realization, reconstruct_passive
 
-MAX_SK_ITERATIONS = 20
+MAX_SK_ITERATIONS = 6
 SK_COEFF_TOL = 1e-10
-CONDITION_LIMIT = 1e12
 NOISE_TOL_FACTOR = 100.0
 
 
@@ -106,23 +105,6 @@ def sample_response(
     return ProbeDataset(freqs, responses, noise_sigma, seed)
 
 
-def _solve_conditioned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solution of a x = b from one thin SVD of a.
-
-    Raises IllConditioned when the normal-equation condition number
-    (sv[0] / sv[-1])² exceeds 1e12. Below that limit no singular value falls
-    under lstsq's default cutoff, eps max(a.shape) sv[0], so the solution
-    vh† (u† b / sv) is the one lstsq would return.
-    """
-    u, sv, vh = np.linalg.svd(a, full_matrices=False)
-    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-    if cond**2 > CONDITION_LIMIT:
-        raise IllConditioned(
-            f"normal-equation condition {cond**2:.3e} exceeds {CONDITION_LIMIT:.1e}"
-        )
-    return vh.conj().T @ ((u.conj().T @ b) / sv)
-
-
 def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     """Fit a degree-n rational function with Xi(inf) = 1 to single-port samples.
 
@@ -136,11 +118,12 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     denominator (s / wref + 1)^n. The frequencies are rescaled by their
     geometric mean wref before building the design matrix, which keeps the
     powers balanced; coefficients are scaled back afterwards. Each pass
-    takes one thin SVD of the column-equilibrated weighted design matrix,
-    which gives both the condition check and the least-squares solution.
-    Iteration stops after 20 passes or when the relative coefficient change
-    drops below 1e-10. Coefficients stay complex; no conjugate symmetry is
-    imposed. ``rms_residual`` is that of the returned function.
+    solves the column-equilibrated weighted design by one least-squares
+    call, whose rank says how many of the 2n coefficients the samples
+    determine. Iteration stops after 6 passes or when the relative
+    coefficient change drops below 1e-10. Coefficients stay complex; no
+    conjugate symmetry is imposed. ``rms_residual`` is that of the returned
+    function.
 
     Raises
     ------
@@ -149,19 +132,19 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     NonMonotoneGrid, ValueError
         freqs not strictly increasing, or not finite.
     InsufficientData
-        fewer than 2 (2 degree + 1) samples.
-    IllConditioned
-        normal-equation condition number above 1e12 (bad frequency grid).
+        fewer than 2 (2 degree + 1) samples, or a design of rank below
+        2 degree: the samples do not determine every coefficient.
     ValueError
-        a response sample is not finite.
+        degree not an integer >= 1 (a bool is refused), or a response
+        sample not finite.
     """
     if data.m != 1:
         raise DimensionMismatch(f"fit requires single-port data, got m = {data.m}")
     freqs = require_grid(data.freqs, "freqs", 1)
     require_finite(data.responses, "responses")
+    if isinstance(degree, bool) or not float(degree).is_integer() or degree < 1:
+        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
     n = int(degree)
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     if freqs.size < 2 * (2 * n + 1):
         raise InsufficientData(
             f"{freqs.size} samples for degree {n}; need at least {2 * (2 * n + 1)}"
@@ -178,12 +161,17 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     weights = 1.0 / np.abs(z + 1.0) ** n
     for iterations in range(1, MAX_SK_ITERATIONS + 1):
         wdesign = weights[:, None] * design
-        # equilibrate columns before judging the grid; the solution is
+        # equilibrate columns before judging the rank; the solution is
         # rescaled back, so only the conditioning changes
         colnorm = np.linalg.norm(wdesign, axis=0)
         colnorm[colnorm == 0.0] = 1.0
         wdesign = wdesign / colnorm[None, :]
-        solution = _solve_conditioned(wdesign, weights * rhs) / colnorm
+        solution, _, rank, _ = np.linalg.lstsq(wdesign, weights * rhs, rcond=None)
+        if rank < 2 * n:
+            raise InsufficientData(
+                f"the samples determine {rank} of the {2 * n} coefficients"
+            )
+        solution = solution / colnorm
         change = np.linalg.norm(solution - coeffs)
         scale = max(np.linalg.norm(solution), 1e-300)
         coeffs = solution

@@ -172,6 +172,18 @@ class TestReconstruct:
             np.testing.assert_allclose(system.omega, omega, rtol=0, atol=1e-12)
             np.testing.assert_allclose(system.c, c, rtol=0, atol=1e-12)
 
+    def test_non_finite_gauge_exit_two(self, tmp_path):
+        tf_path = write_json(
+            tmp_path / "tf.json", serialize.tf_to_obj(transfer_rational(chain_system()))
+        )
+        u = serialize.matrix_to_obj(np.eye(3))
+        u[0][1]["re"] = float("nan")
+        proc = run_cli("reconstruct", tf_path, "--gauge", write_json(tmp_path / "u.json", u))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ValueError"
+        assert err["detail"] == "gauge must be finite"
+
     def test_non_passive_exit_one(self, tmp_path):
         a0, a1, c1 = 2.0, 0.3, -0.45
         from qsysid import make_rational_tf
@@ -314,6 +326,16 @@ class TestProbeFitCompose:
         proc = run_cli("fit", write_json(tmp_path / "wide.json", obj), "--degree", "3")
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "DimensionMismatch"
+
+    def test_clustered_grid_exit_one(self, tmp_path):
+        obj = serialize.dataset_to_obj(
+            qsysid.sample_response(chain_system(), np.linspace(1.0, 1.0 + 1e-6, 20))
+        )
+        proc = run_cli("fit", write_json(tmp_path / "near.json", obj), "--degree", "3")
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InsufficientData"
+        assert "determine 3 of the 6" in err["detail"]
 
     def test_bad_freq_spec_exit_two(self, chain_file):
         proc = run_cli("probe", chain_file, "--freqs", "10:1:5:log")

@@ -267,6 +267,14 @@ class TestGaugeTransform:
         with pytest.raises(NotUnitary):
             gauge_transform(chain_system(), np.diag([1.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gauge_rejected(self, bad):
+        # max |U U† - I| > tol is False for NaN, so finiteness is checked first
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(ValueError, match="^gauge must be finite"):
+            gauge_transform(chain_system(), u)
+
 
 class TestFindGauge:
     def test_forward_construct_then_invert(self, rng):

@@ -202,6 +202,13 @@ class TestTransferAt:
         with pytest.raises(SingularResolvent):
             transfer_at(sys, -0.5)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("s", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_point_rejected(self, rng, m, s):
+        sys = random_passive(rng, 3, m)
+        with pytest.raises(ValueError, match="^s must be finite"):
+            transfer_at(sys, s)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 16),
