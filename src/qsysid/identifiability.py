@@ -5,8 +5,9 @@ of mode basis T maps one onto the other: omega2 = T omega1 T†, c2 = c1 T†.
 Xi depends on a system only through the spectral measure of omega seen
 from c†: one eigenvalue lam and one weight W = sum_k (c v_k)(c v_k)† per
 eigenspace of omega that the fields reach. :func:`markov_distinguishable`
-compares these measures; :func:`find_gauge` maps the eigenvectors of one
-system onto the other's, T = V2 U V1†, and certifies T by both relations.
+compares the sums of the weights, c c†, and then these measures;
+:func:`find_gauge` maps the eigenvectors of one system onto the other's,
+T = V2 U V1†, and certifies T by both relations.
 """
 
 from __future__ import annotations
@@ -95,18 +96,30 @@ def _measure_gaps(sys1: PassiveSystem, sys2: PassiveSystem) -> list[tuple[float,
 
 
 def markov_distinguishable(sys1: PassiveSystem, sys2: PassiveSystem) -> bool:
-    """True when the two systems have different transfer functions: when
-    their reached spectral measures (one mean eigenvalue and one weight
-    W = sum (c v)(c v)† per reached eigenspace of omega, the shorter padded
-    with zero weights) differ in an eigenvalue or a weight entry by more
-    than 1e-8 times the largest of its kind: for eigenvalues, the spread of
-    either whole spectrum about its mean or ||c||_F², so that a uniform
-    detuning hides no difference. Each deviation counts only beyond eigh's
-    rounding: 100 eps ||omega|| per system for an eigenvalue, its rounding
-    bound on the two weights for a weight.
+    """True when the two systems have different transfer functions.
+
+    First the leading moment c c† = lim s (I - Xi(s)), s -> inf, exact to
+    rounding and free of any eigensolve: when an entry of the two differs by
+    more than max(n1, n2) 1e-8 times the largest entry of either, the answer
+    is True. That is the largest gap the measure test below can still call
+    equal, since c c† is the sum of the weights, of which there are at most
+    max(n1, n2), and no entry of a weight exceeds the largest of c c†.
+    Otherwise, the reached spectral measures (one mean eigenvalue and one
+    weight W = sum (c v)(c v)† per reached eigenspace of omega, the shorter
+    padded with zero weights) are compared: True when they differ in an
+    eigenvalue or a weight entry by more than 1e-8 times the largest of its
+    kind: for eigenvalues, the spread of either whole spectrum about its
+    mean or ||c||_F², so that a uniform detuning hides no difference. Each
+    deviation counts only beyond eigh's rounding: 100 eps ||omega|| per
+    system for an eigenvalue, its rounding bound on the two weights for a
+    weight.
     """
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
+    m0_1, m0_2 = (sys.c @ sys.c.conj().T for sys in (sys1, sys2))
+    largest = max(np.abs(m0_1).max(), np.abs(m0_2).max())
+    if np.abs(m0_1 - m0_2).max() > max(sys1.n, sys2.n) * EQUIV_RTOL * largest:
+        return True
     return any(dev > EQUIV_RTOL * scale for dev, scale in _measure_gaps(sys1, sys2))
 
 

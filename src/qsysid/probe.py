@@ -45,11 +45,16 @@ class ProbeDataset:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted rational function with its root-mean-square residual."""
+    """Fitted rational function with its root-mean-square residual.
+
+    ``converged`` says whether the last of the ``iterations`` passes met
+    the coefficient change test; it is False for a fit stopped at the cap.
+    """
 
     tf: RationalTF
     rms_residual: float
     iterations: int
+    converged: bool
 
 
 def require_sigma(noise_sigma) -> float:
@@ -120,10 +125,10 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     powers balanced; coefficients are scaled back afterwards. Each pass
     solves the column-equilibrated weighted design by one least-squares
     call, whose rank says how many of the 2n coefficients the samples
-    determine. Iteration stops after 6 passes or when the relative
-    coefficient change drops below 1e-10. Coefficients stay complex; no
-    conjugate symmetry is imposed. ``rms_residual`` is that of the returned
-    function.
+    determine. Iteration stops when the relative coefficient change drops
+    below 1e-10 (``converged``) or after 6 passes. Coefficients stay
+    complex; no conjugate symmetry is imposed. ``rms_residual`` is that of
+    the returned function.
 
     Raises
     ------
@@ -177,7 +182,8 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
         coeffs = solution
         den_scaled = np.append(coeffs[n:], 1.0)
         weights = 1.0 / np.maximum(np.abs(polyval(z, den_scaled)), 1e-300)
-        if change <= SK_COEFF_TOL * scale:
+        converged = bool(change <= SK_COEFF_TOL * scale)
+        if converged:
             break
     unscale = wref ** (n - np.arange(n + 1))
     num = np.append(coeffs[:n], 1.0) * unscale
@@ -185,7 +191,7 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     tf = make_rational_tf(num, den)
     fitted = tf.eval(1j * freqs)[:, 0, 0]
     rms = float(np.sqrt(np.mean(np.abs(fitted - resp) ** 2)))
-    return FitResult(tf=tf, rms_residual=rms, iterations=iterations)
+    return FitResult(tf=tf, rms_residual=rms, iterations=iterations, converged=converged)
 
 
 def identify_pipeline(

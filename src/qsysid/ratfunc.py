@@ -18,8 +18,19 @@ MONIC_TOL = 1e-9
 
 
 def poly_from_roots(roots: np.ndarray) -> np.ndarray:
-    """Monic polynomial with the given roots, ascending coefficients."""
-    return np.atleast_1d(np.poly(roots))[::-1].astype(complex)
+    """Monic polynomial with the given roots, ascending coefficients.
+
+    The descending coefficients are multiplied out in place, one factor
+    (s - r) per root; as with ``np.poly``, conjugate-closed roots give
+    exactly real coefficients."""
+    roots = np.asarray(roots, dtype=complex).ravel()
+    a = np.zeros(roots.size + 1, dtype=complex)
+    a[0] = 1.0
+    for k, r in enumerate(roots):
+        a[1 : k + 2] -= r * a[: k + 1]
+    if np.array_equal(np.sort(roots), np.sort(roots.conj())):
+        a = a.real.astype(complex)
+    return a[::-1]
 
 
 def require_finite(value, name: str) -> None:

@@ -172,4 +172,5 @@ def fit_to_obj(fit: FitResult) -> dict:
         "tf": tf_to_obj(fit.tf),
         "rms_residual": fit.rms_residual,
         "iterations": fit.iterations,
+        "converged": fit.converged,
     }

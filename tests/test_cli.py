@@ -260,6 +260,7 @@ class TestProbeFitCompose:
         assert fit.returncode == 0
         out = json.loads(fit.stdout)
         assert out["canonical"]["theta"] == pytest.approx(1.0, abs=1e-6)
+        assert out["fit"]["converged"] is True
         analyze = run_cli("analyze", str(system_path))
         assert analyze.returncode == 0
         assert json.loads(analyze.stdout)["minimal"] is True

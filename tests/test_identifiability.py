@@ -21,6 +21,7 @@ from qsysid import (
     structure_report,
     transfer_at,
 )
+from qsysid.identifiability import EQUIV_RTOL, _measure_gaps
 from qsysid.serialize import verdict_to_obj
 
 from conftest import (
@@ -105,12 +106,42 @@ class TestMarkovDistinguishable:
         assert markov_distinguishable(chain, new_system(omega, chain.c))
 
     def test_unrelated_large_systems_distinguishable(self, rng):
-        # the moments c omega^k c† up to k = 2n overflow at this size
+        # the moments c omega^k c† up to k = 2n overflow at this size; the
+        # first, c c†, already differs, so neither system is eigendecomposed
+        sys, other = random_passive(rng, 128, 1), random_passive(rng, 128, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert markov_distinguishable(
-                random_passive(rng, 128, 1), random_passive(rng, 128, 1)
-            )
+            assert markov_distinguishable(sys, other)
+        assert "spectrum" not in sys.__dict__ and "spectrum" not in other.__dict__
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        m_frac=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["gauge", "nudged", "other"]),
+        log_nudge=st.floats(-14.0, -2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_moment_exit_property(self, n, m_frac, kind, log_nudge, seed):
+        # the c c† exit fires when no system was reduced: never for a gauge
+        # copy, and only where the measure test finds a gap as well
+        rng = np.random.default_rng(seed)
+        m = 1 + int(m_frac * (min(n, 3) - 1))
+        sys = random_passive(rng, n, m)
+        if kind == "other":
+            other = random_passive(rng, int(rng.integers(m, 13)), m)
+        else:
+            other = gauge_transform(sys, random_unitary(rng, n))
+        if kind == "nudged":
+            nudge = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            other = new_system(other.omega, other.c + 10**log_nudge * nudge)
+        distinguishable = markov_distinguishable(sys, other)
+        fired = "reached" not in sys.__dict__
+        if kind == "gauge":
+            assert not fired and not distinguishable
+        if fired:
+            assert distinguishable
+            assert any(dev > EQUIV_RTOL * scale for dev, scale in _measure_gaps(sys, other))
 
     def test_cut_chain_compared_by_minimal_part(self):
         # the chain cut after node 50 has the transfer function of its first 50 nodes

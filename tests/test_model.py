@@ -308,6 +308,29 @@ class TestRationalTF:
             make_rational_tf([1.0, np.nan], [0.5, 1.0])
 
 
+class TestPolyFromRoots:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 16, 64, 128])
+    def test_matches_np_poly(self, rng, n):
+        # both multiply out one factor per root; they round differently, each
+        # coefficient within n eps of the same coefficient of prod (s + |r_k|)
+        for _ in range(5):
+            roots = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            expected = np.atleast_1d(np.poly(roots))[::-1]
+            bound = n * EPS * np.abs(np.atleast_1d(np.poly(-np.abs(roots)))[::-1])
+            found = poly_from_roots(roots)
+            assert found.dtype == complex and found.shape == (n + 1,)
+            assert found[-1] == 1.0
+            assert np.all(np.abs(found - expected) <= bound)
+
+    def test_conjugate_closed_roots_give_real_coefficients(self, rng):
+        half = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        real = [0.3, -1.2]
+        roots = rng.permutation(np.concatenate([half, half.conj(), real]))
+        assert np.abs(poly_from_roots(roots).imag).max() == 0.0
+        unpaired = np.concatenate([half, half[1:].conj(), real])
+        assert np.abs(poly_from_roots(unpaired).imag).max() > 0.0
+
+
 class TestSimulateMeans:
     def test_zero_dynamics(self):
         sys = chain_system()

@@ -151,6 +151,7 @@ class TestFitRational:
         np.testing.assert_allclose(fit.tf.den, truth.den, atol=1e-6)
         np.testing.assert_allclose(fit.tf.num[0, 0], truth.num[0, 0], atol=1e-6)
         assert fit.rms_residual < 1e-8
+        assert fit.converged is True and fit.iterations < 6
 
     def test_noiseless_one_mode_exact(self):
         kappa = 0.8
@@ -176,6 +177,18 @@ class TestFitRational:
                 )
             )
         assert np.median(errors) < 1e-2
+
+    @pytest.mark.parametrize(
+        "draw, iterations, converged",
+        # draw 0 stops at the cap without meeting the change test; draw 5
+        # meets it on the last pass, so only the flag tells the two apart
+        [(0, 6, False), (5, 6, True)],
+    )
+    def test_converged_flag_at_the_cap(self, draw, iterations, converged):
+        sys = random_single_node_siso(np.random.default_rng(draw), 4)
+        data = sample_response(sys, np.geomspace(0.01, 100.0, 200), 1e-4, seed=draw)
+        fit = fit_rational(data, 4)
+        assert (fit.iterations, fit.converged) == (iterations, converged)
 
     def test_insufficient_data(self):
         sys = chain_system()
