@@ -308,20 +308,30 @@ def simulate_means(
     ----------
     sys : PassiveSystem
     beta : callable
-        Input mean amplitude, mapping time to an m-vector (scalars are
-        broadcast for m = 1).
+        Input mean amplitude, mapping time to a finite m-vector (scalars
+        are broadcast for m = 1).
     t_grid : array_like
         At least two finite, strictly increasing sample instants, checked by
         :func:`require_grid`; integration steps once per interval, no
         substepping.
     initial_mean : array_like, optional
-        Mode means at t_grid[0]; defaults to the zero vector.
+        Finite mode means at t_grid[0], n of them; defaults to the zero
+        vector.
 
     Returns
     -------
     MeanTrajectory
         Input, mode and output means at every grid instant, with the
         output read out as <b_out> = c <a> + beta.
+
+    Raises
+    ------
+    DimensionMismatch
+        initial_mean or a value of beta has the wrong length.
+    ValueError
+        initial_mean or a value of beta is not finite.
+    NonMonotoneGrid
+        per :func:`require_grid`.
     """
     t = require_grid(t_grid, "t_grid", 2)
     a = sys.drift
@@ -332,13 +342,17 @@ def simulate_means(
         val = np.asarray(beta(ti), dtype=complex).reshape(-1)
         if val.size != m:
             raise DimensionMismatch(f"beta(t) must have length {m}, got {val.size}")
+        require_finite(val, "beta(t)")
         return val
 
     def rhs(ti: float, x: np.ndarray) -> np.ndarray:
         return a @ x - cdag @ beta_vec(ti)
 
     x0 = np.zeros(n) if initial_mean is None else initial_mean
-    x = np.asarray(x0, dtype=complex).reshape(n)
+    x = np.asarray(x0, dtype=complex).ravel()
+    if x.size != n:
+        raise DimensionMismatch(f"initial_mean must have length {n}, got {x.size}")
+    require_finite(x, "initial_mean")
     sys_means = np.empty((t.size, n), dtype=complex)
     sys_means[0] = x
     for k in range(t.size - 1):

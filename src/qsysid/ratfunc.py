@@ -7,7 +7,7 @@ input) entry in an ``(m, m, deg + 1)`` array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -40,7 +40,10 @@ def require_finite(value, name: str) -> None:
 
 
 def require_tol(tol) -> float:
-    """Return tol as a float. Raises ValueError unless it is finite and > 0."""
+    """Return tol as a float. Raises ValueError unless it is finite and > 0;
+    a bool, which float() would read as 1 or 0, is refused."""
+    if isinstance(tol, (bool, np.bool_)):
+        raise ValueError(f"tol must be a number, not a bool, got {tol}")
     tol = float(tol)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -70,13 +73,21 @@ class RationalTF:
         Port count.
     poles : ndarray or None
         The exact roots of den when they are known (a single-port
-        :func:`~qsysid.model.transfer_rational`), else None.
+        :func:`~qsysid.model.transfer_rational`), else None. A function with
+        exact poles is reconstructed once, on first use: the measure of the
+        cascade of its poles and its canonical parameters are kept,
+        read-only, on the instance, and both
+        :func:`~qsysid.realization.reconstruct_passive` and
+        :func:`~qsysid.realization.direct_reconstruction` read them.
     """
 
     num: np.ndarray
     den: np.ndarray
     m: int
     poles: np.ndarray | None = None
+    # what is derived from this immutable function once and shared by every
+    # caller: the reconstruction of its exact poles, kept by qsysid.realization
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def degree(self) -> int:

@@ -4,7 +4,9 @@ A single-port passive Xi(s) = prod_k (s + conj p_k) / (s - p_k) is the
 series product (cascade) of one-mode cavities, one per pole. :func:`_measure`
 reads the spectral measure (lam, w) of the cascade's Hamiltonian off one
 ``eigh``; (diag(lam), sqrt(w)) realizes Xi, and one Householder reflection
-gives the canonical parameters (theta, omega11, lambda_i, |E'_i|).
+gives the canonical parameters (theta, omega11, lambda_i, |E'_i|). A
+function with exact poles is reconstructed once and keeps the result
+(:func:`_exact`), which both public routes read.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ PASSIVITY_RTOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ClassicalRealization:
-    """Companion triple, Xi(s) = 1 + c0 (sI - a0)^{-1} b0, and the poles if known."""
+    """Companion triple, Xi(s) = 1 + c0 (sI - a0)^{-1} b0, and the function
+    it realizes when that carries its exact poles, else None."""
 
     a0: np.ndarray
     b0: np.ndarray
     c0: np.ndarray
-    poles: np.ndarray | None = None
+    tf: RationalTF | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +84,8 @@ def companion_realization(tf: RationalTF) -> ClassicalRealization:
 
     A0 carries the denominator coefficients in its last row, B0 = e_n, and
     C0 holds the coefficients of Xi(s) - 1 over the common denominator.
-    The exact poles of ``tf``, if any, are carried on. Xi(inf) must be 1,
+    A ``tf`` with exact poles is carried on, so that its reconstruction is
+    its own, computed once (:attr:`RationalTF.poles`). Xi(inf) must be 1,
     the direct term of every passive system, within 1e-8 relative.
 
     Raises
@@ -101,7 +105,7 @@ def companion_realization(tf: RationalTF) -> ClassicalRealization:
     a0[n - 1, :] = -tf.den[:n]
     b0 = np.zeros((n, 1), dtype=complex)
     b0[n - 1, 0] = 1.0
-    return ClassicalRealization(a0=a0, b0=b0, c0=c0, poles=tf.poles)
+    return ClassicalRealization(a0=a0, b0=b0, c0=c0, tf=None if tf.poles is None else tf)
 
 
 def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -153,14 +157,45 @@ def _mirror_gap(real: ClassicalRealization, p: np.ndarray) -> np.ndarray:
         return polyval(-q, np.append(real.c0[0] - real.a0[-1], 1.0)) / diff.prod(axis=1)
 
 
+def _cascade(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure (lam ascending, w) of the cascade of the stable poles p: with
+    C_k = sqrt(-2 Re p_k) and T upper triangular, T_kk = p_k and
+    T_jk = -C_j C_k (j < k), Omega' = i (T + C C^T / 2) and C realize
+    prod_k (s + conj p_k) / (s - p_k), so ``eigh(Omega') = V diag(lam) V†``
+    gives w = |C V|^2."""
+    c = np.sqrt(-2.0 * p.real)
+    lam, v = np.linalg.eigh(np.diag(-p.imag) + 0.5j * np.tril(np.outer(c, c), -1))
+    return lam, np.abs(c @ v) ** 2
+
+
+def _exact(tf: RationalTF) -> tuple[np.ndarray, np.ndarray, CanonicalParams]:
+    """Read-only ``(lam, w, params)`` of the exact poles of tf, from
+    :func:`_cascade` and :func:`_canonical` on first use, then kept on tf.
+    Raises NotHurwitz per :func:`_require_hurwitz`."""
+    exact = tf._kept.get("exact")
+    if exact is None:
+        _require_hurwitz(tf.poles)
+        lam, w = _cascade(tf.poles)
+        lam.setflags(write=False)
+        w.setflags(write=False)
+        # setdefault: callers racing on first use all get the first result kept
+        exact = tf._kept.setdefault("exact", (lam, w, _canonical(lam, w)))
+    return exact
+
+
+def _reconstruction(real: ClassicalRealization, tol: float) -> tuple:
+    """``(lam, w, params)``: :func:`_canonical` of :func:`_measure`, or for
+    exact poles the one result kept on their function (:func:`_exact`)."""
+    lam, w = _measure(real, tol)
+    return _exact(real.tf) if real.tf is not None else (lam, w, _canonical(lam, w))
+
+
 def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Spectral measure (lam ascending, w) of Xi from the cascade of its poles.
 
-    With C_k = sqrt(-2 Re p_k) and T upper triangular, T_kk = p_k and
-    T_jk = -C_j C_k (j < k), Omega' = i (T + C C^T / 2) and C realize Xi, so
-    ``eigh(Omega') = V diag(lam) V†`` gives w = |C V|^2. The poles, exact
-    ``real.poles`` or else ``eigvals(a0)``, are held to the mirror gap g_k
-    of :func:`_mirror_gap` (0 for exact poles), then move by conj(g_k) / 2;
+    Exact poles (``real.tf``) give the read-only measure of :func:`_exact`.
+    Otherwise the poles are ``eigvals(a0)``, held to the mirror gap g_k of
+    :func:`_mirror_gap`, and move by conj(g_k) / 2 before :func:`_cascade`;
     the root of den + num near the mode j nearest -Im p_k lies Re g_k / 2
     off the imaginary axis.
 
@@ -175,10 +210,11 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
         2 tol sqrt(w_j theta).
     """
     tol = require_tol(tol)
-    exact = real.poles is not None
-    p = real.poles if exact else np.linalg.eigvals(real.a0)
+    if real.tf is not None:
+        return _exact(real.tf)[:2]
+    p = np.linalg.eigvals(real.a0)
     _require_hurwitz(p)
-    g = np.zeros_like(p) if exact else _mirror_gap(real, p)
+    g = _mirror_gap(real, p)
     k = int(np.argmax(np.abs(g) + p.real))
     if not abs(g[k]) <= -p[k].real:
         raise NotPassiveTF(
@@ -186,9 +222,7 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
             f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}"
         )
     p = p + 0.5 * g.conj()
-    c = np.sqrt(-2.0 * p.real)
-    lam, v = np.linalg.eigh(np.diag(-p.imag) + 0.5j * np.tril(np.outer(c, c), -1))
-    w = np.abs(c @ v) ** 2
+    lam, w = _cascade(p)
     j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
     bound = tol * np.sqrt(w[j]) * np.sqrt(w.sum())
     k = int(np.argmax(0.5 * np.abs(g.real) - bound))
@@ -201,7 +235,7 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
 
 
 def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
-    """Canonical parameters of the measure (lam, w).
+    """Canonical parameters of the measure (lam, w), with read-only arrays.
 
     The Householder reflection H that maps u = sqrt(w / theta) to -e1
     turns (diag(lam), sqrt(w)) into the single-node form with
@@ -215,6 +249,8 @@ def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
     reflected = h @ (lam[:, None] * h)
     lambdas, y = np.linalg.eigh(reflected[1:, 1:])
     e_abs = np.abs(reflected[0, 1:] @ y)
+    lambdas.setflags(write=False)
+    e_abs.setflags(write=False)
     return CanonicalParams(float(theta), float(reflected[0, 0]), lambdas, e_abs)
 
 
@@ -228,23 +264,26 @@ def reconstruct_passive(
     gives omega = diag(lam), lam ascending, and c = sqrt(w) > 0; the rest of
     the class is :func:`~qsysid.identifiability.gauge_transform` of it. Poles
     from coefficients are held to the mirror of num at the relative
-    tolerance ``passivity_tol``; loosen it for fitted functions.
+    tolerance ``passivity_tol``; loosen it for fitted functions. A function
+    with exact poles is reconstructed once: every call on it, and
+    :func:`direct_reconstruction`, returns the same read-only
+    :class:`CanonicalParams`.
 
     Raises
     ------
     ValueError, NotHurwitz, NotPassiveTF
         per :func:`_measure`.
     """
-    lam, w = _measure(real, passivity_tol)
-    return new_system(np.diag(lam), np.sqrt(w)[None, :]), _canonical(lam, w)
+    lam, w, params = _reconstruction(real, passivity_tol)
+    return new_system(np.diag(lam), np.sqrt(w)[None, :]), params
 
 
 def direct_reconstruction(tf: RationalTF) -> CanonicalParams:
     """Identifiable parameters (theta, omega11, lambda_i, |E'_i|) of Xi, as
-    :func:`reconstruct_passive` returns them: :func:`_canonical` of
-    :func:`_measure` of :func:`companion_realization` at the relative
-    tolerance 1e-8, from the exact poles of ``tf`` when it carries them."""
-    return _canonical(*_measure(companion_realization(tf), PASSIVITY_RTOL))
+    :func:`reconstruct_passive` returns them from :func:`companion_realization`
+    of ``tf`` at the relative tolerance 1e-8. For a ``tf`` with exact poles
+    this is the one result both routes share, computed on first use."""
+    return _reconstruction(companion_realization(tf), PASSIVITY_RTOL)[2]
 
 
 def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:

@@ -386,6 +386,12 @@ class TestFindGauge:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             find_gauge(sys, sys, tol=tol)
 
+    def test_bool_tolerance_refused(self):
+        # float(True) is a 100% tolerance: it would certify the paper's chain
+        # (edges 0.6, 0.8) equivalent to the chain with edges 0.6, 0.85
+        with pytest.raises(ValueError, match="tol must be a number, not a bool"):
+            find_gauge(chain_system(), chain_system(th2=0.85), tol=True)
+
     def test_different_mode_counts_not_equivalent(self, rng):
         verdict = find_gauge(random_passive(rng, 3, 1), random_passive(rng, 4, 1))
         assert not verdict.equivalent

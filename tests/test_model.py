@@ -381,6 +381,22 @@ class TestSimulateMeans:
         with pytest.raises(ValueError, match="t_grid must be finite"):
             simulate_means(sys, lambda t: [0.0], [0.0, np.nan, 1.0])
 
+    @pytest.mark.parametrize("x0", [np.zeros(2), np.zeros(4), []])
+    def test_initial_mean_of_wrong_length(self, x0):
+        with pytest.raises(DimensionMismatch, match=f"initial_mean must have length 3, got {len(x0)}"):
+            simulate_means(chain_system(), lambda t: [0.0], [0.0, 1.0], initial_mean=x0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_initial_mean_not_finite(self, bad):
+        with pytest.raises(ValueError, match="initial_mean must be finite"):
+            simulate_means(chain_system(), lambda t: [0.0], [0.0, 1.0], initial_mean=[0.0, bad, 0.0])
+
+    def test_beta_not_finite(self):
+        # a drive that blows up mid-run, not a NaN trajectory
+        beta = lambda t: [np.nan if t > 0.5 else 1.0]
+        with pytest.raises(ValueError, match=r"beta\(t\) must be finite"):
+            simulate_means(chain_system(), beta, np.linspace(0.0, 1.0, 5))
+
 
 def _dataset_obj(freqs):
     one = [[{"re": 1.0, "im": 0.0}]]

@@ -27,7 +27,7 @@ from qsysid import (
     transfer_rational,
 )
 from qsysid import realization
-from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _measure
+from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _canonical, _measure
 
 from conftest import (
     chain_system,
@@ -214,6 +214,11 @@ class TestReconstructPassive:
         tf_bad = two_node_tf(2.0, 0.3, -0.59)
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             reconstruct_passive(companion_realization(tf_bad), passivity_tol=tol)
+
+    def test_bool_tolerance_refused(self):
+        real = companion_realization(transfer_rational(chain_system()))
+        with pytest.raises(ValueError, match="tol must be a number, not a bool"):
+            reconstruct_passive(real, passivity_tol=True)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -439,7 +444,7 @@ class TestMeasure:
         np.testing.assert_array_equal(lam, expected[0])
         np.testing.assert_array_equal(w, expected[1])
         with pytest.raises(AssertionError, match="no mirror gap"):
-            _measure(dataclasses.replace(real, poles=None), 1e-8)
+            _measure(dataclasses.replace(real, tf=None), 1e-8)
 
     def test_huge_scale_rebuilt_without_warning(self):
         # G = 1e155 s / (s^2 + 1e308) is a passive reactance: the two-node
@@ -455,6 +460,59 @@ class TestMeasure:
         assert params.theta == pytest.approx(1e155, rel=1e-12)
         assert abs(params.omega11) <= 1e-12 * 1e154
         np.testing.assert_allclose(params.e_abs, [1e154], rtol=1e-12)
+
+
+class TestSharedReconstruction:
+    """An exact function is reconstructed once; both routes read the result."""
+
+    @pytest.mark.parametrize("coefficients, calls", [(False, 2), (True, 8)])
+    def test_eigh_calls(self, rng, monkeypatch, coefficients, calls):
+        # exact poles: one cascade eigh and one canonical eigh, however many
+        # reconstructions are asked; coefficient input takes both per call
+        tf = transfer_rational(random_single_node_siso(rng, 8))
+        if coefficients:
+            tf = make_rational_tf(tf.num, tf.den)
+        eigh = np.linalg.eigh
+        count = []
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for _ in range(2):
+            reconstruct_passive(companion_realization(tf))
+            direct_reconstruction(tf)
+        assert len(count) == calls
+
+    @pytest.mark.parametrize("coefficients", [False, True])
+    def test_routes_agree_read_only(self, rng, coefficients):
+        tf = transfer_rational(random_single_node_siso(rng, 6))
+        if coefficients:
+            tf = make_rational_tf(tf.num, tf.den)
+        _, params = reconstruct_passive(companion_realization(tf))
+        direct = direct_reconstruction(tf)
+        assert (params.theta, params.omega11) == (direct.theta, direct.omega11)
+        for a, b in ((params.lambdas, direct.lambdas), (params.e_abs, direct.e_abs)):
+            np.testing.assert_array_equal(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_coefficient_input_unchanged(self, rng):
+        # no cache for coefficients: each route is _canonical of _measure, bit for bit
+        for n in (1, 3, 8):
+            tf = transfer_rational(random_single_node_siso(rng, n))
+            real = companion_realization(make_rational_tf(tf.num, tf.den))
+            lam, w = _measure(real, PASSIVITY_RTOL)
+            expected = _canonical(lam, w)
+            sys, params = reconstruct_passive(real)
+            np.testing.assert_array_equal(sys.omega, np.diag(lam))
+            np.testing.assert_array_equal(sys.c, np.sqrt(w)[None, :])
+            for got in (params, direct_reconstruction(make_rational_tf(tf.num, tf.den))):
+                assert (got.theta, got.omega11) == (expected.theta, expected.omega11)
+                np.testing.assert_array_equal(got.lambdas, expected.lambdas)
+                np.testing.assert_array_equal(got.e_abs, expected.e_abs)
 
 
 class TestEigenvaluesFromCanonical:
