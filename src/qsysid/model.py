@@ -313,7 +313,8 @@ def simulate_means(
     t_grid : array_like
         At least two finite, strictly increasing sample instants, checked by
         :func:`require_grid`; integration steps once per interval, no
-        substepping.
+        substepping, and calls beta once per instant and once per interval
+        midpoint.
     initial_mean : array_like, optional
         Finite mode means at t_grid[0], n of them; defaults to the zero
         vector.
@@ -345,25 +346,24 @@ def simulate_means(
         require_finite(val, "beta(t)")
         return val
 
-    def rhs(ti: float, x: np.ndarray) -> np.ndarray:
-        return a @ x - cdag @ beta_vec(ti)
-
     x0 = np.zeros(n) if initial_mean is None else initial_mean
     x = np.asarray(x0, dtype=complex).ravel()
     if x.size != n:
         raise DimensionMismatch(f"initial_mean must have length {n}, got {x.size}")
     require_finite(x, "initial_mean")
+    in_means = np.array([beta_vec(ti) for ti in t])
+    drive = [cdag @ b for b in in_means]
     sys_means = np.empty((t.size, n), dtype=complex)
     sys_means[0] = x
     for k in range(t.size - 1):
         h = t[k + 1] - t[k]
-        k1 = rhs(t[k], x)
-        k2 = rhs(t[k] + 0.5 * h, x + 0.5 * h * k1)
-        k3 = rhs(t[k] + 0.5 * h, x + 0.5 * h * k2)
-        k4 = rhs(t[k] + h, x + h * k3)
+        mid = cdag @ beta_vec(t[k] + 0.5 * h)
+        k1 = a @ x - drive[k]
+        k2 = a @ (x + 0.5 * h * k1) - mid
+        k3 = a @ (x + 0.5 * h * k2) - mid
+        k4 = a @ (x + h * k3) - drive[k + 1]
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         sys_means[k + 1] = x
-    in_means = np.array([beta_vec(ti) for ti in t])
     return MeanTrajectory(
         times=t.copy(),
         input_means=in_means,

@@ -55,7 +55,8 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     ``coupling`` defaults to one unit row per accessible vertex. Weights
     must be real; complex-weight networks are outside the infection
     theorem and rejected. Raises ValueError naming the field ("edge
-    weights", "coupling" or "detunings") when an entry is not finite.
+    weights", "coupling" or "detunings") when an entry is not finite, and
+    InvalidNetwork when coupling or detunings do not match n.
     """
     n = int(n)
     if n < 1:
@@ -100,7 +101,9 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     if eigs.min() <= 1e-12 * max(eigs.max(), 1e-300):
         raise InvalidNetwork("c†c restricted to the accessible set is not positive")
     if detunings is not None:
-        detunings = np.array(detunings, dtype=float).reshape(n)
+        detunings = np.array(detunings, dtype=float).ravel()
+        if detunings.size != n:
+            raise InvalidNetwork(f"detunings must have {n} entries, got {detunings.size}")
         require_finite(detunings, "detunings")
         detunings.setflags(write=False)
     edge_tuple = tuple((i, j, canon[(i, j)]) for (i, j) in sorted(canon))

@@ -61,7 +61,9 @@ def require_monic(den: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RationalTF:
-    """Matrix rational function num(s) / den(s).
+    """Matrix rational function num(s) / den(s), immutable: ``num``, ``den``
+    and ``poles`` are made read-only at construction
+    (:func:`make_rational_tf` copies its input first).
 
     Attributes
     ----------
@@ -73,21 +75,23 @@ class RationalTF:
         Port count.
     poles : ndarray or None
         The exact roots of den when they are known (a single-port
-        :func:`~qsysid.model.transfer_rational`), else None. A function with
-        exact poles is reconstructed once, on first use: the measure of the
-        cascade of its poles and its canonical parameters are kept,
-        read-only, on the instance, and both
-        :func:`~qsysid.realization.reconstruct_passive` and
-        :func:`~qsysid.realization.direct_reconstruction` read them.
+        :func:`~qsysid.model.transfer_rational`), else None; the single-port
+        reconstruction then takes them in place of ``eigvals`` of the
+        companion matrix.
     """
 
     num: np.ndarray
     den: np.ndarray
     m: int
     poles: np.ndarray | None = None
-    # what is derived from this immutable function once and shared by every
-    # caller: the reconstruction of its exact poles, kept by qsysid.realization
+    # the single-port reconstruction of this immutable function: one read-only
+    # record, kept by qsysid.realization on first use and shared by every caller
     _kept: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for a in (self.num, self.den, self.poles):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def degree(self) -> int:
@@ -106,10 +110,11 @@ def make_rational_tf(num, den, m: int | None = None) -> RationalTF:
     ``num`` may be a 1-D array for the single-port case or a full
     ``(m, m, deg + 1)`` array. The denominator must be monic within
     ``MONIC_TOL``; its leading coefficient is then snapped to exactly 1.
-    A coefficient that is not finite raises ValueError.
+    A coefficient that is not finite raises ValueError. Both arrays are
+    copied, so the function never shares memory with the caller's.
     """
     den = np.asarray(den, dtype=complex).ravel()
-    num = np.asarray(num, dtype=complex)
+    num = np.array(num, dtype=complex)
     require_finite(num, "num")
     require_finite(den, "den")
     if num.ndim == 1:

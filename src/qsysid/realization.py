@@ -4,9 +4,9 @@ A single-port passive Xi(s) = prod_k (s + conj p_k) / (s - p_k) is the
 series product (cascade) of one-mode cavities, one per pole. :func:`_measure`
 reads the spectral measure (lam, w) of the cascade's Hamiltonian off one
 ``eigh``; (diag(lam), sqrt(w)) realizes Xi, and one Householder reflection
-gives the canonical parameters (theta, omega11, lambda_i, |E'_i|). A
-function with exact poles is reconstructed once and keeps the result
-(:func:`_exact`), which both public routes read.
+gives the canonical parameters (theta, omega11, lambda_i, |E'_i|). Each
+function is reconstructed once, from its exact poles or from its
+coefficients, and keeps the result, which both public routes read.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ PASSIVITY_RTOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class ClassicalRealization:
     """Companion triple, Xi(s) = 1 + c0 (sI - a0)^{-1} b0, and the function
-    it realizes when that carries its exact poles, else None."""
+    it realizes, which keeps its reconstruction."""
 
     a0: np.ndarray
     b0: np.ndarray
     c0: np.ndarray
-    tf: RationalTF | None = None
+    tf: RationalTF
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +84,9 @@ def companion_realization(tf: RationalTF) -> ClassicalRealization:
 
     A0 carries the denominator coefficients in its last row, B0 = e_n, and
     C0 holds the coefficients of Xi(s) - 1 over the common denominator.
-    A ``tf`` with exact poles is carried on, so that its reconstruction is
-    its own, computed once (:attr:`RationalTF.poles`). Xi(inf) must be 1,
-    the direct term of every passive system, within 1e-8 relative.
+    ``tf`` is carried on, so that its reconstruction is its own, computed
+    once (:func:`reconstruct_passive`). Xi(inf) must be 1, the direct term
+    of every passive system, within 1e-8 relative.
 
     Raises
     ------
@@ -105,7 +105,7 @@ def companion_realization(tf: RationalTF) -> ClassicalRealization:
     a0[n - 1, :] = -tf.den[:n]
     b0 = np.zeros((n, 1), dtype=complex)
     b0[n - 1, 0] = 1.0
-    return ClassicalRealization(a0=a0, b0=b0, c0=c0, tf=None if tf.poles is None else tf)
+    return ClassicalRealization(a0=a0, b0=b0, c0=c0, tf=tf)
 
 
 def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -168,36 +168,17 @@ def _cascade(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.abs(c @ v) ** 2
 
 
-def _exact(tf: RationalTF) -> tuple[np.ndarray, np.ndarray, CanonicalParams]:
-    """Read-only ``(lam, w, params)`` of the exact poles of tf, from
-    :func:`_cascade` and :func:`_canonical` on first use, then kept on tf.
-    Raises NotHurwitz per :func:`_require_hurwitz`."""
-    exact = tf._kept.get("exact")
-    if exact is None:
-        _require_hurwitz(tf.poles)
-        lam, w = _cascade(tf.poles)
-        lam.setflags(write=False)
-        w.setflags(write=False)
-        # setdefault: callers racing on first use all get the first result kept
-        exact = tf._kept.setdefault("exact", (lam, w, _canonical(lam, w)))
-    return exact
+def _measure(real: ClassicalRealization, tol: float) -> tuple:
+    """Spectral measure (lam ascending, w) of Xi from the cascade of its
+    poles, and its :class:`CanonicalParams`, all read-only.
 
-
-def _reconstruction(real: ClassicalRealization, tol: float) -> tuple:
-    """``(lam, w, params)``: :func:`_canonical` of :func:`_measure`, or for
-    exact poles the one result kept on their function (:func:`_exact`)."""
-    lam, w = _measure(real, tol)
-    return _exact(real.tf) if real.tf is not None else (lam, w, _canonical(lam, w))
-
-
-def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral measure (lam ascending, w) of Xi from the cascade of its poles.
-
-    Exact poles (``real.tf``) give the read-only measure of :func:`_exact`.
-    Otherwise the poles are ``eigvals(a0)``, held to the mirror gap g_k of
+    Exact poles (``real.tf.poles``) have mirror gap g_k = 0. Otherwise the
+    poles are ``eigvals(a0)``, held to the mirror gap g_k of
     :func:`_mirror_gap`, and move by conj(g_k) / 2 before :func:`_cascade`;
     the root of den + num near the mode j nearest -Im p_k lies Re g_k / 2
-    off the imaginary axis.
+    off the imaginary axis. The first call on a function keeps, on
+    ``real.tf``, the measure, the parameters, each |Re g_k| / 2 and each j;
+    every call holds that record to its own ``tol``.
 
     Raises
     ------
@@ -210,28 +191,37 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple[np.ndarray, np.nda
         2 tol sqrt(w_j theta).
     """
     tol = require_tol(tol)
-    if real.tf is not None:
-        return _exact(real.tf)[:2]
-    p = np.linalg.eigvals(real.a0)
-    _require_hurwitz(p)
-    g = _mirror_gap(real, p)
-    k = int(np.argmax(np.abs(g) + p.real))
-    if not abs(g[k]) <= -p[k].real:
-        raise NotPassiveTF(
-            f"zero of num {abs(g[k]):.3e} from the mirrored pole "
-            f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}"
-        )
-    p = p + 0.5 * g.conj()
-    lam, w = _cascade(p)
-    j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
+    kept = real.tf._kept.get("measure")
+    if kept is None:
+        poles = real.tf.poles
+        p = np.linalg.eigvals(real.a0) if poles is None else poles
+        _require_hurwitz(p)
+        g = np.zeros_like(p)
+        if poles is None:
+            g = _mirror_gap(real, p)
+            k = int(np.argmax(np.abs(g) + p.real))
+            if not abs(g[k]) <= -p[k].real:
+                raise NotPassiveTF(
+                    f"zero of num {abs(g[k]):.3e} from the mirrored pole "
+                    f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}"
+                )
+            p = p + 0.5 * g.conj()
+        lam, w = _cascade(p)
+        j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
+        offset = 0.5 * np.abs(g.real)
+        for a in (lam, w, j, offset):
+            a.setflags(write=False)
+        # setdefault: callers racing on first use all get the first record kept
+        kept = real.tf._kept.setdefault("measure", (lam, w, _canonical(lam, w), offset, j))
+    lam, w, params, offset, j = kept
     bound = tol * np.sqrt(w[j]) * np.sqrt(w.sum())
-    k = int(np.argmax(0.5 * np.abs(g.real) - bound))
-    if 0.5 * abs(g[k].real) > bound[k]:
+    k = int(np.argmax(offset - bound))
+    if offset[k] > bound[k]:
         raise NotPassiveTF(
             f"Xi = -1 near lam = {lam[j[k]]:.6g}, off the imaginary axis by "
-            f"{0.5 * abs(g[k].real):.3e} > {bound[k]:.3e}"
+            f"{offset[k]:.3e} > {bound[k]:.3e}"
         )
-    return lam, w
+    return lam, w, params
 
 
 def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
@@ -264,26 +254,26 @@ def reconstruct_passive(
     gives omega = diag(lam), lam ascending, and c = sqrt(w) > 0; the rest of
     the class is :func:`~qsysid.identifiability.gauge_transform` of it. Poles
     from coefficients are held to the mirror of num at the relative
-    tolerance ``passivity_tol``; loosen it for fitted functions. A function
-    with exact poles is reconstructed once: every call on it, and
+    tolerance ``passivity_tol``; loosen it for fitted functions. Each
+    function is reconstructed once: every call on it, and
     :func:`direct_reconstruction`, returns the same read-only
-    :class:`CanonicalParams`.
+    :class:`CanonicalParams`, while ``passivity_tol`` applies per call.
 
     Raises
     ------
     ValueError, NotHurwitz, NotPassiveTF
         per :func:`_measure`.
     """
-    lam, w, params = _reconstruction(real, passivity_tol)
+    lam, w, params = _measure(real, passivity_tol)
     return new_system(np.diag(lam), np.sqrt(w)[None, :]), params
 
 
 def direct_reconstruction(tf: RationalTF) -> CanonicalParams:
     """Identifiable parameters (theta, omega11, lambda_i, |E'_i|) of Xi, as
     :func:`reconstruct_passive` returns them from :func:`companion_realization`
-    of ``tf`` at the relative tolerance 1e-8. For a ``tf`` with exact poles
-    this is the one result both routes share, computed on first use."""
-    return _reconstruction(companion_realization(tf), PASSIVITY_RTOL)[2]
+    of ``tf`` at the relative tolerance 1e-8: the one result both routes
+    share, computed on first use."""
+    return _measure(companion_realization(tf), PASSIVITY_RTOL)[2]
 
 
 def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:

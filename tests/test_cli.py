@@ -168,7 +168,9 @@ class TestReconstruct:
             proc = run_cli("reconstruct", tf_path, "--gauge", u_path)
             assert proc.returncode == 0
             system = serialize.system_from_obj(json.loads(proc.stdout)["system"])
-            omega, c = gauged_measure(companion_realization(tf), u)
+            # the CLI reads coefficients: the reference reconstructs the same function
+            read = serialize.tf_from_obj(serialize.tf_to_obj(tf))
+            omega, c = gauged_measure(companion_realization(read), u)
             np.testing.assert_allclose(system.omega, omega, rtol=0, atol=1e-12)
             np.testing.assert_allclose(system.c, c, rtol=0, atol=1e-12)
 
@@ -234,6 +236,15 @@ class TestInfect:
         err = json.loads(proc.stderr)
         assert err["error"] == "ValueError"
         assert err["detail"] == "edge weights must be finite"
+
+    def test_detunings_of_wrong_length_exit_one(self, tmp_path):
+        obj = serialize.network_to_obj(chain_network())
+        obj["detunings"] = [0.1, 0.2]
+        proc = run_cli("infect", write_json(tmp_path / "short_net.json", obj))
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidNetwork"
+        assert err["detail"] == "detunings must have 3 entries, got 2"
 
 
 class TestProbeFitCompose:

@@ -1,5 +1,7 @@
 """Model construction, drift matrix, transfer evaluation, mean dynamics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,6 +309,22 @@ class TestRationalTF:
         with pytest.raises(ValueError, match="^num must be finite"):
             make_rational_tf([1.0, np.nan], [0.5, 1.0])
 
+    def test_coefficients_copied_read_only(self):
+        # the kept reconstruction is only sound for a function that cannot change
+        num = np.array([-0.4, 1.0], dtype=complex)
+        den = np.array([0.4, 1.0], dtype=complex)
+        tf = make_rational_tf(num, den)
+        before = qsysid.direct_reconstruction(tf)
+        num[0], den[0] = 7.0, 7.0
+        assert tf.num[0, 0, 0] == -0.4 and tf.den[0] == 0.4
+        exact = transfer_rational(chain_system())
+        replaced = dataclasses.replace(exact, poles=exact.poles.copy())
+        for array in (tf.num, tf.den, exact.num, exact.den, replaced.poles):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+        assert qsysid.direct_reconstruction(tf) is before
+
 
 class TestPolyFromRoots:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 16, 64, 128])
@@ -390,6 +408,20 @@ class TestSimulateMeans:
     def test_initial_mean_not_finite(self, bad):
         with pytest.raises(ValueError, match="initial_mean must be finite"):
             simulate_means(chain_system(), lambda t: [0.0], [0.0, 1.0], initial_mean=[0.0, bad, 0.0])
+
+    def test_beta_called_once_per_instant(self, rng):
+        # RK4 needs beta at each grid instant and each interval midpoint: 201 on 101 points
+        t = np.linspace(0.0, 10.0, 101)
+        calls = []
+
+        def beta(ti):
+            calls.append(ti)
+            return np.array([np.sin(ti), 1j * ti])
+
+        traj = simulate_means(random_passive(rng, 3, 2), beta, t)
+        assert len(calls) == len(set(calls)) == 201
+        assert set(t) <= set(calls)
+        np.testing.assert_array_equal(traj.input_means, [beta(ti) for ti in t])
 
     def test_beta_not_finite(self):
         # a drive that blows up mid-run, not a NaN trajectory

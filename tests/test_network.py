@@ -154,6 +154,12 @@ class TestOmegaFromNetwork:
         assert hash(net) == hash(net)
         assert len({net, other}) == 2
 
+    @pytest.mark.parametrize("detunings", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], 0.1])
+    def test_detunings_of_wrong_length_rejected(self, detunings):
+        size = np.size(detunings)
+        with pytest.raises(InvalidNetwork, match=f"^detunings must have 3 entries, got {size}$"):
+            new_network(3, [(0, 1, 0.6), (1, 2, 0.8)], [0], detunings=detunings)
+
     def test_detunings_copied_read_only(self):
         detunings = np.array([0.0, 0.3, 0.0])
         net = new_network(3, [(0, 1, 0.6), (0, 2, 0.8)], [0], detunings=detunings)

@@ -27,7 +27,7 @@ from qsysid import (
     transfer_rational,
 )
 from qsysid import realization
-from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _canonical, _measure
+from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _measure
 
 from conftest import (
     chain_system,
@@ -51,7 +51,7 @@ def two_node_tf(a0, a1, c1):
 def gauged_measure(real, u):
     """Reference (u diag(lam) u†, sqrt(w) u†) of the measure (lam, w), with
     omega symmetrized: the realization in gauge u, by the explicit formula."""
-    lam, w = _measure(real, PASSIVITY_RTOL)
+    lam, w, _ = _measure(real, PASSIVITY_RTOL)
     omega = (u * lam) @ u.conj().T
     return 0.5 * (omega + omega.conj().T), np.sqrt(w)[None, :] @ u.conj().T
 
@@ -409,7 +409,7 @@ class TestMeasure:
             tf = transfer_rational(sys)
             if coefficients:
                 tf = make_rational_tf(tf.num, tf.den)
-            lam, w = _measure(companion_realization(tf), 1e-8)
+            lam, w, _ = _measure(companion_realization(tf), 1e-8)
             lam_true, _, cv = sys.spectrum
             w_true = np.abs(cv[0]) ** 2
             scale = np.abs(lam_true).max() + w_true.sum()
@@ -418,33 +418,42 @@ class TestMeasure:
             assert np.abs(w - w_true).max() <= rtol * w_true.sum()
 
     def test_no_eigenvectors_and_no_solve(self, monkeypatch):
-        real = companion_realization(transfer_rational(chain_system()))
-        expected = _measure(real, 1e-8)
+        # fresh functions, exact and from coefficients, so nothing is kept yet
+        def exact():
+            return transfer_rational(chain_system())
+
+        def coefficients():
+            tf = exact()
+            return make_rational_tf(tf.num, tf.den)
+
+        expected = [_measure(companion_realization(f()), 1e-8) for f in (exact, coefficients)]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("_measure needs one eigh and no eig or solve")
+            raise AssertionError("_measure needs eigh only, no eig or solve")
 
         monkeypatch.setattr(np.linalg, "eig", refuse)
         monkeypatch.setattr(np.linalg, "solve", refuse)
-        lam, w = _measure(real, 1e-8)
-        np.testing.assert_array_equal(lam, expected[0])
-        np.testing.assert_array_equal(w, expected[1])
+        for f, (lam0, w0, params0) in zip((exact, coefficients), expected):
+            lam, w, params = _measure(companion_realization(f()), 1e-8)
+            np.testing.assert_array_equal(lam, lam0)
+            np.testing.assert_array_equal(w, w0)
+            np.testing.assert_array_equal(params.lambdas, params0.lambdas)
 
     def test_exact_poles_take_no_mirror_gap(self, monkeypatch):
         # exact poles have g = 0: they pass the same checks without the
         # Newton step from the coefficients
-        real = companion_realization(transfer_rational(chain_system()))
-        expected = _measure(real, 1e-8)
+        expected = _measure(companion_realization(transfer_rational(chain_system())), 1e-8)
 
         def refuse(*args, **kwargs):
             raise AssertionError("exact poles need no mirror gap")
 
         monkeypatch.setattr(realization, "_mirror_gap", refuse)
-        lam, w = _measure(real, 1e-8)
+        tf = transfer_rational(chain_system())
+        lam, w, _ = _measure(companion_realization(tf), 1e-8)
         np.testing.assert_array_equal(lam, expected[0])
         np.testing.assert_array_equal(w, expected[1])
         with pytest.raises(AssertionError, match="no mirror gap"):
-            _measure(dataclasses.replace(real, tf=None), 1e-8)
+            _measure(companion_realization(make_rational_tf(tf.num, tf.den)), 1e-8)
 
     def test_huge_scale_rebuilt_without_warning(self):
         # G = 1e155 s / (s^2 + 1e308) is a passive reactance: the two-node
@@ -463,12 +472,12 @@ class TestMeasure:
 
 
 class TestSharedReconstruction:
-    """An exact function is reconstructed once; both routes read the result."""
+    """A function is reconstructed once; both routes read the result."""
 
-    @pytest.mark.parametrize("coefficients, calls", [(False, 2), (True, 8)])
-    def test_eigh_calls(self, rng, monkeypatch, coefficients, calls):
-        # exact poles: one cascade eigh and one canonical eigh, however many
-        # reconstructions are asked; coefficient input takes both per call
+    @pytest.mark.parametrize("coefficients", [False, True])
+    def test_eigh_calls(self, rng, monkeypatch, coefficients):
+        # one cascade eigh and one canonical eigh, however many
+        # reconstructions are asked, from exact poles or coefficients alike
         tf = transfer_rational(random_single_node_siso(rng, 8))
         if coefficients:
             tf = make_rational_tf(tf.num, tf.den)
@@ -483,7 +492,7 @@ class TestSharedReconstruction:
         for _ in range(2):
             reconstruct_passive(companion_realization(tf))
             direct_reconstruction(tf)
-        assert len(count) == calls
+        assert len(count) == 2
 
     @pytest.mark.parametrize("coefficients", [False, True])
     def test_routes_agree_read_only(self, rng, coefficients):
@@ -499,20 +508,22 @@ class TestSharedReconstruction:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
-    def test_coefficient_input_unchanged(self, rng):
-        # no cache for coefficients: each route is _canonical of _measure, bit for bit
-        for n in (1, 3, 8):
-            tf = transfer_rational(random_single_node_siso(rng, n))
-            real = companion_realization(make_rational_tf(tf.num, tf.den))
-            lam, w = _measure(real, PASSIVITY_RTOL)
-            expected = _canonical(lam, w)
-            sys, params = reconstruct_passive(real)
-            np.testing.assert_array_equal(sys.omega, np.diag(lam))
-            np.testing.assert_array_equal(sys.c, np.sqrt(w)[None, :])
-            for got in (params, direct_reconstruction(make_rational_tf(tf.num, tf.den))):
-                assert (got.theta, got.omega11) == (expected.theta, expected.omega11)
-                np.testing.assert_array_equal(got.lambdas, expected.lambdas)
-                np.testing.assert_array_equal(got.e_abs, expected.e_abs)
+    def test_tolerance_applies_to_every_call(self):
+        # Xi = -1 lies 2.5e-5 off the axis: the kept record holds the offset,
+        # not a verdict, so each call's own tolerance decides
+        tf = two_node_tf(2.0, 0.3, -0.6 + 1e-4)
+        refused = r"off the imaginary axis by 2\.500e-05 > 4\.242e-09"
+        with pytest.raises(NotPassiveTF, match=refused):
+            reconstruct_passive(companion_realization(tf))
+        sys, params = reconstruct_passive(companion_realization(tf), passivity_tol=1e-3)
+        lam, w, kept = _measure(companion_realization(tf), 1e-3)
+        assert kept is params
+        np.testing.assert_array_equal(sys.omega, np.diag(lam))
+        np.testing.assert_array_equal(sys.c, np.sqrt(w)[None, :])
+        for route in (lambda: reconstruct_passive(companion_realization(tf)),
+                      lambda: direct_reconstruction(tf)):
+            with pytest.raises(NotPassiveTF, match=refused):
+                route()
 
 
 class TestEigenvaluesFromCanonical:

@@ -7,20 +7,56 @@ Run from the root of a checkout that holds ``src/qsysid`` and
 Every op of the workload runs once, in this process, through the
 benchmark's own op list, library calls and judges (``perfbench/workloads.py``
 and ``ops.py``). Nothing is timed. For each seed one JSON line gives the
-op count, the outcome counts and a SHA-256 over the ordered per-op
-verdicts (outcome and stage outcomes), so two checkouts whose digests
-agree give every op the same verdict. BLAS is held to one thread, as in
-the benchmark, since its summation order can move a verdict.
+op count, the outcome counts, ``sha256`` over the ordered per-op verdicts
+(outcome and stage outcomes) and ``answers_sha256`` over the ordered
+per-op answers: the bytes of every array and number in them, public
+dataclass fields only, an exception by its class name. Two checkouts
+whose ``sha256`` agree give every op the same verdict; two whose
+``answers_sha256`` agree give every op the same answer, bit for bit. BLAS
+is held to one thread, as in the benchmark, since its summation order can
+move a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+
+
+def feed(digest, value) -> None:
+    """Add the bytes of every array and number in value to digest, each
+    after a tag of its kind, so that different answers feed different bytes."""
+    import numpy as np  # not at module level: main() sets BLAS threads first
+
+    if isinstance(value, BaseException):
+        digest.update(b"E" + type(value).__name__.encode())
+    elif isinstance(value, (np.ndarray, np.generic, bool, int, float, complex)):
+        value = np.ascontiguousarray(value)
+        digest.update(f"A{value.dtype.str}{value.shape}".encode() + value.tobytes())
+    elif isinstance(value, str) or value is None:
+        digest.update(b"S" + repr(value).encode())
+    elif isinstance(value, dict):
+        digest.update(f"D{len(value)}".encode())
+        for key in sorted(value):
+            feed(digest, key)
+            feed(digest, value[key])
+    elif isinstance(value, (tuple, list)):
+        digest.update(f"T{len(value)}".encode())
+        for item in value:
+            feed(digest, item)
+    elif dataclasses.is_dataclass(value):
+        digest.update(b"C" + type(value).__name__.encode())
+        for f in dataclasses.fields(value):
+            if not f.name.startswith("_"):
+                feed(digest, f.name)
+                feed(digest, getattr(value, f.name))
+    else:
+        raise TypeError(f"no digest for a {type(value).__name__} in an answer")
 
 
 def main(argv=None) -> int:
@@ -42,7 +78,7 @@ def main(argv=None) -> int:
 
     execute, judge = INPROCESS[args.workload]
     for seed in args.seed:
-        digest = hashlib.sha256()
+        digest, answers = hashlib.sha256(), hashlib.sha256()
         outcomes: dict[str, int] = {}
         specs = workloads.op_specs(args.workload, seed)
         for spec in specs:
@@ -53,6 +89,7 @@ def main(argv=None) -> int:
                 answer = exc
             outcome, stages = judge(op, answer)
             digest.update(json.dumps([outcome, stages]).encode() + b"\n")
+            feed(answers, answer)
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
         print(json.dumps({
             "workload": args.workload,
@@ -60,6 +97,7 @@ def main(argv=None) -> int:
             "ops": len(specs),
             "outcomes": dict(sorted(outcomes.items())),
             "sha256": digest.hexdigest(),
+            "answers_sha256": answers.hexdigest(),
         }))
     return 0
 
