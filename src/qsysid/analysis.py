@@ -26,7 +26,8 @@ class StructureReport:
     ``minimal`` is controllable AND observable; for passive systems the two
     ranks always agree. ``hurwitz`` equals ``minimal``: on each unit
     eigenvector x of A, Re lambda = -|c x|² / 2, which is negative exactly
-    when the PBH test passes. ``spectral_abscissa`` is read off the poles.
+    when the PBH test passes. ``spectral_abscissa`` is the system's cached
+    :attr:`~qsysid.model.PassiveSystem.abscissa`, max Re p_k over the poles.
     """
 
     controllable: bool
@@ -57,11 +58,13 @@ def structure_report(sys: PassiveSystem) -> StructureReport:
 
     Both ranks are the number of eigen-directions of omega the fields reach;
     the system is Hurwitz exactly when it is minimal, whatever the rounding
-    of the abscissa, which is near 0 for a decoupled mode.
+    of the abscissa, which is near 0 for a decoupled mode. The abscissa is
+    ``sys.abscissa``, the one value :func:`~qsysid.model.transfer_at` also
+    reads.
     """
     rank = sys.reached.lam.size
     minimal = rank == sys.n
     return StructureReport(
         controllable=minimal, observable=minimal, minimal=minimal, hurwitz=minimal,
-        ctrb_rank=rank, obsv_rank=rank, spectral_abscissa=float(sys.poles.real.max()),
+        ctrb_rank=rank, obsv_rank=rank, spectral_abscissa=sys.abscissa,
     )

@@ -55,7 +55,8 @@ class PassiveSystem:
 
     Construct through :func:`new_system`, which validates shapes and
     Hermiticity. Instances are safe to share between threads, and compare
-    and hash by identity. The drift matrix, its eigenvalues, the
+    and hash by identity. The drift matrix, its eigenvalues (the poles),
+    the poles mirrored (the zeros of det Xi), the spectral abscissa, the
     spectral decomposition of omega and the part of it the fields reach are
     computed on first use and kept, read-only, on the instance.
     """
@@ -82,6 +83,16 @@ class PassiveSystem:
     def poles(self) -> np.ndarray:
         """Eigenvalues of the drift matrix: the poles of Xi(s)."""
         return _read_only(np.linalg.eigvals(self.drift))
+
+    @cached_property
+    def zeros(self) -> np.ndarray:
+        """The poles mirrored, -conj(p_k): the zeros of det Xi(s)."""
+        return _read_only(-self.poles.conj())
+
+    @cached_property
+    def abscissa(self) -> float:
+        """Spectral abscissa max_k Re p_k of the drift matrix."""
+        return float(self.poles.real.max())
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,12 +208,16 @@ def require_grid(values, name: str, min_size: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        an entry is not finite.
+        the values are complex, even with zero imaginary parts, or an entry
+        is not finite.
     NonMonotoneGrid
         fewer than ``min_size`` points, or the values are not strictly
         increasing.
     """
-    grid = np.asarray(values, dtype=float).ravel()
+    grid = np.asarray(values)
+    if np.iscomplexobj(grid):
+        raise ValueError(f"{name} must be real, got complex values")
+    grid = np.asarray(grid, dtype=float).ravel()
     require_finite(grid, name)
     if grid.size < min_size:
         raise NonMonotoneGrid(f"{name} has {grid.size} points, needs at least {min_size}")
@@ -236,11 +251,18 @@ def require_unitary(u, n: int) -> np.ndarray:
 def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     """Transfer function Xi(s) = I - c (sI - A)^{-1} c† at one point.
 
-    For one port Xi(s) = prod_k (s + conj p_k) / (s - p_k) over the poles
-    p_k (``sys.poles``), by the matrix determinant lemma and A + A† = -c†c,
-    as in :func:`transfer_rational`; on the imaginary axis each factor has
+    For one port Xi(s) = prod_k (s - z_k) / (s - p_k) over the poles p_k
+    (``sys.poles``) and the zeros z_k = -conj(p_k) (``sys.zeros``), by the
+    matrix determinant lemma and A + A† = -c†c, as in
+    :func:`transfer_rational`; on the imaginary axis each factor has
     modulus 1 up to rounding. For m > 1 the resolvent (sI - A)^{-1} c† is
     solved directly.
+
+    The distance to the nearest pole is scanned only where a pole can lie
+    within the bound below: for Re s >= 0 the computed Re(s - p_k) is at
+    least -``sys.abscissa``, and |s - p_k| is no smaller than that, so a
+    point of the right half-plane whose bound is at most -``sys.abscissa``
+    cannot raise and skips the scan.
 
     Raises
     ------
@@ -252,11 +274,15 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     if not cmath.isfinite(s):
         raise ValueError("s must be finite")
     d = s - sys.poles
-    gap = np.abs(d).min()
-    if gap < RESOLVENT_TOL * (1.0 + abs(s)):
-        raise SingularResolvent(f"s={s} is within {gap:.3e} of an eigenvalue of A")
+    bound = RESOLVENT_TOL * (1.0 + abs(s))
+    if s.real < 0.0 or bound > -sys.abscissa:
+        gap = np.abs(d).min()
+        if gap < bound:
+            raise SingularResolvent(f"s={s} is within {gap:.3e} of an eigenvalue of A")
     if sys.m == 1:
-        return ((s + sys.poles.conj()) / d).prod(keepdims=True).reshape(1, 1)
+        q = s - sys.zeros
+        q /= d
+        return np.multiply.reduce(q, keepdims=True).reshape(1, 1)
     res = np.linalg.solve(s * np.eye(sys.n) - sys.drift, sys.c.conj().T)
     return np.eye(sys.m) - sys.c @ res
 

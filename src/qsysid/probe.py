@@ -58,7 +58,10 @@ class FitResult:
 
 
 def require_sigma(noise_sigma) -> float:
-    """Return noise_sigma as a float. Raises ValueError unless finite and >= 0."""
+    """Return noise_sigma as a float. Raises ValueError unless finite and >= 0;
+    a bool, which float() would read as 1 or 0, is refused."""
+    if isinstance(noise_sigma, (bool, np.bool_)):
+        raise ValueError(f"noise_sigma must be a number, not a bool, got {noise_sigma}")
     require_finite(noise_sigma, "noise_sigma")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
@@ -88,7 +91,7 @@ def sample_response(
         per :func:`~qsysid.model.require_grid`: freqs empty, not finite,
         or not strictly increasing.
     ValueError
-        noise_sigma negative or not finite.
+        noise_sigma negative, not finite or a bool.
     """
     noise_sigma = require_sigma(noise_sigma)
     freqs = require_grid(freqs, "freqs", 1)
@@ -99,8 +102,8 @@ def sample_response(
             "an unreached mode has a pole on the imaginary axis"
         )
     responses = np.empty((freqs.size, sys.m, sys.m), dtype=complex)
-    for j, w in enumerate(freqs):
-        responses[j] = transfer_at(sys, 1j * w)
+    for j, s in enumerate((1j * freqs).tolist()):
+        responses[j] = transfer_at(sys, s)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         shape = responses.shape

@@ -18,6 +18,7 @@ from qsysid import (
     sample_response,
     serialize,
     simulate_means,
+    structure_report,
     transfer_at,
     transfer_rational,
 )
@@ -135,6 +136,18 @@ class TestDriftMatrix:
         assert sys.spectrum is sys.spectrum
         assert sys.drift is sys.drift and sys.poles is sys.poles
 
+    def test_zeros_and_abscissa_cached_and_read_only(self, rng):
+        sys = random_passive(rng, 5, 2)
+        assert sys.zeros is sys.zeros and sys.abscissa is sys.abscissa
+        assert sys.zeros.tobytes() == (-sys.poles.conj()).tobytes()
+        assert sys.abscissa == sys.poles.real.max() and type(sys.abscissa) is float
+        with pytest.raises(ValueError):
+            sys.zeros[0] = 1.0
+        for name in ("zeros", "abscissa"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sys, name, 0.0)
+        assert structure_report(sys).spectral_abscissa == sys.abscissa
+
     def test_poles_are_drift_eigenvalues(self, rng):
         sys = random_passive(rng, 5, 2)
         np.testing.assert_array_equal(sys.poles, np.linalg.eigvals(sys.drift))
@@ -234,6 +247,50 @@ class TestTransferAt:
             gap = np.abs(s - sys.poles).min()
             assert abs(xi - resolvent_transfer(sys, s)[0, 0]) <= 100 * EPS * rho / gap
             assert abs(abs(xi) - 1.0) <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        coupling_exp=st.floats(-7.0, 0.0),
+        near=st.booleans(),
+        offset_exp=st.floats(-14.0, -6.0),
+        angle=st.floats(0.0, 2 * np.pi),
+        x=st.floats(-4.0, 4.0),
+        y=st.floats(-4.0, 4.0),
+    )
+    def test_value_and_refusal_match_the_full_scan(
+        self, n, m, seed, coupling_exp, near, offset_exp, angle, x, y
+    ):
+        # the gap scan is skipped only where it cannot fire: the value is the
+        # plain pole product (or the solve) bit for bit, and the refusal
+        # happens exactly where the nearest pole lies within the bound, in
+        # either half-plane, for weak couplings whose poles hug the axis too
+        rng = np.random.default_rng(seed)
+        base = random_passive(rng, max(n, m), m)
+        sys = new_system(base.omega, base.c * 10.0**coupling_exp)
+        p = sys.poles[rng.integers(sys.n)]
+        s = complex(p + 10.0**offset_exp * np.exp(1j * angle)) if near else complex(x, y)
+        singular = np.abs(s - sys.poles).min() < 1e-10 * (1.0 + abs(s))
+        if singular:
+            with pytest.raises(SingularResolvent):
+                transfer_at(sys, s)
+            return
+        xi = transfer_at(sys, s)
+        if sys.m == 1:
+            expected = ((s + sys.poles.conj()) / (s - sys.poles)).prod().reshape(1, 1)
+        else:
+            expected = resolvent_transfer(sys, s)
+        assert xi.tobytes() == expected.tobytes()
+
+    def test_weakly_coupled_mode_still_refused_on_the_axis(self):
+        # the pole sits 5e-13 left of the axis, inside the bound at s = 2i, so
+        # the right half-plane alone does not skip the scan
+        sys = new_system([[-2.0]], [[1e-6]])
+        assert sys.abscissa == pytest.approx(-5e-13)
+        with pytest.raises(SingularResolvent):
+            transfer_at(sys, 2.0j)
 
     def test_multi_port_is_the_resolvent_solve(self, rng):
         for _ in range(10):
@@ -458,6 +515,20 @@ class TestOneGridCheck:
             with pytest.raises(cls, match=f"^{name} ") as info:
                 call()
             assert type(info.value) is cls
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("t_grid", lambda sys, grid: simulate_means(sys, lambda t: [0.0], grid)),
+            ("freqs", sample_response),
+        ],
+        ids=["simulate_means", "sample_response"],
+    )
+    @pytest.mark.parametrize("grid", [[1.0 + 1.0j, 2.0], np.array([0.5, 1.0], dtype=complex)])
+    def test_complex_grid_refused(self, name, call, grid):
+        # casting to float would drop the imaginary parts with only a warning
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            call(one_mode_system(1.0), grid)
 
     def test_one_point(self):
         # a time grid needs an interval to step over; one frequency is a dataset

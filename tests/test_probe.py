@@ -96,6 +96,12 @@ class TestSampleResponse:
         with pytest.raises(ValueError, match="^freqs must be finite"):
             sample_response(chain_system(), [0.1, np.nan, 1.0])
 
+    @pytest.mark.parametrize("sigma", [True, False, np.True_])
+    def test_bool_sigma_rejected(self, sigma):
+        # float(True) is 1.0: a flag passed by mistake must not become the noise
+        with pytest.raises(ValueError, match="^noise_sigma must be a number, not a bool"):
+            sample_response(chain_system(), [0.1, 1.0], noise_sigma=sigma)
+
     def test_one_eigendecomposition_per_system(self, monkeypatch):
         calls = []
         eigvals = np.linalg.eigvals

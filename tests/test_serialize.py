@@ -98,6 +98,17 @@ class TestDatasetFormat:
         assert back.noise_sigma == data.noise_sigma
         assert back.seed == 9
 
+    def test_bool_noise_sigma_rejected(self):
+        import pytest
+
+        obj = {
+            "freqs": [0.5, 1.0],
+            "responses": [[[{"re": 1.0, "im": 0.0}]], [[{"re": 1.0, "im": 0.0}]]],
+            "noise_sigma": True,
+        }
+        with pytest.raises(ValueError, match="^noise_sigma must be a number, not a bool"):
+            serialize.dataset_from_obj(json.loads(json.dumps(obj)))
+
     def test_non_increasing_frequencies_rejected(self):
         import pytest
 
