@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialize
+from . import identifiability, serialize
 from .analysis import structure_report
 from .errors import QsysidError
 from .identifiability import find_gauge, gauge_transform
@@ -158,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="transfer-function equivalence of two systems")
     p.add_argument("system1")
     p.add_argument("system2")
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance")
+    p.add_argument(
+        "--tol", type=float, default=identifiability.EQUIV_RTOL, help="relative tolerance"
+    )
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("reconstruct", help="system matrices from a transfer function")
@@ -198,7 +200,7 @@ def main(argv=None) -> int:
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
         )
         return 1
-    except (OSError, ValueError, KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
         )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotMinimal
 from .model import PassiveSystem, new_system, require_unitary
-from .ratfunc import require_tol
+from .ratfunc import require_real, require_whole
 
 EQUIV_RTOL = 1e-8
 
@@ -52,8 +52,7 @@ def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
 
     The paper's definition, kept for reference: no library path uses it,
     because the powers of omega overflow and drown small moments."""
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    kmax = require_whole(kmax, "kmax", 0)
     cdag = sys.c.conj().T
     params = np.empty((kmax + 1, sys.m, sys.m), dtype=complex)
     row = sys.c
@@ -136,7 +135,7 @@ def gauge_transform(sys: PassiveSystem, t: np.ndarray) -> PassiveSystem:
 
 
 def find_gauge(
-    sys1: PassiveSystem, sys2: PassiveSystem, tol: float | None = None
+    sys1: PassiveSystem, sys2: PassiveSystem, tol: float = EQUIV_RTOL
 ) -> EquivalenceVerdict:
     """Decide equivalence of two minimal systems and recover the gauge.
 
@@ -162,14 +161,15 @@ def find_gauge(
     Raises
     ------
     ValueError
-        tol is given and is not finite and positive.
+        tol is not a finite positive number, per
+        :func:`~qsysid.ratfunc.require_real`.
     NotMinimal
         if either system is not minimal (the equivalence theorem's
         hypothesis).
     """
     if sys1.m != sys2.m:
         raise DimensionMismatch(f"port counts differ: {sys1.m} vs {sys2.m}")
-    rtol = EQUIV_RTOL if tol is None else require_tol(tol)
+    rtol = require_real(tol, "tol", 0.0, strict=True)
     for name, sys in (("first", sys1), ("second", sys2)):
         rank = sys.reached.lam.size
         if rank < sys.n:

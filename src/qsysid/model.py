@@ -28,7 +28,7 @@ from .errors import (
     NotUnitary,
     SingularResolvent,
 )
-from .ratfunc import RationalTF, poly_from_roots, require_finite
+from .ratfunc import RationalTF, poly_from_roots, read_only, require_finite
 
 HERMIT_RTOL = 1e-12
 HERMIT_ATOL = 1e-14
@@ -77,17 +77,17 @@ class PassiveSystem:
     @cached_property
     def drift(self) -> np.ndarray:
         """Drift matrix A = -i*omega - c†c/2. Satisfies A + A† + c†c = 0."""
-        return _read_only(-1j * self.omega - 0.5 * (self.c.conj().T @ self.c))
+        return read_only(-1j * self.omega - 0.5 * (self.c.conj().T @ self.c))
 
     @cached_property
     def poles(self) -> np.ndarray:
         """Eigenvalues of the drift matrix: the poles of Xi(s)."""
-        return _read_only(np.linalg.eigvals(self.drift))
+        return read_only(np.linalg.eigvals(self.drift))
 
     @cached_property
     def zeros(self) -> np.ndarray:
         """The poles mirrored, -conj(p_k): the zeros of det Xi(s)."""
-        return _read_only(-self.poles.conj())
+        return read_only(-self.poles.conj())
 
     @cached_property
     def abscissa(self) -> float:
@@ -99,7 +99,7 @@ class PassiveSystem:
         """``(lam, V, c V)`` from one ``eigh(omega)``. Xi is fixed by the
         spectral measure ``{(lam_k, (c v_k)(c v_k)†)}`` of omega seen from c†."""
         lam, v = np.linalg.eigh(self.omega)
-        return _read_only(lam), _read_only(v), _read_only(self.c @ v)
+        return read_only(lam), read_only(v), read_only(self.c @ v)
 
     @cached_property
     def reached(self) -> Reached:
@@ -134,7 +134,7 @@ class PassiveSystem:
         keep = np.linalg.norm(cv, axis=0) > (SPECTRAL_RTOL + err) * np.linalg.norm(self.c)
         if not keep.all():
             lam, v, cv, cluster, err = (a[..., keep] for a in (lam, v, cv, cluster, err))
-        return Reached(*map(_read_only, (lam, v, cv, cluster, err)), scale, eps_omega)
+        return Reached(*map(read_only, (lam, v, cv, cluster, err)), scale, eps_omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,11 +149,6 @@ class MeanTrajectory:
     input_means: np.ndarray
     system_means: np.ndarray
     output_means: np.ndarray
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def new_system(omega, c) -> PassiveSystem:
@@ -198,7 +193,7 @@ def new_system(omega, c) -> PassiveSystem:
     dev = np.abs(omega - omega.conj().T).max()
     if dev > tol:
         raise NotHermitian(f"max |omega - omega†| = {dev:.3e} exceeds {tol:.3e}")
-    return PassiveSystem(omega=_read_only(omega.copy()), c=_read_only(c.copy()))
+    return PassiveSystem(omega=read_only(omega.copy()), c=read_only(c.copy()))
 
 
 def require_grid(values, name: str, min_size: int) -> np.ndarray:
@@ -307,7 +302,7 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     den = poly_from_roots(sys.poles)
     if sys.m == 1:
         num = den.conj() * (-1.0) ** (sys.n - np.arange(sys.n + 1))
-        return RationalTF(num=num[None, None, :], den=den, m=1, poles=sys.poles)
+        return RationalTF(num=num[None, None, :], den=den, poles=sys.poles)
     radius = 2.0 * (1.0 + np.abs(sys.poles).max())
     npts = sys.n + 1
     nodes = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
@@ -319,7 +314,7 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     num = np.fft.fft(samples, axis=0) / npts
     num /= (radius ** np.arange(npts))[:, None, None]
     num = np.moveaxis(num, 0, 2)
-    return RationalTF(num=num, den=den, m=sys.m)
+    return RationalTF(num=num, den=den)
 
 
 def simulate_means(

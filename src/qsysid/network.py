@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidNetwork
 from .model import PassiveSystem, new_system
-from .ratfunc import require_finite
+from .ratfunc import read_only, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +105,13 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
         if detunings.size != n:
             raise InvalidNetwork(f"detunings must have {n} entries, got {detunings.size}")
         require_finite(detunings, "detunings")
-        detunings.setflags(write=False)
+        read_only(detunings)
     edge_tuple = tuple((i, j, canon[(i, j)]) for (i, j) in sorted(canon))
-    coupling = coupling.copy()
-    coupling.setflags(write=False)
     return NetworkModel(
         n=n,
         edges=edge_tuple,
         accessible=accessible,
-        coupling=coupling,
+        coupling=read_only(coupling.copy()),
         detunings=detunings,
     )
 

@@ -16,7 +16,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import DimensionMismatch, InsufficientData, NotHurwitz
 from .model import PassiveSystem, require_grid, transfer_at
-from .ratfunc import RationalTF, make_rational_tf, require_finite
+from .ratfunc import RationalTF, make_rational_tf, require_finite, require_real, require_whole
 from .realization import CanonicalParams, companion_realization, reconstruct_passive
 
 MAX_SK_ITERATIONS = 6
@@ -57,17 +57,6 @@ class FitResult:
     converged: bool
 
 
-def require_sigma(noise_sigma) -> float:
-    """Return noise_sigma as a float. Raises ValueError unless finite and >= 0;
-    a bool, which float() would read as 1 or 0, is refused."""
-    if isinstance(noise_sigma, (bool, np.bool_)):
-        raise ValueError(f"noise_sigma must be a number, not a bool, got {noise_sigma}")
-    require_finite(noise_sigma, "noise_sigma")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
-    return float(noise_sigma)
-
-
 def sample_response(
     sys: PassiveSystem,
     freqs,
@@ -91,9 +80,10 @@ def sample_response(
         per :func:`~qsysid.model.require_grid`: freqs empty, not finite,
         or not strictly increasing.
     ValueError
-        noise_sigma negative, not finite or a bool.
+        noise_sigma not a finite real number >= 0, per
+        :func:`~qsysid.ratfunc.require_real`.
     """
-    noise_sigma = require_sigma(noise_sigma)
+    noise_sigma = require_real(noise_sigma, "noise_sigma", 0.0)
     freqs = require_grid(freqs, "freqs", 1)
     rank = sys.reached.lam.size
     if rank < sys.n:
@@ -150,9 +140,7 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
         raise DimensionMismatch(f"fit requires single-port data, got m = {data.m}")
     freqs = require_grid(data.freqs, "freqs", 1)
     require_finite(data.responses, "responses")
-    if isinstance(degree, bool) or not float(degree).is_integer() or degree < 1:
-        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
-    n = int(degree)
+    n = require_whole(degree, "degree", 1)
     if freqs.size < 2 * (2 * n + 1):
         raise InsufficientData(
             f"{freqs.size} samples for degree {n}; need at least {2 * (2 * n + 1)}"

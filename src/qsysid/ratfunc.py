@@ -7,6 +7,7 @@ input) entry in an ``(m, m, deg + 1)`` array.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,15 +40,38 @@ def require_finite(value, name: str) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def require_tol(tol) -> float:
-    """Return tol as a float. Raises ValueError unless it is finite and > 0;
-    a bool, which float() would read as 1 or 0, is refused."""
-    if isinstance(tol, (bool, np.bool_)):
-        raise ValueError(f"tol must be a number, not a bool, got {tol}")
-    tol = float(tol)
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    return tol
+def require_real(value, name: str, low: float, strict: bool = False) -> float:
+    """Return value as a float: the one check of every real scalar argument.
+
+    Raises ValueError naming ``name`` unless value is a real scalar, finite
+    and >= low (> low when ``strict``). A bool, which float() would read as
+    1 or 0, has its own message; a complex value, even with a zero
+    imaginary part, a str, None and an array are refused as not real."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+    x = float(value) if isinstance(value, numbers.Real) else np.nan
+    if not (low < x < np.inf or x == low and not strict):
+        bound = f"{'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    return x
+
+
+def require_whole(value, name: str, low: int) -> int:
+    """Return value as an int: :func:`require_real`'s rule, and integral.
+    Every refusal, a bool's too, reads "``name`` must be an integer >= low"."""
+    try:
+        x = require_real(value, name, low)
+    except ValueError:
+        x = np.nan
+    if not x.is_integer():
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(x)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Make a read-only and return it: the one freeze of every kept array."""
+    a.setflags(write=False)
+    return a
 
 
 def require_monic(den: np.ndarray) -> None:
@@ -71,8 +95,6 @@ class RationalTF:
         Numerator coefficients per port pair, ascending degree.
     den : ndarray, shape (deg + 1,)
         Common denominator coefficients, ascending degree, monic.
-    m : int
-        Port count.
     poles : ndarray or None
         The exact roots of den when they are known (a single-port
         :func:`~qsysid.model.transfer_rational`), else None; the single-port
@@ -82,7 +104,6 @@ class RationalTF:
 
     num: np.ndarray
     den: np.ndarray
-    m: int
     poles: np.ndarray | None = None
     # the single-port reconstruction of this immutable function: one read-only
     # record, kept by qsysid.realization on first use and shared by every caller
@@ -91,7 +112,12 @@ class RationalTF:
     def __post_init__(self):
         for a in (self.num, self.den, self.poles):
             if a is not None:
-                a.setflags(write=False)
+                read_only(a)
+
+    @property
+    def m(self) -> int:
+        """Port count, the numerator's."""
+        return self.num.shape[0]
 
     @property
     def degree(self) -> int:
@@ -104,7 +130,7 @@ class RationalTF:
         return num / polyval(s, self.den)[..., None, None]
 
 
-def make_rational_tf(num, den, m: int | None = None) -> RationalTF:
+def make_rational_tf(num, den) -> RationalTF:
     """Validate and normalize raw coefficient arrays into a RationalTF.
 
     ``num`` may be a 1-D array for the single-port case or a full
@@ -113,7 +139,7 @@ def make_rational_tf(num, den, m: int | None = None) -> RationalTF:
     A coefficient that is not finite raises ValueError. Both arrays are
     copied, so the function never shares memory with the caller's.
     """
-    den = np.asarray(den, dtype=complex).ravel()
+    den = np.array(den, dtype=complex).ravel()
     num = np.array(num, dtype=complex)
     require_finite(num, "num")
     require_finite(den, "den")
@@ -121,19 +147,12 @@ def make_rational_tf(num, den, m: int | None = None) -> RationalTF:
         num = num.reshape(1, 1, -1)
     if num.ndim != 3 or num.shape[0] != num.shape[1]:
         raise DimensionMismatch(f"numerator array has shape {num.shape}")
-    if m is None:
-        m = num.shape[0]
-    if num.shape[0] != m:
-        raise DimensionMismatch(f"numerator is {num.shape[0]}-port, expected {m}")
     require_monic(den)
-    den = den.copy()
     den[-1] = 1.0
-    if num.shape[2] < len(den):
-        pad = np.zeros((m, m, len(den) - num.shape[2]), dtype=complex)
-        num = np.concatenate([num, pad], axis=2)
-    elif num.shape[2] > len(den):
-        extra = num[:, :, len(den):]
-        if np.abs(extra).max() > 0:
+    size = len(den)
+    if num.shape[2] != size:
+        if np.abs(num[:, :, size:]).max(initial=0.0) > 0:
             raise DimensionMismatch("numerator degree exceeds denominator degree")
-        num = num[:, :, :len(den)]
-    return RationalTF(num=num, den=den, m=m)
+        kept, num = num[:, :, :size], np.zeros(num.shape[:2] + (size,), dtype=complex)
+        num[:, :, : kept.shape[2]] = kept
+    return RationalTF(num=num, den=den)

@@ -24,7 +24,7 @@ from .errors import (
     SolverSingular,
 )
 from .model import PassiveSystem, new_system
-from .ratfunc import RationalTF, require_monic, require_tol
+from .ratfunc import RationalTF, read_only, require_monic, require_real
 
 LYAPUNOV_RTOL = 1e-10
 PASSIVITY_RTOL = 1e-8
@@ -54,10 +54,6 @@ class CanonicalParams:
     omega11: float
     lambdas: np.ndarray
     e_abs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.lambdas) + 1
 
 
 def _vanishing_difference(tf: RationalTF) -> np.ndarray:
@@ -190,7 +186,7 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple:
         some |g_k| not within -Re p_k, or some |Re g_k| above
         2 tol sqrt(w_j theta).
     """
-    tol = require_tol(tol)
+    tol = require_real(tol, "tol", 0.0, strict=True)
     kept = real.tf._kept.get("measure")
     if kept is None:
         poles = real.tf.poles
@@ -208,9 +204,7 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple:
             p = p + 0.5 * g.conj()
         lam, w = _cascade(p)
         j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
-        offset = 0.5 * np.abs(g.real)
-        for a in (lam, w, j, offset):
-            a.setflags(write=False)
+        lam, w, j, offset = map(read_only, (lam, w, j, 0.5 * np.abs(g.real)))
         # setdefault: callers racing on first use all get the first record kept
         kept = real.tf._kept.setdefault("measure", (lam, w, _canonical(lam, w), offset, j))
     lam, w, params, offset, j = kept
@@ -239,8 +233,7 @@ def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
     reflected = h @ (lam[:, None] * h)
     lambdas, y = np.linalg.eigh(reflected[1:, 1:])
     e_abs = np.abs(reflected[0, 1:] @ y)
-    lambdas.setflags(write=False)
-    e_abs.setflags(write=False)
+    lambdas, e_abs = map(read_only, (lambdas, e_abs))
     return CanonicalParams(float(theta), float(reflected[0, 0]), lambdas, e_abs)
 
 

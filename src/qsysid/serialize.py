@@ -15,8 +15,8 @@ from .errors import DimensionMismatch
 from .identifiability import EquivalenceVerdict
 from .model import PassiveSystem, new_system, require_grid
 from .network import InfectionTrace, InfectionVerdict, NetworkModel, new_network
-from .probe import FitResult, ProbeDataset, require_sigma
-from .ratfunc import RationalTF, make_rational_tf
+from .probe import FitResult, ProbeDataset
+from .ratfunc import RationalTF, make_rational_tf, require_real
 from .realization import CanonicalParams
 
 
@@ -83,7 +83,10 @@ def tf_from_obj(obj) -> RationalTF:
     # pad ragged entries; make_rational_tf refuses nonzero terms beyond den's degree
     size = max(len(den), *(len(entry) for row in num for entry in row))
     num = [[np.pad(entry, (0, size - len(entry))) for entry in row] for row in num]
-    return make_rational_tf(np.array(num), den, int(obj["m"]))
+    tf = make_rational_tf(np.array(num), den)
+    if tf.m != int(obj["m"]):
+        raise DimensionMismatch(f"declared m = {obj['m']} but the numerator is {tf.m}-port")
+    return tf
 
 
 def network_to_obj(net: NetworkModel) -> dict:
@@ -129,7 +132,7 @@ def dataset_from_obj(obj) -> ProbeDataset:
     return ProbeDataset(
         freqs=freqs,
         responses=responses,
-        noise_sigma=require_sigma(obj.get("noise_sigma", 0.0)),
+        noise_sigma=require_real(obj.get("noise_sigma", 0.0), "noise_sigma", 0.0),
         seed=int(obj["seed"]) if "seed" in obj else None,
     )
 

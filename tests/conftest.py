@@ -130,6 +130,18 @@ def random_single_node_siso(
         return new_system(omega, c)
 
 
+# Values that are no real scalar, each of which would read as 1 if converted:
+# every scalar argument refuses them, naming itself in the message.
+NOT_REAL = [True, 1j, np.complex128(1), "1", None, np.array([1.0])]
+
+
+def real_refusal(name: str, bound: str, value) -> str:
+    """Pattern of the message that refuses value for the real argument name."""
+    if isinstance(value, bool):
+        return f"^{name} must be a number, not a bool, got True$"
+    return f"^{name} must be finite and {bound}, got "
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -316,6 +316,20 @@ class TestProbeFitCompose:
         assert err["error"] == "ValueError"
         assert err["detail"].startswith("freqs must be finite")
 
+    @pytest.mark.parametrize("key", ["noise_sigma", "freqs"])
+    def test_integer_beyond_float_range_exit_two(self, tmp_path, key):
+        # JSON reads 10**400 as an int, which no float holds
+        obj = serialize.dataset_to_obj(
+            qsysid.sample_response(chain_system(), np.geomspace(0.1, 10.0, 20))
+        )
+        if key == "freqs":
+            obj["freqs"][-1] = 10**400
+        else:
+            obj["noise_sigma"] = 10**400
+        proc = run_cli("fit", write_json(tmp_path / "huge.json", obj), "--degree", "3")
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "OverflowError"
+
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_bad_noise_sigma_exit_two(self, tmp_path, sigma):
         obj = serialize.dataset_to_obj(

@@ -25,11 +25,13 @@ from qsysid.identifiability import EQUIV_RTOL, _measure_gaps
 from qsysid.serialize import verdict_to_obj
 
 from conftest import (
+    NOT_REAL,
     chain_system,
     coupling_fixing_unitary,
     planted_rank_system,
     random_passive,
     random_unitary,
+    real_refusal,
     ring_system,
     tree_system,
     uniform_chain,
@@ -37,6 +39,16 @@ from conftest import (
 
 
 class TestMarkovSequence:
+    @pytest.mark.parametrize("kmax", NOT_REAL + [2.5, -1, float("nan")], ids=repr)
+    def test_kmax_must_be_a_whole_number(self, kmax):
+        with pytest.raises(ValueError, match=r"^kmax must be an integer >= 0, got "):
+            markov_sequence(chain_system(), kmax)
+
+    def test_numpy_integer_kmax_accepted(self):
+        seq = markov_sequence(chain_system(), np.int64(2))
+        assert seq.kmax == 2 and type(seq.kmax) is int
+        np.testing.assert_array_equal(seq.params, markov_sequence(chain_system(), 2).params)
+
     def test_chain_closed_forms(self):
         kappa, th1, th2 = 0.5, 0.6, 0.8
         seq = markov_sequence(chain_system(kappa, th1, th2), 4).params[:, 0, 0]
@@ -298,6 +310,10 @@ class TestGaugeTransform:
         with pytest.raises(NotUnitary):
             gauge_transform(chain_system(), np.diag([1.0, 2.0, 1.0]))
 
+    def test_gauge_of_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"^gauge must be 3 x 3, got \(2, 2\)$"):
+            gauge_transform(chain_system(), np.eye(2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gauge_rejected(self, bad):
         # max |U U† - I| > tol is False for NaN, so finiteness is checked first
@@ -379,12 +395,21 @@ class TestFindGauge:
         assert verdict.equivalent
         assert np.abs(verdict.gauge - t).max() <= 1e-8
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8] + NOT_REAL)
     def test_tolerance_must_be_finite_and_positive(self, tol):
         # a NaN tolerance would make every comparison False: not equivalent to itself
         sys = chain_system()
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        with pytest.raises(ValueError, match=real_refusal("tol", "> 0", tol)):
             find_gauge(sys, sys, tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.float32(1e-6), np.int64(1)], ids=repr)
+    def test_numpy_scalar_tolerance_accepted(self, tol):
+        sys = chain_system()
+        assert find_gauge(sys, gauge_transform(sys, np.diag([1, 1, -1])), tol).equivalent
+
+    def test_different_port_counts_rejected(self, rng):
+        with pytest.raises(DimensionMismatch, match="^port counts differ: 1 vs 2$"):
+            find_gauge(random_passive(rng, 3, 1), random_passive(rng, 3, 2))
 
     def test_bool_tolerance_refused(self):
         # float(True) is a 100% tolerance: it would certify the paper's chain

@@ -1,6 +1,7 @@
 """Model construction, drift matrix, transfer evaluation, mean dynamics."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ class TestNewSystem:
         sys = new_system([[0.0]], [[1.0]])
         with pytest.raises(ValueError):
             sys.omega[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "omega, c, message",
+        [
+            (np.zeros((0, 0)), np.zeros((1, 0)), "system needs at least one mode"),
+            ([[0.0]], np.zeros((0, 1)), "system needs at least one field"),
+        ],
+    )
+    def test_empty_system_rejected(self, omega, c, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            new_system(omega, c)
 
     @pytest.mark.parametrize(
         "omega, c, name", [([[np.nan]], [[1.0]], "omega"), ([[0.0]], [[np.inf]], "c")]
@@ -366,6 +378,26 @@ class TestRationalTF:
         with pytest.raises(ValueError, match="^num must be finite"):
             make_rational_tf([1.0, np.nan], [0.5, 1.0])
 
+    def test_port_count_is_the_numerators(self, rng):
+        assert "m" not in {f.name for f in dataclasses.fields(qsysid.RationalTF)}
+        assert list(inspect.signature(make_rational_tf).parameters) == ["num", "den"]
+        for m in (1, 2):
+            tf = transfer_rational(random_passive(rng, 3, m))
+            assert tf.m == tf.num.shape[0] == m
+            assert make_rational_tf(tf.num, tf.den).m == m
+
+    def test_non_square_numerator_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"^numerator array has shape \(1, 2, 2\)$"):
+            make_rational_tf(np.ones((1, 2, 2)), [0.5, 1.0])
+
+    def test_short_numerator_padded_and_trailing_zeros_dropped(self):
+        padded = make_rational_tf([0.5], [0.5, 0.2, 1.0])
+        np.testing.assert_array_equal(padded.num, [[[0.5, 0.0, 0.0]]])
+        cut = make_rational_tf([0.5, -0.2, 1.0, 0.0, 0.0], [0.5, 0.2, 1.0])
+        np.testing.assert_array_equal(cut.num, [[[0.5, -0.2, 1.0]]])
+        with pytest.raises(DimensionMismatch, match="^numerator degree exceeds denominator"):
+            make_rational_tf([0.5, -0.2, 1.0, 0.0, 1e-300], [0.5, 0.2, 1.0])
+
     def test_coefficients_copied_read_only(self):
         # the kept reconstruction is only sound for a function that cannot change
         num = np.array([-0.4, 1.0], dtype=complex)
@@ -460,6 +492,10 @@ class TestSimulateMeans:
     def test_initial_mean_of_wrong_length(self, x0):
         with pytest.raises(DimensionMismatch, match=f"initial_mean must have length 3, got {len(x0)}"):
             simulate_means(chain_system(), lambda t: [0.0], [0.0, 1.0], initial_mean=x0)
+
+    def test_beta_of_wrong_length(self):
+        with pytest.raises(DimensionMismatch, match="^beta\\(t\\) must have length 1, got 2$"):
+            simulate_means(chain_system(), lambda t: [0.0, 0.0], [0.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_initial_mean_not_finite(self, bad):

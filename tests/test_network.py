@@ -1,5 +1,7 @@
 """Network Hamiltonians, infection closure, identifiability verdict."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,29 @@ class TestOmegaFromNetwork:
             new_network(3, [(0, 1, 1.0 + 0.5j)], [0])
         with pytest.raises(InvalidNetwork):
             new_network(3, [(0, 1, 1.0)], [0], coupling=[[1.0, 0.5, 0.0]])
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((0, [], [0]), {}, "need at least one vertex"),
+            ((3, [(0, 3, 1.0)], [0]), {}, "edge (0, 3) out of range for n=3"),
+            ((3, [(0, 1, 1.0), (1, 0, 2.0)], [0]), {}, "duplicate edge (0, 1)"),
+            ((3, [(0, 1, 1.0)], [0, 3]), {}, "accessible vertices (0, 3) out of range"),
+            (
+                (3, [(0, 1, 1.0)], [0]),
+                {"coupling": [[1.0, 0.0]]},
+                "coupling must have 3 columns, got (1, 2)",
+            ),
+            (
+                (3, [(0, 1, 1.0)], [0, 1]),
+                {"coupling": [[1.0, 1.0, 0.0]]},
+                "c†c restricted to the accessible set is not positive",
+            ),
+        ],
+    )
+    def test_refusal_names_its_cause(self, args, kwargs, message):
+        with pytest.raises(InvalidNetwork, match=f"^{re.escape(message)}$"):
+            new_network(*args, **kwargs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_edge_weight_rejected(self, bad):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsysid import (
+    DimensionMismatch,
     InsufficientData,
     NonMonotoneGrid,
     NotHurwitz,
@@ -24,11 +25,13 @@ from qsysid import (
 from qsysid.probe import ProbeDataset
 
 from conftest import (
+    NOT_REAL,
     chain_system,
     coupling_fixing_unitary,
     one_mode_system,
     random_single_node_siso,
     random_unitary,
+    real_refusal,
 )
 
 
@@ -92,6 +95,18 @@ class TestSampleResponse:
         with pytest.raises(ValueError, match="^noise_sigma must be finite"):
             sample_response(chain_system(), [0.1, 1.0], noise_sigma=np.nan)
 
+    @pytest.mark.parametrize("sigma", NOT_REAL + [-0.1], ids=repr)
+    def test_sigma_must_be_a_real_scalar(self, sigma):
+        with pytest.raises(ValueError, match=real_refusal("noise_sigma", ">= 0", sigma)):
+            sample_response(chain_system(), [0.1, 1.0], noise_sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [np.float32(1e-3), np.int64(0)], ids=repr)
+    def test_numpy_scalar_sigma_accepted(self, sigma):
+        data = sample_response(chain_system(), [0.1, 1.0], noise_sigma=sigma, seed=4)
+        assert type(data.noise_sigma) is float and data.noise_sigma == sigma
+        same = sample_response(chain_system(), [0.1, 1.0], noise_sigma=float(sigma), seed=4)
+        np.testing.assert_array_equal(data.responses, same.responses)
+
     def test_non_finite_frequency_rejected(self):
         with pytest.raises(ValueError, match="^freqs must be finite"):
             sample_response(chain_system(), [0.1, np.nan, 1.0])
@@ -111,6 +126,12 @@ class TestSampleResponse:
 
 
 class TestFitRational:
+    def test_multiport_data_rejected(self):
+        freqs = np.geomspace(0.1, 10.0, 20)
+        data = ProbeDataset(freqs=freqs, responses=np.ones((20, 2, 2), complex), noise_sigma=0.0)
+        with pytest.raises(DimensionMismatch, match="^fit requires single-port data, got m = 2$"):
+            fit_rational(data, 1)
+
     def test_non_finite_response_rejected(self):
         data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 40))
         responses = data.responses.copy()
@@ -209,13 +230,19 @@ class TestFitRational:
         with pytest.raises(InsufficientData, match="determine 3 of the 6"):
             fit_rational(data, 3)
 
-    @pytest.mark.parametrize("degree", [2.5, True, 0, -1, np.nan])
+    @pytest.mark.parametrize("degree", [2.5, True, 0, -1, np.nan] + NOT_REAL[1:])
     def test_bad_degree_rejected(self, degree):
         data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 40))
         with pytest.raises(ValueError, match="^degree must be an integer >= 1"):
             fit_rational(data, degree)
         with pytest.raises(ValueError, match="^degree must be an integer >= 1"):
             identify_pipeline(data, degree)
+
+    @pytest.mark.parametrize("degree", [np.int64(3), np.float32(3.0)], ids=repr)
+    def test_numpy_scalar_degree_accepted(self, degree):
+        data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 40))
+        fit = fit_rational(data, degree)
+        np.testing.assert_array_equal(fit.tf.num, fit_rational(data, 3).tf.num)
 
 
 class TestIdentifyPipeline:

@@ -30,11 +30,13 @@ from qsysid import realization
 from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _measure
 
 from conftest import (
+    NOT_REAL,
     chain_system,
     one_mode_system,
     random_passive,
     random_single_node_siso,
     random_unitary,
+    real_refusal,
     uniform_chain,
 )
 
@@ -124,6 +126,11 @@ class TestSolveLyapunov:
         expected = (c1**2 / (2 * a1)) * np.diag([a0, 1.0])
         np.testing.assert_allclose(p, expected, atol=1e-10)
 
+    def test_mismatched_shapes_rejected(self):
+        match = r"^shapes \(2, 2\) and \(3, 3\) are incompatible$"
+        with pytest.raises(DimensionMismatch, match=match):
+            solve_lyapunov(-np.eye(2), np.eye(3))
+
     def test_scalar(self):
         p = solve_lyapunov(np.array([[-1.0]]), np.array([[2.0]]))
         np.testing.assert_allclose(p, [[1.0]], atol=1e-14)
@@ -208,12 +215,17 @@ class TestReconstructPassive:
         with pytest.raises(NotPassiveTF):
             reconstruct_passive(companion_realization(two_node_tf(2.0, 0.3, -0.59)))
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8] + NOT_REAL)
     def test_tolerance_must_be_finite_and_positive(self, tol):
         # a NaN tolerance would turn every passivity check off
         tf_bad = two_node_tf(2.0, 0.3, -0.59)
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        with pytest.raises(ValueError, match=real_refusal("tol", "> 0", tol)):
             reconstruct_passive(companion_realization(tf_bad), passivity_tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.float32(1e-8), np.int64(1)], ids=repr)
+    def test_numpy_scalar_tolerance_accepted(self, tol):
+        real = companion_realization(transfer_rational(chain_system()))
+        assert reconstruct_passive(real, tol)[1] is reconstruct_passive(real)[1]
 
     def test_bool_tolerance_refused(self):
         real = companion_realization(transfer_rational(chain_system()))

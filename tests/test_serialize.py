@@ -3,11 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
-from qsysid import serialize
+from qsysid import DimensionMismatch, sample_response, serialize, transfer_rational
 from qsysid.probe import ProbeDataset
 
-from conftest import chain_system, random_passive
+from conftest import NOT_REAL, chain_system, random_passive, real_refusal
 from test_network import tree_network
 
 
@@ -40,6 +41,14 @@ class TestSystemFormat:
         assert len(obj["c"]) == 1 and len(obj["c"][0]) == 3
         assert set(obj["omega"][0][0]) == {"re", "im"}
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_declared_size_disagreeing_with_matrices_rejected(self, key):
+        obj = dict(serialize.system_to_obj(chain_system()), **{key: 2})
+        n, m = obj["n"], obj["m"]
+        match = rf"^declared sizes \({n}, {m}\) do not match matrices$"
+        with pytest.raises(DimensionMismatch, match=match):
+            serialize.system_from_obj(obj)
+
 
 class TestTfFormat:
     def test_roundtrip(self):
@@ -51,6 +60,17 @@ class TestTfFormat:
         np.testing.assert_array_equal(back.den, tf.den)
         np.testing.assert_array_equal(back.num, tf.num)
         assert back.m == tf.m
+
+    def test_declared_m_disagreeing_with_num_rejected(self):
+        obj = dict(serialize.tf_to_obj(transfer_rational(chain_system())), m=2)
+        with pytest.raises(DimensionMismatch, match="^declared m = 2 but the numerator is 1-port"):
+            serialize.tf_from_obj(obj)
+
+    def test_ragged_num_rows_rejected(self, rng):
+        obj = serialize.tf_to_obj(transfer_rational(random_passive(rng, 3, 2)))
+        obj["num"][1] = obj["num"][1][:1]
+        with pytest.raises(DimensionMismatch, match="^num must be a square array of polynomials$"):
+            serialize.tf_from_obj(obj)
 
     def test_entries_of_different_lengths_padded(self):
         one, zero = {"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}
@@ -97,6 +117,24 @@ class TestDatasetFormat:
         np.testing.assert_array_equal(back.responses, data.responses)
         assert back.noise_sigma == data.noise_sigma
         assert back.seed == 9
+
+    @pytest.mark.parametrize("sigma", NOT_REAL + [-1.0], ids=repr)
+    def test_noise_sigma_must_be_a_real_scalar(self, sigma):
+        obj = serialize.dataset_to_obj(sample_response(chain_system(), [0.5, 1.0]))
+        with pytest.raises(ValueError, match=real_refusal("noise_sigma", ">= 0", sigma)):
+            serialize.dataset_from_obj(dict(obj, noise_sigma=sigma))
+
+    def test_numpy_scalar_noise_sigma_accepted(self):
+        obj = serialize.dataset_to_obj(sample_response(chain_system(), [0.5, 1.0]))
+        data = serialize.dataset_from_obj(dict(obj, noise_sigma=np.float32(1e-4)))
+        assert type(data.noise_sigma) is float and data.noise_sigma == np.float32(1e-4)
+
+    def test_misshapen_responses_rejected(self):
+        obj = serialize.dataset_to_obj(sample_response(chain_system(), [0.5, 1.0]))
+        obj["responses"] = obj["responses"][:1]
+        match = r"^responses must be 2 square matrices, not \(1, 1, 1\)$"
+        with pytest.raises(DimensionMismatch, match=match):
+            serialize.dataset_from_obj(obj)
 
     def test_bool_noise_sigma_rejected(self):
         import pytest
