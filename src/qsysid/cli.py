@@ -53,25 +53,11 @@ def _default_freqs(sys) -> np.ndarray:
 
 
 def _write_response_csv(path: str, data) -> None:
-    m = data.m
-    cols = ["omega"]
-    for i in range(m):
-        for j in range(m):
-            tag = f"{i}{j}"
-            cols += [f"re_{tag}", f"im_{tag}", f"abs_{tag}", f"arg_{tag}"]
-    lines = [",".join(cols)]
-    for w, resp in zip(data.freqs, data.responses):
-        row = [repr(float(w))]
-        for i in range(m):
-            for j in range(m):
-                z = complex(resp[i, j])
-                row += [
-                    repr(z.real),
-                    repr(z.imag),
-                    repr(abs(z)),
-                    repr(cmath.phase(z)),
-                ]
-        lines.append(",".join(row))
+    tags = [f"{i}{j}" for i in range(data.m) for j in range(data.m)]
+    lines = [",".join(["omega"] + [f"{k}_{t}" for t in tags for k in ("re", "im", "abs", "arg")])]
+    for w, resp in zip(data.freqs.tolist(), data.responses.tolist()):
+        row = [w] + [x for r in resp for z in r for x in (z.real, z.imag, abs(z), cmath.phase(z))]
+        lines.append(",".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -93,7 +79,7 @@ def cmd_reconstruct(args) -> int:
     tf = serialize.tf_from_obj(_load_json(args.tf))
     gauge = None
     if args.gauge is not None:
-        gauge = serialize.matrix_from_obj(_load_json(args.gauge))
+        gauge = serialize.array_from_obj(_load_json(args.gauge), 2, "gauge")
     system, params = reconstruct_passive(companion_realization(tf))
     if gauge is not None:
         system = gauge_transform(system, gauge)
@@ -195,16 +181,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QsysidError as exc:
+    except (QsysidError, OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
         )
-        return 1
-    except (OSError, ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
-        )
-        return 2
+        return 1 if isinstance(exc, QsysidError) else 2
 
 
 if __name__ == "__main__":

@@ -18,17 +18,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotMinimal
 from .model import PassiveSystem, new_system, require_unitary
-from .ratfunc import require_real, require_whole
+from .ratfunc import read_only, require_real, require_whole
 
 EQUIV_RTOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class MarkovSequence:
-    """Moment matrices params[k] = c omega^k c†, each Hermitian m x m."""
-
-    params: np.ndarray
-    kmax: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +39,9 @@ class EquivalenceVerdict:
     residual: float
 
 
-def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
-    """Moments c omega^k c† for k = 0..kmax, by iterated multiplication.
+def markov_sequence(sys: PassiveSystem, kmax: int) -> np.ndarray:
+    """Moments c omega^k c† for k = 0..kmax, by iterated multiplication: a
+    read-only ``(kmax + 1, m, m)`` array, each entry Hermitian m x m.
 
     The paper's definition, kept for reference: no library path uses it,
     because the powers of omega overflow and drown small moments."""
@@ -59,7 +52,7 @@ def markov_sequence(sys: PassiveSystem, kmax: int) -> MarkovSequence:
     for k in range(kmax + 1):
         params[k] = row @ cdag
         row = row @ sys.omega
-    return MarkovSequence(params=params, kmax=kmax)
+    return read_only(params)
 
 
 def _measure(sys: PassiveSystem) -> tuple[np.ndarray, ...]:

@@ -204,16 +204,15 @@ def require_grid(values, name: str, min_size: int) -> np.ndarray:
     ------
     ValueError
         the values are complex, even with zero imaginary parts, or an entry
-        is not finite.
+        is not a finite number, per :func:`~qsysid.ratfunc.require_finite`.
     NonMonotoneGrid
         fewer than ``min_size`` points, or the values are not strictly
         increasing.
     """
-    grid = np.asarray(values)
+    grid = require_finite(values, name)
     if np.iscomplexobj(grid):
         raise ValueError(f"{name} must be real, got complex values")
     grid = np.asarray(grid, dtype=float).ravel()
-    require_finite(grid, name)
     if grid.size < min_size:
         raise NonMonotoneGrid(f"{name} has {grid.size} points, needs at least {min_size}")
     if np.any(np.diff(grid) <= 0):

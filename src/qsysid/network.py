@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidNetwork
 from .model import PassiveSystem, new_system
-from .ratfunc import read_only, require_finite
+from .ratfunc import read_only, require_finite, require_whole
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,16 +54,20 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
 
     ``coupling`` defaults to one unit row per accessible vertex. Weights
     must be real; complex-weight networks are outside the infection
-    theorem and rejected. Raises ValueError naming the field ("edge
-    weights", "coupling" or "detunings") when an entry is not finite, and
-    InvalidNetwork when coupling or detunings do not match n.
+    theorem and rejected. ``n`` and every vertex index pass
+    :func:`~qsysid.ratfunc.require_whole` and every weight and detuning
+    :func:`~qsysid.ratfunc.require_finite`: each raises ValueError naming
+    the field ("n", "edge index", "accessible vertex", "edge weights",
+    "coupling" or "detunings") for a value that is not a finite number, or
+    not whole. Raises InvalidNetwork for fewer than one vertex, an index out
+    of range, and coupling or detunings that do not match n.
     """
-    n = int(n)
+    n = require_whole(n, "n", -np.inf)
     if n < 1:
         raise InvalidNetwork("need at least one vertex")
     canon = {}
-    for edge in edges:
-        i, j, w = int(edge[0]), int(edge[1]), edge[2]
+    for i, j, w in edges:
+        i, j = require_whole(i, "edge index", -np.inf), require_whole(j, "edge index", -np.inf)
         if not (0 <= i < n and 0 <= j < n):
             raise InvalidNetwork(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:
@@ -73,9 +77,9 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
         key = (min(i, j), max(i, j))
         if key in canon:
             raise InvalidNetwork(f"duplicate edge {key}")
-        canon[key] = float(np.real(w))
-    require_finite(list(canon.values()), "edge weights")
-    accessible = tuple(sorted({int(v) for v in accessible}))
+        canon[key] = w
+    weights = np.real(require_finite(list(canon.values()), "edge weights")).astype(float)
+    accessible = tuple(sorted({require_whole(v, "accessible vertex", -np.inf) for v in accessible}))
     if not accessible:
         raise InvalidNetwork("accessible set is empty")
     if accessible[0] < 0 or accessible[-1] >= n:
@@ -101,15 +105,14 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     if eigs.min() <= 1e-12 * max(eigs.max(), 1e-300):
         raise InvalidNetwork("c†c restricted to the accessible set is not positive")
     if detunings is not None:
+        require_finite(detunings, "detunings")
         detunings = np.array(detunings, dtype=float).ravel()
         if detunings.size != n:
             raise InvalidNetwork(f"detunings must have {n} entries, got {detunings.size}")
-        require_finite(detunings, "detunings")
         read_only(detunings)
-    edge_tuple = tuple((i, j, canon[(i, j)]) for (i, j) in sorted(canon))
     return NetworkModel(
         n=n,
-        edges=edge_tuple,
+        edges=tuple(sorted((i, j, w) for (i, j), w in zip(canon, weights.tolist()))),
         accessible=accessible,
         coupling=read_only(coupling.copy()),
         detunings=detunings,

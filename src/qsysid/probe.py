@@ -81,9 +81,11 @@ def sample_response(
         or not strictly increasing.
     ValueError
         noise_sigma not a finite real number >= 0, per
-        :func:`~qsysid.ratfunc.require_real`.
+        :func:`~qsysid.ratfunc.require_real`, or seed not a whole number
+        >= 0, per :func:`~qsysid.ratfunc.require_whole`.
     """
     noise_sigma = require_real(noise_sigma, "noise_sigma", 0.0)
+    seed = require_whole(seed, "seed", 0)
     freqs = require_grid(freqs, "freqs", 1)
     rank = sys.reached.lam.size
     if rank < sys.n:

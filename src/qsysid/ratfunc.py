@@ -8,6 +8,7 @@ input) entry in an ``(m, m, deg + 1)`` array.
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,18 @@ def poly_from_roots(roots: np.ndarray) -> np.ndarray:
     return a[::-1]
 
 
-def require_finite(value, name: str) -> None:
-    """Raise ValueError naming ``name`` unless every entry of value is finite."""
-    if not np.isfinite(value).all():
+def require_finite(value, name: str) -> np.ndarray:
+    """Return value as an array: the one finiteness check of array arguments.
+    Raises ValueError naming ``name`` unless every entry is a finite number; as
+    in :func:`require_real`, a bool, a str and an int beyond 64 bits are not."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iufc" or isinstance(value, list) and any(
+        isinstance(v, (bool, np.bool_)) for v in value
+    ):
+        raise ValueError(f"{name} must be finite numbers, got {reprlib.repr(value)}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
+    return a
 
 
 def require_real(value, name: str, low: float, strict: bool = False) -> float:
@@ -46,25 +55,31 @@ def require_real(value, name: str, low: float, strict: bool = False) -> float:
     Raises ValueError naming ``name`` unless value is a real scalar, finite
     and >= low (> low when ``strict``). A bool, which float() would read as
     1 or 0, has its own message; a complex value, even with a zero
-    imaginary part, a str, None and an array are refused as not real."""
+    imaginary part, a str, None, an array and an int beyond the float range
+    are refused as not real."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-    x = float(value) if isinstance(value, numbers.Real) else np.nan
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else np.nan
+    except OverflowError:
+        x = np.nan
     if not (low < x < np.inf or x == low and not strict):
         bound = f"{'>' if strict else '>='} {low:g}"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
     return x
 
 
-def require_whole(value, name: str, low: int) -> int:
+def require_whole(value, name: str, low: float) -> int:
     """Return value as an int: :func:`require_real`'s rule, and integral.
-    Every refusal, a bool's too, reads "``name`` must be an integer >= low"."""
+    Every refusal, a bool's too, reads "``name`` must be an integer >= low"
+    ("``name`` must be an integer" for ``low = -inf``)."""
     try:
         x = require_real(value, name, low)
     except ValueError:
         x = np.nan
     if not x.is_integer():
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        bound = f" >= {low}" if low > -np.inf else ""
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(x)
 
 

@@ -1,7 +1,8 @@
 """JSON encodings for every wire format the CLI reads and writes.
 
-Complex numbers travel as {"re": float, "im": float}; matrices are
-row-major nested lists. All floats round-trip at full double precision.
+Complex numbers travel as {"re": float, "im": float}; arrays are row-major
+nested lists. All floats round-trip at full double precision. Only the layout
+lives here: every number read passes the rule of the constructor it reaches.
 """
 
 from __future__ import annotations
@@ -16,76 +17,74 @@ from .identifiability import EquivalenceVerdict
 from .model import PassiveSystem, new_system, require_grid
 from .network import InfectionTrace, InfectionVerdict, NetworkModel, new_network
 from .probe import FitResult, ProbeDataset
-from .ratfunc import RationalTF, make_rational_tf, require_real
+from .ratfunc import RationalTF, make_rational_tf, require_real, require_whole
 from .realization import CanonicalParams
 
-
-def complex_to_obj(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+_ENTRY = np.frompyfunc(lambda z: {"re": z.real, "im": z.imag}, 1, 1)
 
 
-def complex_from_obj(obj) -> complex:
-    return complex(float(obj["re"]), float(obj["im"]))
+def array_to_obj(a) -> list:
+    """Complex array of any rank >= 1 as nested lists of {"re", "im"} objects."""
+    return _ENTRY(np.asarray(a, dtype=complex)).tolist()
 
 
-def matrix_to_obj(mat: np.ndarray) -> list:
-    return [[complex_to_obj(z) for z in row] for row in np.atleast_2d(mat)]
-
-
-def matrix_from_obj(obj) -> np.ndarray:
-    return np.array(
-        [[complex_from_obj(z) for z in row] for row in obj], dtype=complex
-    )
-
-
-def vector_to_obj(vec: np.ndarray) -> list:
-    return [complex_to_obj(z) for z in np.asarray(vec).ravel()]
-
-
-def vector_from_obj(obj) -> np.ndarray:
-    return np.array([complex_from_obj(z) for z in obj], dtype=complex)
+def array_from_obj(obj, ndim: int, name: str) -> np.ndarray:
+    """Inverse of :func:`array_to_obj`. Raises DimensionMismatch naming ``name``
+    unless obj has rank ``ndim``, and ValueError naming it unless every part is
+    a number as :func:`~qsysid.ratfunc.require_real` reads one (no bool, str or
+    int beyond the float range), by one type test; finiteness is the constructors'."""
+    entries = np.array(obj, dtype=object)
+    if entries.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be a rank-{ndim} array, got shape {entries.shape}")
+    flat = entries.ravel().tolist()
+    try:  # an entry that is not a dict with both keys, or a part beyond the float range
+        parts = [z["re"] for z in flat], [z["im"] for z in flat]
+        numbers = {*map(type, parts[0]), *map(type, parts[1])} <= {int, float}
+        values = np.array(parts, dtype=float) if numbers else None
+    except (TypeError, KeyError, OverflowError):
+        values = None
+    if values is None:
+        raise ValueError(
+            f'{name} entries must be {{"re": number, "im": number}} within the float range'
+        )
+    out = np.empty(len(flat), dtype=complex)
+    out.real, out.imag = values
+    return out.reshape(entries.shape)
 
 
 def system_to_obj(sys: PassiveSystem) -> dict:
     return {
         "n": sys.n,
         "m": sys.m,
-        "omega": matrix_to_obj(sys.omega),
-        "c": matrix_to_obj(sys.c),
+        "omega": array_to_obj(sys.omega),
+        "c": array_to_obj(sys.c),
     }
 
 
 def system_from_obj(obj) -> PassiveSystem:
-    sys = new_system(matrix_from_obj(obj["omega"]), matrix_from_obj(obj["c"]))
-    if sys.n != int(obj["n"]) or sys.m != int(obj["m"]):
-        raise DimensionMismatch(
-            f"declared sizes ({obj['n']}, {obj['m']}) do not match matrices"
-        )
+    sizes = require_whole(obj["n"], "n", 0), require_whole(obj["m"], "m", 0)
+    sys = new_system(array_from_obj(obj["omega"], 2, "omega"), array_from_obj(obj["c"], 2, "c"))
+    if (sys.n, sys.m) != sizes:
+        raise DimensionMismatch(f"declared sizes {sizes} do not match matrices")
     return sys
 
 
 def tf_to_obj(tf: RationalTF) -> dict:
-    return {
-        "m": tf.m,
-        "den": vector_to_obj(tf.den),
-        "num": [
-            [vector_to_obj(tf.num[i, j]) for j in range(tf.m)] for i in range(tf.m)
-        ],
-    }
+    return {"m": tf.m, "den": array_to_obj(tf.den), "num": array_to_obj(tf.num)}
 
 
 def tf_from_obj(obj) -> RationalTF:
-    num = [[vector_from_obj(entry) for entry in row] for row in obj["num"]]
+    m = require_whole(obj["m"], "m", 0)
+    num = [[array_from_obj(entry, 1, "num") for entry in row] for row in obj["num"]]
     if not num or any(len(row) != len(num) for row in num):
         raise DimensionMismatch("num must be a square array of polynomials")
-    den = vector_from_obj(obj["den"])
+    den = array_from_obj(obj["den"], 1, "den")
     # pad ragged entries; make_rational_tf refuses nonzero terms beyond den's degree
     size = max(len(den), *(len(entry) for row in num for entry in row))
     num = [[np.pad(entry, (0, size - len(entry))) for entry in row] for row in num]
     tf = make_rational_tf(np.array(num), den)
-    if tf.m != int(obj["m"]):
-        raise DimensionMismatch(f"declared m = {obj['m']} but the numerator is {tf.m}-port")
+    if tf.m != m:
+        raise DimensionMismatch(f"declared m = {m} but the numerator is {tf.m}-port")
     return tf
 
 
@@ -94,46 +93,41 @@ def network_to_obj(net: NetworkModel) -> dict:
         "n": net.n,
         "edges": [[i, j, w] for i, j, w in net.edges],
         "accessible": list(net.accessible),
-        "coupling": matrix_to_obj(net.coupling),
+        "coupling": array_to_obj(net.coupling),
     }
     if net.detunings is not None:
-        obj["detunings"] = [float(d) for d in net.detunings]
+        obj["detunings"] = net.detunings.tolist()
         obj["diagonal_extension"] = True
     return obj
 
 
 def network_from_obj(obj) -> NetworkModel:
-    return new_network(
-        int(obj["n"]),
-        [(int(e[0]), int(e[1]), float(e[2])) for e in obj["edges"]],
-        [int(v) for v in obj["accessible"]],
-        coupling=matrix_from_obj(obj["coupling"]) if "coupling" in obj else None,
-        detunings=obj.get("detunings"),
-    )
+    coupling = array_from_obj(obj["coupling"], 2, "coupling") if "coupling" in obj else None
+    return new_network(obj["n"], obj["edges"], obj["accessible"], coupling, obj.get("detunings"))
 
 
 def dataset_to_obj(data: ProbeDataset) -> dict:
     obj = {
-        "freqs": [float(w) for w in data.freqs],
-        "responses": [matrix_to_obj(r) for r in data.responses],
+        "freqs": data.freqs.tolist(),
+        "responses": array_to_obj(data.responses),
         "noise_sigma": data.noise_sigma,
     }
     if data.seed is not None:
-        obj["seed"] = int(data.seed)
+        obj["seed"] = data.seed
     return obj
 
 
 def dataset_from_obj(obj) -> ProbeDataset:
-    freqs = require_grid([float(w) for w in obj["freqs"]], "freqs", 1)
-    responses = np.array([matrix_from_obj(r) for r in obj["responses"]], dtype=complex)
+    freqs = require_grid(obj["freqs"], "freqs", 1)
+    responses = array_from_obj(obj["responses"], 3, "responses")
     shape = responses.shape
-    if len(shape) != 3 or shape[0] != freqs.size or shape[1] != shape[2]:
+    if shape[0] != freqs.size or shape[1] != shape[2]:
         raise DimensionMismatch(f"responses must be {freqs.size} square matrices, not {shape}")
     return ProbeDataset(
         freqs=freqs,
         responses=responses,
         noise_sigma=require_real(obj.get("noise_sigma", 0.0), "noise_sigma", 0.0),
-        seed=int(obj["seed"]) if "seed" in obj else None,
+        seed=require_whole(obj["seed"], "seed", 0) if "seed" in obj else None,
     )
 
 
@@ -142,17 +136,16 @@ def report_to_obj(report: StructureReport) -> dict:
 
 
 def verdict_to_obj(verdict: EquivalenceVerdict) -> dict:
-    obj: dict = {"equivalent": verdict.equivalent, "residual": verdict.residual}
-    obj["gauge"] = None if verdict.gauge is None else matrix_to_obj(verdict.gauge)
-    return obj
+    gauge = None if verdict.gauge is None else array_to_obj(verdict.gauge)
+    return {"equivalent": verdict.equivalent, "residual": verdict.residual, "gauge": gauge}
 
 
 def canonical_to_obj(params: CanonicalParams) -> dict:
     return {
         "theta": params.theta,
         "omega11": params.omega11,
-        "lambdas": [float(v) for v in params.lambdas],
-        "e_abs": [float(v) for v in params.e_abs],
+        "lambdas": params.lambdas.tolist(),
+        "e_abs": params.e_abs.tolist(),
     }
 
 

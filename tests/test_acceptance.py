@@ -45,7 +45,7 @@ def verdict(num: int, name: str, ok: bool) -> None:
 
 def test_criterion_01_markov_oracle():
     kappa, th1, th2 = 0.5, 0.6, 0.8
-    seq = markov_sequence(chain_system(kappa, th1, th2), 4).params[:, 0, 0]
+    seq = markov_sequence(chain_system(kappa, th1, th2), 4)[:, 0, 0]
     expected = np.array(
         [
             2 * kappa,

@@ -100,7 +100,7 @@ class TestEquiv:
         assert proc.returncode == 0
         verdict = json.loads(proc.stdout)
         assert verdict["equivalent"] is True
-        gauge = serialize.matrix_from_obj(verdict["gauge"])
+        gauge = serialize.array_from_obj(verdict["gauge"], 2, "gauge")
         np.testing.assert_allclose(gauge, np.diag([1.0, -1.0, -1.0]), atol=1e-8)
 
     def test_not_minimal_exit_one(self, tmp_path, chain_file):
@@ -140,7 +140,7 @@ class TestReconstruct:
         tf = make_rational_tf([a0, a1 - 2 * a1, 1.0], [a0, a1, 1.0])
         tf_path = write_json(tmp_path / "tf2.json", serialize.tf_to_obj(tf))
         gauge = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-        gauge_path = write_json(tmp_path / "u.json", serialize.matrix_to_obj(gauge))
+        gauge_path = write_json(tmp_path / "u.json", serialize.array_to_obj(gauge))
         proc = run_cli("reconstruct", tf_path, "--gauge", gauge_path)
         assert proc.returncode == 0
         system = serialize.system_from_obj(json.loads(proc.stdout)["system"])
@@ -164,7 +164,7 @@ class TestReconstruct:
             cases.append((transfer_rational(sys), random_unitary(rng, n)))
         for k, (tf, u) in enumerate(cases):
             tf_path = write_json(tmp_path / f"tf{k}.json", serialize.tf_to_obj(tf))
-            u_path = write_json(tmp_path / f"u{k}.json", serialize.matrix_to_obj(u))
+            u_path = write_json(tmp_path / f"u{k}.json", serialize.array_to_obj(u))
             proc = run_cli("reconstruct", tf_path, "--gauge", u_path)
             assert proc.returncode == 0
             system = serialize.system_from_obj(json.loads(proc.stdout)["system"])
@@ -178,13 +178,25 @@ class TestReconstruct:
         tf_path = write_json(
             tmp_path / "tf.json", serialize.tf_to_obj(transfer_rational(chain_system()))
         )
-        u = serialize.matrix_to_obj(np.eye(3))
+        u = serialize.array_to_obj(np.eye(3))
         u[0][1]["re"] = float("nan")
         proc = run_cli("reconstruct", tf_path, "--gauge", write_json(tmp_path / "u.json", u))
         assert proc.returncode == 2
         err = json.loads(proc.stderr)
         assert err["error"] == "ValueError"
         assert err["detail"] == "gauge must be finite"
+
+    def test_gauge_of_wrong_rank_exit_one(self, tmp_path):
+        tf_path = write_json(
+            tmp_path / "tf.json", serialize.tf_to_obj(transfer_rational(chain_system()))
+        )
+        u = serialize.array_to_obj(np.ones(3))
+        proc = run_cli("reconstruct", tf_path, "--gauge", write_json(tmp_path / "u.json", u))
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {
+            "error": "DimensionMismatch",
+            "detail": "gauge must be a rank-2 array, got shape (3,)",
+        }
 
     def test_non_passive_exit_one(self, tmp_path):
         a0, a1, c1 = 2.0, 0.3, -0.45
@@ -328,7 +340,7 @@ class TestProbeFitCompose:
             obj["noise_sigma"] = 10**400
         proc = run_cli("fit", write_json(tmp_path / "huge.json", obj), "--degree", "3")
         assert proc.returncode == 2
-        assert json.loads(proc.stderr)["error"] == "OverflowError"
+        assert json.loads(proc.stderr)["error"] == "ValueError"
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_bad_noise_sigma_exit_two(self, tmp_path, sigma):

@@ -112,7 +112,6 @@ class TestCompare:
                 lambda: simulate_means(chain_system(), lambda t: 1.0, np.linspace(0.0, 1.0, 5)),
             ),
             ("EquivalenceVerdict", lambda: qsysid.find_gauge(chain_system(), chain_system())),
-            ("MarkovSequence", lambda: qsysid.markov_sequence(chain_system(), 3)),
         ],
     )
     def test_results_compare_and_hash_by_identity(self, name, make):

@@ -134,11 +134,43 @@ class TestOmegaFromNetwork:
                 {"coupling": [[1.0, 1.0, 0.0]]},
                 "c†c restricted to the accessible set is not positive",
             ),
+            ((-1, [], [0]), {}, "need at least one vertex"),
+            ((3, [(-1, 1, 1.0)], [0]), {}, "edge (-1, 1) out of range for n=3"),
+            ((3, [(0, 1, 1.0)], [-1]), {}, "accessible vertices (-1,) out of range"),
         ],
     )
     def test_refusal_names_its_cause(self, args, kwargs, message):
         with pytest.raises(InvalidNetwork, match=f"^{re.escape(message)}$"):
             new_network(*args, **kwargs)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((3.9, [(0, 1, 1.0)], [0]), {}, "n must be an integer, got 3.9"),
+            ((True, [], [0]), {}, "n must be an integer, got True"),
+            ((3, [(0, 1.5, 1.0)], [0]), {}, "edge index must be an integer, got 1.5"),
+            ((3, [("0", 1, 1.0)], [0]), {}, "edge index must be an integer, got '0'"),
+            ((3, [(0, 1, "1.0")], [0]), {}, "edge weights must be finite numbers, got ['1.0']"),
+            ((3, [(0, 1, 0.5), (1, 2, True)], [0]), {},
+             "edge weights must be finite numbers, got [0.5, True]"),
+            ((3, [(0, 1, 1.0)], [0.5]), {}, "accessible vertex must be an integer, got 0.5"),
+            ((3, [(0, 1, 1.0)], [0]), {"detunings": ["0", 0, 0]},
+             "detunings must be finite numbers, got ['0', 0, 0]"),
+            ((3, [(0, 1, 1.0)], [0]), {"detunings": [True, False, False]},
+             "detunings must be finite numbers, got [True, False, False]"),
+        ],
+        ids=repr,
+    )
+    def test_value_refusal_names_its_field(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            new_network(*args, **kwargs)
+
+    def test_whole_numbers_of_any_real_type_accepted(self):
+        net = new_network(np.int64(3), [(0.0, np.int32(1), 1), (1, 2, 0.8 + 0j)], [np.uint8(0)])
+        assert net.n == 3 and type(net.n) is int
+        assert net.edges == ((0, 1, 1.0), (1, 2, 0.8))
+        assert [type(x) for edge in net.edges for x in edge] == [int, int, float] * 2
+        assert net.accessible == (0,) and type(net.accessible[0]) is int
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_edge_weight_rejected(self, bad):

@@ -95,7 +95,7 @@ class TestSampleResponse:
         with pytest.raises(ValueError, match="^noise_sigma must be finite"):
             sample_response(chain_system(), [0.1, 1.0], noise_sigma=np.nan)
 
-    @pytest.mark.parametrize("sigma", NOT_REAL + [-0.1], ids=repr)
+    @pytest.mark.parametrize("sigma", NOT_REAL + [-0.1, 10**400], ids=repr)
     def test_sigma_must_be_a_real_scalar(self, sigma):
         with pytest.raises(ValueError, match=real_refusal("noise_sigma", ">= 0", sigma)):
             sample_response(chain_system(), [0.1, 1.0], noise_sigma=sigma)
@@ -105,6 +105,18 @@ class TestSampleResponse:
         data = sample_response(chain_system(), [0.1, 1.0], noise_sigma=sigma, seed=4)
         assert type(data.noise_sigma) is float and data.noise_sigma == sigma
         same = sample_response(chain_system(), [0.1, 1.0], noise_sigma=float(sigma), seed=4)
+        np.testing.assert_array_equal(data.responses, same.responses)
+
+    @pytest.mark.parametrize("seed", NOT_REAL + [2.7, -1, 10**400], ids=repr)
+    def test_seed_must_be_a_whole_number(self, seed):
+        # without noise the seed draws nothing, yet the dataset keeps and writes it
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            sample_response(chain_system(), [0.1, 1.0], seed=seed)
+
+    def test_numpy_integer_seed_kept_as_int(self):
+        data = sample_response(chain_system(), [0.1, 1.0], noise_sigma=1e-3, seed=np.int64(4))
+        assert data.seed == 4 and type(data.seed) is int
+        same = sample_response(chain_system(), [0.1, 1.0], noise_sigma=1e-3, seed=4)
         np.testing.assert_array_equal(data.responses, same.responses)
 
     def test_non_finite_frequency_rejected(self):
