@@ -120,7 +120,7 @@ def gauge_transform(sys: PassiveSystem, t: np.ndarray) -> PassiveSystem:
 
     Raises
     ------
-    DimensionMismatch, NotUnitary
+    ValueError, DimensionMismatch, NotUnitary
         per :func:`~qsysid.model.require_unitary`.
     """
     t = require_unitary(t, sys.n)

@@ -170,12 +170,10 @@ def new_system(omega, c) -> PassiveSystem:
         omega deviates from omega† beyond 1e-12 relative (1e-14 absolute
         floor) in max norm.
     ValueError
-        an entry of omega or c is not finite.
+        omega or c is not finite numbers, per :func:`~qsysid.ratfunc.require_finite`.
     """
-    omega = np.atleast_2d(np.asarray(omega, dtype=complex))
-    c = np.atleast_2d(np.asarray(c, dtype=complex))
-    require_finite(omega, "omega")
-    require_finite(c, "c")
+    omega = np.atleast_2d(np.asarray(require_finite(omega, "omega"), dtype=complex))
+    c = np.atleast_2d(np.asarray(require_finite(c, "c"), dtype=complex))
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise DimensionMismatch(f"omega must be square, got shape {omega.shape}")
     n = omega.shape[0]
@@ -203,8 +201,8 @@ def require_grid(values, name: str, min_size: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        the values are complex, even with zero imaginary parts, or an entry
-        is not a finite number, per :func:`~qsysid.ratfunc.require_finite`.
+        the values are not finite numbers, per :func:`~qsysid.ratfunc.require_finite`,
+        or are complex, even with zero imaginary parts.
     NonMonotoneGrid
         fewer than ``min_size`` points, or the values are not strictly
         increasing.
@@ -226,14 +224,13 @@ def require_unitary(u, n: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        u has an entry that is not finite.
+        u is not finite numbers, per :func:`~qsysid.ratfunc.require_finite`.
     DimensionMismatch
         u is not n x n.
     NotUnitary
         max |U U† - I| exceeds 1e-10.
     """
-    u = np.asarray(u, dtype=complex)
-    require_finite(u, "gauge")
+    u = np.asarray(require_finite(u, "gauge"), dtype=complex)
     if u.shape != (n, n):
         raise DimensionMismatch(f"gauge must be {n} x {n}, got {u.shape}")
     dev = np.abs(u @ u.conj().T - np.eye(n)).max()
@@ -350,7 +347,8 @@ def simulate_means(
     DimensionMismatch
         initial_mean or a value of beta has the wrong length.
     ValueError
-        initial_mean or a value of beta is not finite.
+        initial_mean or a value of beta is not finite numbers, per
+        :func:`~qsysid.ratfunc.require_finite`.
     NonMonotoneGrid
         per :func:`require_grid`.
     """
@@ -360,17 +358,15 @@ def simulate_means(
     cdag = sys.c.conj().T
 
     def beta_vec(ti: float) -> np.ndarray:
-        val = np.asarray(beta(ti), dtype=complex).reshape(-1)
+        val = np.asarray(require_finite(beta(ti), "beta(t)"), dtype=complex).reshape(-1)
         if val.size != m:
             raise DimensionMismatch(f"beta(t) must have length {m}, got {val.size}")
-        require_finite(val, "beta(t)")
         return val
 
     x0 = np.zeros(n) if initial_mean is None else initial_mean
-    x = np.asarray(x0, dtype=complex).ravel()
+    x = np.asarray(require_finite(x0, "initial_mean"), dtype=complex).ravel()
     if x.size != n:
         raise DimensionMismatch(f"initial_mean must have length {n}, got {x.size}")
-    require_finite(x, "initial_mean")
     in_means = np.array([beta_vec(ti) for ti in t])
     drive = [cdag @ b for b in in_means]
     sys_means = np.empty((t.size, n), dtype=complex)

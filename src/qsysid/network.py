@@ -55,8 +55,8 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     ``coupling`` defaults to one unit row per accessible vertex. Weights
     must be real; complex-weight networks are outside the infection
     theorem and rejected. ``n`` and every vertex index pass
-    :func:`~qsysid.ratfunc.require_whole` and every weight and detuning
-    :func:`~qsysid.ratfunc.require_finite`: each raises ValueError naming
+    :func:`~qsysid.ratfunc.require_whole`, and the weights, coupling and
+    detunings :func:`~qsysid.ratfunc.require_finite`: each raises ValueError naming
     the field ("n", "edge index", "accessible vertex", "edge weights",
     "coupling" or "detunings") for a value that is not a finite number, or
     not whole. Raises InvalidNetwork for fewer than one vertex, an index out
@@ -85,18 +85,12 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     if accessible[0] < 0 or accessible[-1] >= n:
         raise InvalidNetwork(f"accessible vertices {accessible} out of range")
     if coupling is None:
-        coupling = np.zeros((len(accessible), n), dtype=complex)
-        for row, v in enumerate(accessible):
-            coupling[row, v] = 1.0
+        coupling = np.eye(n, dtype=complex)[list(accessible)]
     else:
-        coupling = np.atleast_2d(np.asarray(coupling, dtype=complex))
-        require_finite(coupling, "coupling")
+        coupling = np.atleast_2d(np.asarray(require_finite(coupling, "coupling"), dtype=complex))
         if coupling.shape[1] != n:
             raise InvalidNetwork(f"coupling must have {n} columns, got {coupling.shape}")
-        outside = [
-            v for v in range(n)
-            if v not in accessible and np.abs(coupling[:, v]).max() > 0.0
-        ]
+        outside = [v for v in range(n) if v not in accessible and coupling[:, v].any()]
         if outside:
             raise InvalidNetwork(f"coupling supported outside accessible set: {outside}")
     gram = coupling.conj().T @ coupling
@@ -105,11 +99,9 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     if eigs.min() <= 1e-12 * max(eigs.max(), 1e-300):
         raise InvalidNetwork("c†c restricted to the accessible set is not positive")
     if detunings is not None:
-        require_finite(detunings, "detunings")
-        detunings = np.array(detunings, dtype=float).ravel()
+        detunings = read_only(np.array(require_finite(detunings, "detunings"), dtype=float).ravel())
         if detunings.size != n:
             raise InvalidNetwork(f"detunings must have {n} entries, got {detunings.size}")
-        read_only(detunings)
     return NetworkModel(
         n=n,
         edges=tuple(sorted((i, j, w) for (i, j), w in zip(canon, weights.tolist()))),

@@ -26,7 +26,7 @@ NOISE_TOL_FACTOR = 100.0
 
 @dataclass(frozen=True, eq=False)
 class ProbeDataset:
-    """Sampled frequency response.
+    """Sampled frequency response, one square matrix per frequency (else DimensionMismatch).
 
     ``responses[j]`` is the measured m x m matrix at ``freqs[j]`` (rad/s);
     ``noise_sigma`` is the per-component Gaussian standard deviation used
@@ -37,6 +37,11 @@ class ProbeDataset:
     responses: np.ndarray
     noise_sigma: float
     seed: int | None = None
+
+    def __post_init__(self):
+        size, shape = np.size(self.freqs), np.shape(self.responses)
+        if len(shape) != 3 or shape[0] != size or shape[1] != shape[2]:
+            raise DimensionMismatch(f"responses must be {size} square matrices, not {shape}")
 
     @property
     def m(self) -> int:
@@ -77,7 +82,7 @@ def sample_response(
         Hurwitz exactly when the fields reach every eigen-direction of omega,
         whatever the rounding of the abscissa.
     NonMonotoneGrid, ValueError
-        per :func:`~qsysid.model.require_grid`: freqs empty, not finite,
+        per :func:`~qsysid.model.require_grid`: freqs empty, not finite numbers,
         or not strictly increasing.
     ValueError
         noise_sigma not a finite real number >= 0, per

@@ -25,7 +25,7 @@ def poly_from_roots(roots: np.ndarray) -> np.ndarray:
     The descending coefficients are multiplied out in place, one factor
     (s - r) per root; as with ``np.poly``, conjugate-closed roots give
     exactly real coefficients."""
-    roots = np.asarray(roots, dtype=complex).ravel()
+    roots = np.asarray(require_finite(roots, "roots"), dtype=complex).ravel()
     a = np.zeros(roots.size + 1, dtype=complex)
     a[0] = 1.0
     for k, r in enumerate(roots):
@@ -35,15 +35,35 @@ def poly_from_roots(roots: np.ndarray) -> np.ndarray:
     return a[::-1]
 
 
+def as_numbers(entries: list, real: bool = False) -> np.ndarray | None:
+    """The one number rule: the flat list ``entries`` as a float (or complex)
+    array, or None unless each is a ``numbers.Complex`` (``numbers.Real`` when
+    ``real``), not a bool and not an int beyond the float range."""
+    types = set(map(type, entries))
+    kind = numbers.Real if real else numbers.Complex
+    if not all(issubclass(t, kind) and not issubclass(t, (bool, np.bool_)) for t in types):
+        return None
+    dtype = float if all(issubclass(t, numbers.Real) for t in types) else complex
+    try:
+        return np.array(entries, dtype=dtype)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
 def require_finite(value, name: str) -> np.ndarray:
-    """Return value as an array: the one finiteness check of array arguments.
-    Raises ValueError naming ``name`` unless every entry is a finite number; as
-    in :func:`require_real`, a bool, a str and an int beyond 64 bits are not."""
-    a = np.asarray(value)
-    if a.dtype.kind not in "iufc" or isinstance(value, list) and any(
-        isinstance(v, (bool, np.bool_)) for v in value
-    ):
-        raise ValueError(f"{name} must be finite numbers, got {reprlib.repr(value)}")
+    """Return value as an array: the one check of every array argument. Raises
+    ValueError naming ``name`` unless every entry, at any depth, is a finite
+    number by :func:`as_numbers`; a numeric NumPy array is returned as it is."""
+    a = value
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iufc"):
+        try:  # every entry at every depth; a ragged nest leaves a list among them
+            entries = np.array(value, dtype=object)
+        except ValueError:  # a nest too ragged for an object array holds no numbers
+            entries = np.array(None)
+        a = as_numbers(entries.ravel().tolist())
+        if a is None:
+            raise ValueError(f"{name} must be finite numbers, got {reprlib.repr(value)}")
+        a = a.reshape(entries.shape)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
@@ -52,17 +72,13 @@ def require_finite(value, name: str) -> np.ndarray:
 def require_real(value, name: str, low: float, strict: bool = False) -> float:
     """Return value as a float: the one check of every real scalar argument.
 
-    Raises ValueError naming ``name`` unless value is a real scalar, finite
-    and >= low (> low when ``strict``). A bool, which float() would read as
-    1 or 0, has its own message; a complex value, even with a zero
-    imaginary part, a str, None, an array and an int beyond the float range
-    are refused as not real."""
+    Raises ValueError naming ``name`` unless value is one real number by
+    :func:`as_numbers` (not a complex, a str, None or an array), finite and
+    >= low (> low when ``strict``); a bool has its own message."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-    try:
-        x = float(value) if isinstance(value, numbers.Real) else np.nan
-    except OverflowError:
-        x = np.nan
+    x = as_numbers([value], real=True)
+    x = np.nan if x is None else x.item()
     if not (low < x < np.inf or x == low and not strict):
         bound = f"{'>' if strict else '>='} {low:g}"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
@@ -70,17 +86,14 @@ def require_real(value, name: str, low: float, strict: bool = False) -> float:
 
 
 def require_whole(value, name: str, low: float) -> int:
-    """Return value as an int: :func:`require_real`'s rule, and integral.
-    Every refusal, a bool's too, reads "``name`` must be an integer >= low"
-    ("``name`` must be an integer" for ``low = -inf``)."""
-    try:
-        x = require_real(value, name, low)
-    except ValueError:
-        x = np.nan
-    if not x.is_integer():
+    """Return value as an int: a real number by :func:`as_numbers`, integral
+    and >= low. Every refusal, a bool's too, reads "``name`` must be an integer
+    >= low" ("``name`` must be an integer" for ``low = -inf``)."""
+    x = as_numbers([value], real=True)
+    if x is None or not (x[0] >= low and x[0].is_integer()):
         bound = f" >= {low}" if low > -np.inf else ""
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(x)
+    return int(x[0])
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -139,8 +152,9 @@ class RationalTF:
         return len(self.den) - 1
 
     def eval(self, s) -> np.ndarray:
-        """Value at a complex point or an array of them, shape ``s.shape + (m, m)``."""
-        s = np.asarray(s, dtype=complex)
+        """Value at a complex point or an array of them, shape ``s.shape + (m, m)``;
+        s passes :func:`require_finite`."""
+        s = np.asarray(require_finite(s, "s"), dtype=complex)
         num = np.moveaxis(polyval(s, np.moveaxis(self.num, 2, 0)), (0, 1), (-2, -1))
         return num / polyval(s, self.den)[..., None, None]
 
@@ -151,13 +165,11 @@ def make_rational_tf(num, den) -> RationalTF:
     ``num`` may be a 1-D array for the single-port case or a full
     ``(m, m, deg + 1)`` array. The denominator must be monic within
     ``MONIC_TOL``; its leading coefficient is then snapped to exactly 1.
-    A coefficient that is not finite raises ValueError. Both arrays are
-    copied, so the function never shares memory with the caller's.
+    Raises ValueError naming ``num`` or ``den`` unless it is finite numbers
+    (:func:`require_finite`). Both are copied, never shared with the caller.
     """
-    den = np.array(den, dtype=complex).ravel()
-    num = np.array(num, dtype=complex)
-    require_finite(num, "num")
-    require_finite(den, "den")
+    num = np.array(require_finite(num, "num"), dtype=complex)
+    den = np.array(require_finite(den, "den"), dtype=complex).ravel()
     if num.ndim == 1:
         num = num.reshape(1, 1, -1)
     if num.ndim != 3 or num.shape[0] != num.shape[1]:

@@ -24,7 +24,7 @@ from .errors import (
     SolverSingular,
 )
 from .model import PassiveSystem, new_system
-from .ratfunc import RationalTF, read_only, require_monic, require_real
+from .ratfunc import RationalTF, read_only, require_finite, require_monic, require_real
 
 LYAPUNOV_RTOL = 1e-10
 PASSIVITY_RTOL = 1e-8
@@ -113,13 +113,15 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        a0 or q is not finite numbers, per :func:`~qsysid.ratfunc.require_finite`.
     NotHurwitz
         some Re eig(a0) is not below -n eps max(1, max|eig|), the eigenvalues' rounding.
     SolverSingular
         residual above 1e-10 * max|q|.
     """
-    a0 = np.asarray(a0, dtype=complex)
-    q = np.asarray(q, dtype=complex)
+    a0 = np.asarray(require_finite(a0, "a0"), dtype=complex)
+    q = np.asarray(require_finite(q, "q"), dtype=complex)
     if a0.shape != q.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch(f"shapes {a0.shape} and {q.shape} are incompatible")
     _require_hurwitz(np.linalg.eigvals(a0))

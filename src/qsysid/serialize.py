@@ -17,7 +17,7 @@ from .identifiability import EquivalenceVerdict
 from .model import PassiveSystem, new_system, require_grid
 from .network import InfectionTrace, InfectionVerdict, NetworkModel, new_network
 from .probe import FitResult, ProbeDataset
-from .ratfunc import RationalTF, make_rational_tf, require_real, require_whole
+from .ratfunc import RationalTF, as_numbers, make_rational_tf, require_real, require_whole
 from .realization import CanonicalParams
 
 _ENTRY = np.frompyfunc(lambda z: {"re": z.real, "im": z.imag}, 1, 1)
@@ -31,24 +31,22 @@ def array_to_obj(a) -> list:
 def array_from_obj(obj, ndim: int, name: str) -> np.ndarray:
     """Inverse of :func:`array_to_obj`. Raises DimensionMismatch naming ``name``
     unless obj has rank ``ndim``, and ValueError naming it unless every part is
-    a number as :func:`~qsysid.ratfunc.require_real` reads one (no bool, str or
-    int beyond the float range), by one type test; finiteness is the constructors'."""
+    a real number by :func:`~qsysid.ratfunc.as_numbers` (no bool, str or int
+    beyond the float range); finiteness is the constructors'."""
     entries = np.array(obj, dtype=object)
     if entries.ndim != ndim:
         raise DimensionMismatch(f"{name} must be a rank-{ndim} array, got shape {entries.shape}")
     flat = entries.ravel().tolist()
-    try:  # an entry that is not a dict with both keys, or a part beyond the float range
-        parts = [z["re"] for z in flat], [z["im"] for z in flat]
-        numbers = {*map(type, parts[0]), *map(type, parts[1])} <= {int, float}
-        values = np.array(parts, dtype=float) if numbers else None
-    except (TypeError, KeyError, OverflowError):
+    try:  # an entry that is not a dict with both keys
+        values = as_numbers([z["re"] for z in flat] + [z["im"] for z in flat], real=True)
+    except (TypeError, KeyError):
         values = None
     if values is None:
         raise ValueError(
             f'{name} entries must be {{"re": number, "im": number}} within the float range'
         )
     out = np.empty(len(flat), dtype=complex)
-    out.real, out.imag = values
+    out.real, out.imag = values.reshape(2, -1)
     return out.reshape(entries.shape)
 
 
@@ -118,14 +116,9 @@ def dataset_to_obj(data: ProbeDataset) -> dict:
 
 
 def dataset_from_obj(obj) -> ProbeDataset:
-    freqs = require_grid(obj["freqs"], "freqs", 1)
-    responses = array_from_obj(obj["responses"], 3, "responses")
-    shape = responses.shape
-    if shape[0] != freqs.size or shape[1] != shape[2]:
-        raise DimensionMismatch(f"responses must be {freqs.size} square matrices, not {shape}")
     return ProbeDataset(
-        freqs=freqs,
-        responses=responses,
+        freqs=require_grid(obj["freqs"], "freqs", 1),
+        responses=array_from_obj(obj["responses"], 3, "responses"),
         noise_sigma=require_real(obj.get("noise_sigma", 0.0), "noise_sigma", 0.0),
         seed=require_whole(obj["seed"], "seed", 0) if "seed" in obj else None,
     )

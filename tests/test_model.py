@@ -1,7 +1,10 @@
 """Model construction, drift matrix, transfer evaluation, mean dynamics."""
 
+import copy
 import dataclasses
 import inspect
+import math
+import re
 
 import numpy as np
 import pytest
@@ -14,16 +17,21 @@ from qsysid import (
     NonMonotoneGrid,
     NotHermitian,
     SingularResolvent,
+    fit_rational,
+    gauge_transform,
     make_rational_tf,
+    new_network,
     new_system,
     sample_response,
+    solve_lyapunov,
     serialize,
     simulate_means,
     structure_report,
     transfer_at,
     transfer_rational,
 )
-from qsysid.ratfunc import poly_from_roots
+from qsysid.probe import ProbeDataset
+from qsysid.ratfunc import poly_from_roots, require_real
 
 from conftest import chain_system, one_mode_system, random_passive
 
@@ -572,3 +580,126 @@ class TestOneGridCheck:
             simulate_means(sys, lambda t: [0.0], [0.0])
         assert sample_response(sys, [0.5]).freqs.size == 1
         assert serialize.dataset_from_obj(_dataset_obj([0.5])).freqs.size == 1
+
+
+TWO_MODES = new_system(np.diag([0.0, 1.0]), [[1, 1]])
+TWELVE = np.linspace(0.1, 1.2, 12)
+
+
+def _fit_twelve(responses):
+    return fit_rational(ProbeDataset(TWELVE, responses, 0.0), 2)
+
+
+class TestOneNumberRule:
+    """Every constructor checks the array its caller passed, before any cast:
+    an entry that is not a number, at any depth, is refused naming the argument."""
+
+    @pytest.mark.parametrize(
+        "error, name, call",
+        [
+            pytest.param(ValueError, "omega", lambda: new_system(
+                [["0", "0.5"], ["0.5", True]], [[True, "0"]]), id="omega str and bool"),
+            pytest.param(ValueError, "omega", lambda: new_system([[0, 1], [1]], [[1, 0]]),
+                         id="omega ragged"),
+            pytest.param(ValueError, "num", lambda: make_rational_tf([True, 1.0], [1.0, 1.0]),
+                         id="num bool"),
+            pytest.param(ValueError, "num", lambda: make_rational_tf(["1", 1.0], [1.0, 1.0]),
+                         id="num str"),
+            pytest.param(ValueError, "gauge", lambda: gauge_transform(
+                TWO_MODES, [[True, False], [False, True]]), id="gauge bool"),
+            pytest.param(ValueError, "gauge", lambda: gauge_transform(
+                TWO_MODES, [["1", "0"], ["0", "1"]]), id="gauge str"),
+            pytest.param(ValueError, "beta(t)", lambda: simulate_means(
+                TWO_MODES, lambda t: True, [0, 1]), id="beta bool"),
+            pytest.param(ValueError, "initial_mean", lambda: simulate_means(
+                TWO_MODES, lambda t: 0.0, [0, 1], initial_mean=["1", "0"]), id="initial_mean str"),
+            pytest.param(ValueError, "coupling", lambda: new_network(
+                2, [(0, 1, 1.0)], [0], coupling=[["1", "0"]]), id="coupling str"),
+            pytest.param(ValueError, "detunings", lambda: new_network(
+                2, [(0, 1, 1.0)], [0], detunings=[[True], [0.0]]), id="detunings nested bool"),
+            pytest.param(ValueError, "freqs", lambda: sample_response(TWO_MODES, (0.5, True)),
+                         id="freqs tuple bool"),
+            pytest.param(ValueError, "freqs", lambda: sample_response(TWO_MODES, [[0.1], [True]]),
+                         id="freqs nested bool"),
+            pytest.param(ValueError, "s", lambda: make_rational_tf([1.0, 1.0], [1.0, 1.0]).eval(
+                ["1", True]), id="s str and bool"),
+            pytest.param(ValueError, "a0", lambda: solve_lyapunov([["-1"]], [["1"]]),
+                         id="a0 str"),
+            pytest.param(ValueError, "a0", lambda: solve_lyapunov([[np.nan]], [[1.0]]),
+                         id="a0 nan"),
+            pytest.param(DimensionMismatch, "responses", lambda: _fit_twelve(np.ones((5, 1, 1))),
+                         id="5 responses for 12 freqs"),
+            pytest.param(DimensionMismatch, "responses", lambda: _fit_twelve(np.ones((12, 1))),
+                         id="responses of rank 2"),
+            pytest.param(DimensionMismatch, "responses", lambda: _fit_twelve(np.ones((12, 1, 2))),
+                         id="responses not square"),
+        ],
+    )
+    def test_refusal_names_the_argument(self, error, name, call):
+        with pytest.raises(error, match=f"^{re.escape(name)} ") as info:
+            call()
+        assert type(info.value) is error
+
+    def test_int_beyond_64_bits_is_a_number(self):
+        # NumPy holds 10**20 as an object, but it is well inside the float range
+        data = sample_response(TWO_MODES, [1, 10**20])
+        assert data.freqs.tolist() == [1.0, require_real(10**20, "w", 0.0)] == [1.0, 1e20]
+
+
+FINITE = st.floats(-8.0, 8.0, allow_nan=False)
+NOT_NUMBER = st.sampled_from([True, "1", None])
+
+
+@st.composite
+def nested_argument(draw):
+    """(name, nested list of floats, call building from it): one argument of a
+    constructor, the others fixed arrays."""
+    name = draw(st.sampled_from(["omega", "c", "num", "den", "gauge", "freqs"]))
+    n = draw(st.integers(1, 3))
+    if name == "omega":
+        a = draw(st.lists(st.lists(FINITE, min_size=n, max_size=n), min_size=n, max_size=n))
+        value = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        return name, value, lambda v: new_system(v, np.ones((1, n)))
+    if name == "c":
+        row = draw(st.lists(FINITE, min_size=n, max_size=n))
+        value = draw(st.sampled_from([row, [row]]))
+        return name, value, lambda v: new_system(np.diag(np.arange(n, dtype=float)), v)
+    if name == "num":  # one port: coefficients, or the (1, 1, n) array of them
+        flat = draw(st.lists(FINITE, min_size=n, max_size=n))
+        value = draw(st.sampled_from([flat, [[flat]]]))
+        return name, value, lambda v: make_rational_tf(v, np.array([0.5, 0.25, 0.125, 1.0]))
+    if name == "den":
+        value = draw(st.lists(FINITE, min_size=n, max_size=n)) + [1.0]
+        return name, value, lambda v: make_rational_tf(np.array([1.0]), v)
+    if name == "gauge":
+        t = draw(st.floats(-math.pi, math.pi))
+        value = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+        return name, value, lambda v: gauge_transform(TWO_MODES, v)
+    grid = sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n, unique=True)))
+    value = draw(st.sampled_from([grid, [[w] for w in grid]]))
+    return name, value, lambda v: sample_response(TWO_MODES, v)
+
+
+def _bits(result) -> list:
+    arrays = [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestNestedListsAreArrays:
+    @settings(max_examples=80, deadline=None)
+    @given(nested_argument())
+    def test_same_bits_as_the_array(self, case):
+        _, value, call = case
+        assert _bits(call(value)) == _bits(call(np.array(value)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(nested_argument(), st.data())
+    def test_any_entry_not_a_number_refused(self, case, data):
+        name, value, call = case
+        value = copy.deepcopy(value)
+        target = value
+        while isinstance(target[0], list):
+            target = target[data.draw(st.integers(0, len(target) - 1))]
+        target[data.draw(st.integers(0, len(target) - 1))] = data.draw(NOT_NUMBER)
+        with pytest.raises(ValueError, match=f"^{name} must be finite numbers, got "):
+            call(value)

@@ -158,6 +158,10 @@ class TestOmegaFromNetwork:
              "detunings must be finite numbers, got ['0', 0, 0]"),
             ((3, [(0, 1, 1.0)], [0]), {"detunings": [True, False, False]},
              "detunings must be finite numbers, got [True, False, False]"),
+            ((2, [(0, 1, 1.0)], [0]), {"detunings": [[True], [0.0]]},
+             "detunings must be finite numbers, got [[True], [0.0]]"),
+            ((2, [(0, 1, 1.0)], [0]), {"coupling": [["1", "0"]]},
+             "coupling must be finite numbers, got [['1', '0']]"),
         ],
         ids=repr,
     )

@@ -150,6 +150,8 @@ class TestReadersRefuseWhatTheRulesRefuse:
              "detunings must be finite numbers, got ['0.1', True, 0.0]"),
             (("detunings",), [0.1, True, 0.0], ValueError,
              "detunings must be finite numbers, got [0.1, True, 0.0]"),
+            (("detunings",), [[0.1], [True], [0.0]], ValueError,
+             "detunings must be finite numbers, got [[0.1], [True], [0.0]]"),
             (("coupling", 0, 0), {"re": 1.0, "im": "0"}, ValueError, "coupling " + ENTRY_REFUSAL),
             (("coupling",), [{"re": 1.0, "im": 0.0}] * 3, DimensionMismatch,
              "coupling must be a rank-2 array, got shape (3,)"),
@@ -171,6 +173,7 @@ class TestReadersRefuseWhatTheRulesRefuse:
             (("freqs", 0), "0.5", ValueError, "freqs must be finite numbers, got ['0.5', 1.0]"),
             (("freqs", 0), True, ValueError, "freqs must be finite numbers, got [True, 1.0]"),
             (("freqs", 1), 10**400, ValueError, "freqs must be finite numbers, got [0.5, "),
+            (("freqs",), [[0.5], [True]], ValueError, "freqs must be finite numbers, got [[0.5], [True]]"),
             (("responses", 1, 0, 0), {"re": 1.0, "im": "0"}, ValueError,
              "responses " + ENTRY_REFUSAL),
             (("responses",), DATASET["responses"][0], DimensionMismatch,
@@ -293,6 +296,11 @@ class TestDatasetFormat:
         match = r"^responses must be 2 square matrices, not \(1, 1, 1\)$"
         with pytest.raises(DimensionMismatch, match=match):
             serialize.dataset_from_obj(obj)
+
+    def test_int_beyond_64_bits_is_a_frequency(self):
+        obj = serialize.dataset_to_obj(sample_response(chain_system(), [0.5, 1e20]))
+        obj["freqs"][1] = 10**20
+        assert serialize.dataset_from_obj(obj).freqs.tolist() == [0.5, 1e20]
 
     def test_bool_noise_sigma_rejected(self):
         import pytest
