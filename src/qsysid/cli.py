@@ -83,12 +83,8 @@ def cmd_reconstruct(args) -> int:
     system, params = reconstruct_passive(companion_realization(tf))
     if gauge is not None:
         system = gauge_transform(system, gauge)
-    _emit(
-        {
-            "system": serialize.system_to_obj(system),
-            "canonical": serialize.canonical_to_obj(params),
-        }
-    )
+    _emit({"system": serialize.system_to_obj(system),
+           "canonical": serialize.canonical_to_obj(params)})
     return 0
 
 
@@ -96,12 +92,7 @@ def cmd_infect(args) -> int:
     net = serialize.network_from_obj(_load_json(args.network))
     trace = infection_closure(net)
     verdict = infection_identifiability_verdict(net)
-    _emit(
-        {
-            "trace": serialize.trace_to_obj(trace),
-            **serialize.infection_verdict_to_obj(verdict),
-        }
-    )
+    _emit({"trace": serialize.trace_to_obj(trace), **serialize.infection_verdict_to_obj(verdict)})
     return 0
 
 
@@ -120,13 +111,8 @@ def cmd_fit(args) -> int:
     system_obj = serialize.system_to_obj(system)
     if args.system_out is not None:
         Path(args.system_out).write_text(json.dumps(system_obj), encoding="utf-8")
-    _emit(
-        {
-            "fit": serialize.fit_to_obj(fit),
-            "system": system_obj,
-            "canonical": serialize.canonical_to_obj(params),
-        }
-    )
+    _emit({"fit": serialize.fit_to_obj(fit), "system": system_obj,
+           "canonical": serialize.canonical_to_obj(params)})
     return 0
 
 
@@ -144,9 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="transfer-function equivalence of two systems")
     p.add_argument("system1")
     p.add_argument("system2")
-    p.add_argument(
-        "--tol", type=float, default=identifiability.EQUIV_RTOL, help="relative tolerance"
-    )
+    p.add_argument("--tol", type=float, default=identifiability.EQUIV_RTOL,
+                   help="relative tolerance")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("reconstruct", help="system matrices from a transfer function")
@@ -169,9 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a dataset and reconstruct the system")
     p.add_argument("dataset", help="dataset JSON file")
     p.add_argument("--degree", type=int, required=True, help="denominator degree")
-    p.add_argument(
-        "--system-out", default=None, help="also write the system JSON to this path"
-    )
+    p.add_argument("--system-out", default=None, help="also write the system JSON to this path")
     p.set_defaults(func=cmd_fit)
 
     return parser
@@ -182,9 +165,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (QsysidError, OSError, ValueError, KeyError, TypeError, IndexError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
-        )
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
         return 1 if isinstance(exc, QsysidError) else 2
 
 

@@ -52,15 +52,15 @@ class NetworkModel:
 def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkModel:
     """Validate and build a :class:`NetworkModel` (0-based vertex indices).
 
-    ``coupling`` defaults to one unit row per accessible vertex. Weights
-    must be real; complex-weight networks are outside the infection
-    theorem and rejected. ``n`` and every vertex index pass
-    :func:`~qsysid.ratfunc.require_whole`, and the weights, coupling and
-    detunings :func:`~qsysid.ratfunc.require_finite`: each raises ValueError naming
-    the field ("n", "edge index", "accessible vertex", "edge weights",
-    "coupling" or "detunings") for a value that is not a finite number, or
-    not whole. Raises InvalidNetwork for fewer than one vertex, an index out
-    of range, and coupling or detunings that do not match n.
+    ``coupling`` defaults to one unit row per accessible vertex. ``n`` and
+    every vertex index pass :func:`~qsysid.ratfunc.require_whole`, and the
+    weights, coupling and detunings :func:`~qsysid.ratfunc.require_finite`:
+    each raises ValueError naming the field ("n", "edge index", "accessible
+    vertex", "edge weights", "coupling" or "detunings") for a value that is
+    not a finite number, or not whole, as do complex detunings. Raises
+    InvalidNetwork for a complex weight (outside the infection theorem), fewer
+    than one vertex, an index out of range, and coupling or detunings that do
+    not match n.
     """
     n = require_whole(n, "n", -np.inf)
     if n < 1:
@@ -72,13 +72,14 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
             raise InvalidNetwork(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:
             raise InvalidNetwork(f"self-loop at vertex {i}")
-        if isinstance(w, complex) and w.imag != 0.0:
-            raise InvalidNetwork(f"edge ({i}, {j}) has complex weight {w}")
         key = (min(i, j), max(i, j))
         if key in canon:
             raise InvalidNetwork(f"duplicate edge {key}")
         canon[key] = w
-    weights = np.real(require_finite(list(canon.values()), "edge weights")).astype(float)
+    weights = require_finite(list(canon.values()), "edge weights")
+    if np.iscomplexobj(weights) and weights.imag.any():
+        key, w = list(canon.items())[np.flatnonzero(weights.imag)[0]]
+        raise InvalidNetwork(f"edge {key} has complex weight {w}")
     accessible = tuple(sorted({require_whole(v, "accessible vertex", -np.inf) for v in accessible}))
     if not accessible:
         raise InvalidNetwork("accessible set is empty")
@@ -99,12 +100,15 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     if eigs.min() <= 1e-12 * max(eigs.max(), 1e-300):
         raise InvalidNetwork("c†c restricted to the accessible set is not positive")
     if detunings is not None:
-        detunings = read_only(np.array(require_finite(detunings, "detunings"), dtype=float).ravel())
+        detunings = require_finite(detunings, "detunings")
+        if np.iscomplexobj(detunings) and detunings.imag.any():
+            raise ValueError("detunings must be real, got complex values")
+        detunings = read_only(np.array(detunings.real, dtype=float).ravel())
         if detunings.size != n:
             raise InvalidNetwork(f"detunings must have {n} entries, got {detunings.size}")
     return NetworkModel(
         n=n,
-        edges=tuple(sorted((i, j, w) for (i, j), w in zip(canon, weights.tolist()))),
+        edges=tuple(sorted((i, j, w) for (i, j), w in zip(canon, weights.real.tolist()))),
         accessible=accessible,
         coupling=read_only(coupling.copy()),
         detunings=detunings,

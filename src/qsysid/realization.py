@@ -277,12 +277,8 @@ def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:
     The matrix [[omega11, |E'|], [|E'|^T, diag(lambdas)]] is unitarily
     equivalent to the full Hamiltonian; the discarded phases never enter.
     """
-    k = len(params.lambdas)
-    arrow = np.zeros((k + 1, k + 1))
-    arrow[0, 0] = params.omega11
-    arrow[0, 1:] = params.e_abs
-    arrow[1:, 0] = params.e_abs
-    arrow[np.arange(1, k + 1), np.arange(1, k + 1)] = params.lambdas
+    arrow = np.diag(np.concatenate([[params.omega11], params.lambdas]))
+    arrow[0, 1:] = arrow[1:, 0] = params.e_abs
     return np.sort(np.linalg.eigvalsh(arrow))
 
 

@@ -51,12 +51,7 @@ def array_from_obj(obj, ndim: int, name: str) -> np.ndarray:
 
 
 def system_to_obj(sys: PassiveSystem) -> dict:
-    return {
-        "n": sys.n,
-        "m": sys.m,
-        "omega": array_to_obj(sys.omega),
-        "c": array_to_obj(sys.c),
-    }
+    return {"n": sys.n, "m": sys.m, "omega": array_to_obj(sys.omega), "c": array_to_obj(sys.c)}
 
 
 def system_from_obj(obj) -> PassiveSystem:
@@ -87,12 +82,8 @@ def tf_from_obj(obj) -> RationalTF:
 
 
 def network_to_obj(net: NetworkModel) -> dict:
-    obj = {
-        "n": net.n,
-        "edges": [[i, j, w] for i, j, w in net.edges],
-        "accessible": list(net.accessible),
-        "coupling": array_to_obj(net.coupling),
-    }
+    obj = {"n": net.n, "edges": [[i, j, w] for i, j, w in net.edges],
+           "accessible": list(net.accessible), "coupling": array_to_obj(net.coupling)}
     if net.detunings is not None:
         obj["detunings"] = net.detunings.tolist()
         obj["diagonal_extension"] = True
@@ -105,11 +96,8 @@ def network_from_obj(obj) -> NetworkModel:
 
 
 def dataset_to_obj(data: ProbeDataset) -> dict:
-    obj = {
-        "freqs": data.freqs.tolist(),
-        "responses": array_to_obj(data.responses),
-        "noise_sigma": data.noise_sigma,
-    }
+    obj = {"freqs": data.freqs.tolist(), "responses": array_to_obj(data.responses),
+           "noise_sigma": data.noise_sigma}
     if data.seed is not None:
         obj["seed"] = data.seed
     return obj
@@ -134,20 +122,13 @@ def verdict_to_obj(verdict: EquivalenceVerdict) -> dict:
 
 
 def canonical_to_obj(params: CanonicalParams) -> dict:
-    return {
-        "theta": params.theta,
-        "omega11": params.omega11,
-        "lambdas": params.lambdas.tolist(),
-        "e_abs": params.e_abs.tolist(),
-    }
+    return {"theta": params.theta, "omega11": params.omega11,
+            "lambdas": params.lambdas.tolist(), "e_abs": params.e_abs.tolist()}
 
 
 def trace_to_obj(trace: InfectionTrace) -> dict:
-    return {
-        "infecting": trace.infecting,
-        "steps": [[v, via] for v, via in trace.steps],
-        "residual": list(trace.residual),
-    }
+    return {"infecting": trace.infecting, "steps": [[v, via] for v, via in trace.steps],
+            "residual": list(trace.residual)}
 
 
 def infection_verdict_to_obj(verdict: InfectionVerdict) -> dict:
@@ -157,9 +138,5 @@ def infection_verdict_to_obj(verdict: InfectionVerdict) -> dict:
 
 
 def fit_to_obj(fit: FitResult) -> dict:
-    return {
-        "tf": tf_to_obj(fit.tf),
-        "rms_residual": fit.rms_residual,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-    }
+    return {"tf": tf_to_obj(fit.tf), "rms_residual": fit.rms_residual,
+            "iterations": fit.iterations, "converged": fit.converged}

@@ -30,10 +30,11 @@ from qsysid import (
     transfer_at,
     transfer_rational,
 )
+from qsysid import model
 from qsysid.probe import ProbeDataset
 from qsysid.ratfunc import poly_from_roots, require_real
 
-from conftest import chain_system, one_mode_system, random_passive
+from conftest import chain_system, one_mode_system, random_passive, uniform_chain
 
 EPS = np.finfo(float).eps
 GRID = np.geomspace(0.1, 10.0, 40)
@@ -168,7 +169,48 @@ class TestDriftMatrix:
         assert structure_report(sys).spectral_abscissa == sys.abscissa
 
     def test_poles_are_drift_eigenvalues(self, rng):
-        sys = random_passive(rng, 5, 2)
+        # every system off the secular route: m > 1, below the crossover at
+        # n = 32, and a single port whose last ten modes the field never reaches
+        cases = [random_passive(rng, 5, 2), random_passive(rng, 40, 2),
+                 random_passive(rng, 31, 1), uniform_chain(40, cut=30)]
+        assert cases[-1].reached.lam.size < 40
+        for sys in cases:
+            np.testing.assert_array_equal(sys.poles, np.linalg.eigvals(sys.drift))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([32, 48, 64, 128]),
+        family=st.sampled_from(["dense", "chain", "single_node", "detuned"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_secular_poles_match_drift_eigenvalues(self, n, family, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        omega = (g + g.conj().T) / (2 * np.sqrt(n))
+        c = (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))) / np.sqrt(n)
+        if family == "chain":
+            omega = rng.uniform(0.5, 1.5) * (np.eye(n, k=1) + np.eye(n, k=-1))
+            c = np.sqrt(rng.uniform(0.5, 2.0)) * np.eye(1, n)
+        elif family == "single_node":
+            c = np.sqrt(rng.uniform(0.5, 2.0)) * np.eye(1, n)
+        elif family == "detuned":
+            omega = omega + 80.04 * np.eye(n)
+        sys = new_system(omega, c)
+        r = sys.reached
+        assert r.lam.size == n
+        # the secular route, settled: its roots are the poles, bit for bit
+        roots, _ = model._secular_roots(r.lam, np.abs(r.cv[0]) ** 2)
+        np.testing.assert_array_equal(sys.poles, roots)
+        p, q = sys.poles, np.linalg.eigvals(sys.drift)
+        dist = np.abs(p[:, None] - q[None, :])
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12 * np.abs(q).max()
+        assert sys.abscissa < 0
+        assert sys.zeros.tobytes() == (-sys.poles.conj()).tobytes()
+
+    def test_unsettled_sweeps_fall_back_to_eigvals(self, rng, monkeypatch):
+        monkeypatch.setattr(model, "_secular_roots", lambda lam, w: (None, lam.size + 50))
+        sys = random_passive(rng, 40, 1)
+        assert sys.reached.lam.size == 40
         np.testing.assert_array_equal(sys.poles, np.linalg.eigvals(sys.drift))
 
     def test_one_mode_zero_hamiltonian(self):
@@ -242,6 +284,12 @@ class TestTransferAt:
         sys = random_passive(rng, 3, m)
         with pytest.raises(ValueError, match="^s must be finite"):
             transfer_at(sys, s)
+
+    @pytest.mark.parametrize("s", [True, False, np.True_])
+    def test_bool_point_refused(self, s):
+        # a bool is not the point 1 or 0
+        with pytest.raises(ValueError, match="^s must be finite and not a bool, got "):
+            transfer_at(one_mode_system(0.5), s)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -137,6 +137,7 @@ class TestOmegaFromNetwork:
             ((-1, [], [0]), {}, "need at least one vertex"),
             ((3, [(-1, 1, 1.0)], [0]), {}, "edge (-1, 1) out of range for n=3"),
             ((3, [(0, 1, 1.0)], [-1]), {}, "accessible vertices (-1,) out of range"),
+            ((2, [(1, 0, np.complex64(1 + 1j))], [0]), {}, "edge (0, 1) has complex weight (1+1j)"),
         ],
     )
     def test_refusal_names_its_cause(self, args, kwargs, message):
@@ -162,6 +163,8 @@ class TestOmegaFromNetwork:
              "detunings must be finite numbers, got [[True], [0.0]]"),
             ((2, [(0, 1, 1.0)], [0]), {"coupling": [["1", "0"]]},
              "coupling must be finite numbers, got [['1', '0']]"),
+            ((2, [(0, 1, 1.0)], [0]), {"detunings": [1 + 2j, 0]},
+             "detunings must be real, got complex values"),
         ],
         ids=repr,
     )
@@ -175,6 +178,8 @@ class TestOmegaFromNetwork:
         assert net.edges == ((0, 1, 1.0), (1, 2, 0.8))
         assert [type(x) for edge in net.edges for x in edge] == [int, int, float] * 2
         assert net.accessible == (0,) and type(net.accessible[0]) is int
+        net = new_network(2, [(0, 1, 1.0)], [0], detunings=np.array([0.5 + 0j, 0]))
+        assert net.detunings.dtype == float and net.detunings.tolist() == [0.5, 0.0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_edge_weight_rejected(self, bad):
