@@ -1,5 +1,7 @@
 """Identifiability analysis and reconstruction of passive linear quantum systems."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     StructureReport,
     observability_matrix,
@@ -66,55 +68,5 @@ from .realization import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalParams",
-    "ClassicalRealization",
-    "DimensionMismatch",
-    "EquivalenceVerdict",
-    "FitResult",
-    "InfectionTrace",
-    "InfectionVerdict",
-    "InsufficientData",
-    "InvalidNetwork",
-    "MeanTrajectory",
-    "NetworkModel",
-    "NonMonic",
-    "NonMonotoneGrid",
-    "NotHermitian",
-    "NotHurwitz",
-    "NotMinimal",
-    "NotPassiveTF",
-    "NotUnitary",
-    "PassiveSystem",
-    "ProbeDataset",
-    "QsysidError",
-    "RankDeficientCoupling",
-    "RationalTF",
-    "SingularResolvent",
-    "SolverSingular",
-    "StructureReport",
-    "companion_realization",
-    "direct_reconstruction",
-    "eigenvalues_from_canonical",
-    "find_gauge",
-    "fit_rational",
-    "gauge_transform",
-    "identify_pipeline",
-    "infection_closure",
-    "infection_identifiability_verdict",
-    "make_rational_tf",
-    "markov_distinguishable",
-    "markov_sequence",
-    "mimo_coupling_gram",
-    "new_network",
-    "new_system",
-    "observability_matrix",
-    "omega_from_network",
-    "reconstruct_passive",
-    "sample_response",
-    "simulate_means",
-    "solve_lyapunov",
-    "structure_report",
-    "transfer_at",
-    "transfer_rational",
-]
+# the public names are the ones imported above: each is written once
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))

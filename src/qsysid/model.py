@@ -320,7 +320,7 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
 
 
 def transfer_rational(sys: PassiveSystem) -> RationalTF:
-    """Exact rational form of the transfer function.
+    """Rational form of the transfer function: exact for one port only.
 
     The common denominator is the characteristic polynomial of A,
     reconstructed from its eigenvalues. For one port the numerator is
@@ -335,6 +335,9 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     scaled DFT grid so the Vandermonde solve is an FFT. Xi is evaluated at
     all nodes at once from ``sys.spectrum``, as the Cayley transform
     Xi = (I + G/2)^{-1} (I - G/2) of G(s) = sum_k (c v_k)(c v_k)† / (s + i lam_k).
+    That interpolation loses the low-order coefficients as (radius / |p|)^n:
+    on random dense systems the worst error on the imaginary axis in [-3i, 3i]
+    is about 1e-9 at n = 6, 1e-6 to 1e-5 at n = 8, and 0.1 or more at n = 12.
     """
     den = poly_from_roots(sys.poles)
     if sys.m == 1:

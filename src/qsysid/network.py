@@ -160,16 +160,17 @@ def _adjacency(net: NetworkModel) -> list[set[int]]:
     return adj
 
 
-def infection_closure(net: NetworkModel, reverse_scan: bool = False) -> InfectionTrace:
+def infection_closure(net: NetworkModel) -> InfectionTrace:
     """Run the infection iteration to its fixed point.
 
-    Infected vertices are scanned in ascending index order (descending
-    with ``reverse_scan``), infecting whenever a scanned vertex has exactly
-    one uninfected neighbour, until a full pass makes no progress. The
-    final verdict is scan-order independent; the trace records the order
-    actually taken. A pass scans only the infection front, the vertices
-    infected before it that still have an uninfected neighbour: the others
-    never gain one, so skipping them changes no step.
+    Infected vertices are scanned in ascending index order, infecting
+    whenever a scanned vertex has exactly one uninfected neighbour, until a
+    full pass makes no progress. The final verdict is scan-order
+    independent (any other order is the ascending scan of the relabelled
+    network); the trace records the order actually taken. A pass scans
+    only the infection front, the vertices infected before it that still
+    have an uninfected neighbour: the others never gain one, so skipping
+    them changes no step.
     """
     adj = _adjacency(net)
     infected = set(net.accessible)
@@ -179,7 +180,7 @@ def infection_closure(net: NetworkModel, reverse_scan: bool = False) -> Infectio
     while progress:
         progress = False
         front = {v for v in front if not adj[v] <= infected}
-        for v in sorted(front, reverse=reverse_scan):
+        for v in sorted(front):
             open_nbrs = adj[v] - infected
             if len(open_nbrs) == 1:
                 u = open_nbrs.pop()

@@ -102,15 +102,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_monic(den: np.ndarray) -> None:
-    """Raise NonMonic unless den (ascending) has degree >= 1 and leading
-    coefficient 1 within ``MONIC_TOL`` relative to its largest coefficient."""
-    if len(den) < 2:
-        raise NonMonic("denominator must have degree >= 1")
-    if abs(den[-1] - 1.0) > MONIC_TOL * max(1.0, np.abs(den).max()):
-        raise NonMonic(f"denominator leading coefficient {den[-1]} is not 1")
-
-
 @dataclass(frozen=True, eq=False)
 class RationalTF:
     """Matrix rational function num(s) / den(s), immutable: ``num``, ``den``
@@ -122,7 +113,8 @@ class RationalTF:
     num : ndarray, shape (m, m, deg + 1)
         Numerator coefficients per port pair, ascending degree.
     den : ndarray, shape (deg + 1,)
-        Common denominator coefficients, ascending degree, monic.
+        Common denominator coefficients, ascending degree, monic: ``den[-1]``
+        is exactly 1.
     poles : ndarray or None
         The exact roots of den when they are known (a single-port
         :func:`~qsysid.model.transfer_rational`), else None; the single-port
@@ -138,6 +130,16 @@ class RationalTF:
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        """Raise NonMonic unless ``den`` is 1-D, of degree >= 1 and ends in
+        exactly 1, and DimensionMismatch unless ``num`` is (m, m, len(den))
+        and ``poles``, when given, holds one root per degree."""
+        if np.ndim(self.den) != 1 or len(self.den) < 2 or self.den[-1] != 1:
+            raise NonMonic(f"denominator {reprlib.repr(self.den)} is not monic of degree >= 1")
+        shape = np.shape(self.num)
+        if shape != shape[:1] * 2 + (len(self.den),):
+            raise DimensionMismatch(f"numerator shape {shape} is not (m, m, {len(self.den)})")
+        if self.poles is not None and np.shape(self.poles) != (self.degree,):
+            raise DimensionMismatch(f"{np.size(self.poles)} poles for degree {self.degree}")
         for a in (self.num, self.den, self.poles):
             if a is not None:
                 read_only(a)
@@ -174,7 +176,10 @@ def make_rational_tf(num, den) -> RationalTF:
         num = num.reshape(1, 1, -1)
     if num.ndim != 3 or num.shape[0] != num.shape[1]:
         raise DimensionMismatch(f"numerator array has shape {num.shape}")
-    require_monic(den)
+    if len(den) < 2:
+        raise NonMonic("denominator must have degree >= 1")
+    if abs(den[-1] - 1.0) > MONIC_TOL * max(1.0, np.abs(den).max()):
+        raise NonMonic(f"denominator leading coefficient {den[-1]} is not 1")
     den[-1] = 1.0
     size = len(den)
     if num.shape[2] != size:

@@ -24,7 +24,7 @@ from .errors import (
     SolverSingular,
 )
 from .model import PassiveSystem, new_system
-from .ratfunc import RationalTF, read_only, require_finite, require_monic, require_real
+from .ratfunc import RationalTF, read_only, require_finite, require_real
 
 LYAPUNOV_RTOL = 1e-10
 PASSIVITY_RTOL = 1e-8
@@ -88,13 +88,11 @@ def companion_realization(tf: RationalTF) -> ClassicalRealization:
     ------
     DimensionMismatch
         more than one port.
-    NonMonic
     NotPassiveTF
         per :func:`_vanishing_difference`.
     """
     if tf.m != 1:
         raise DimensionMismatch(f"operation requires m = 1, got m = {tf.m}")
-    require_monic(tf.den)
     n = tf.degree
     c0 = -_vanishing_difference(tf)[0, 0].reshape(1, n)
     a0 = np.eye(n, k=1, dtype=complex)

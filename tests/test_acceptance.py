@@ -35,7 +35,13 @@ from conftest import (
     random_single_node_siso,
     ring_system,
 )
-from test_network import chain_network, random_network, ring_network, tree_network
+from test_network import (
+    chain_network,
+    descending_closure,
+    random_network,
+    ring_network,
+    tree_network,
+)
 
 
 def verdict(num: int, name: str, ok: bool) -> None:
@@ -234,7 +240,7 @@ def test_criterion_10_infection_oracles():
     for _ in range(200):
         net = random_network(rng, int(rng.integers(2, 10)))
         fwd = infection_closure(net)
-        rev = infection_closure(net, reverse_scan=True)
+        rev = descending_closure(net)
         ok = ok and fwd.infecting == rev.infecting and fwd.residual == rev.residual
     verdict(10, "infection closure oracles", ok)
 

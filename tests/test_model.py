@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qsysid
 from qsysid import (
     DimensionMismatch,
+    NonMonic,
     NonMonotoneGrid,
     NotHermitian,
     SingularResolvent,
@@ -411,6 +412,20 @@ class TestTransferRational:
                 dev = np.abs(tf.eval(s) - direct).max()
                 assert dev <= 1e-8 * max(1.0, np.abs(direct).max())
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="for m > 1 the FFT-interpolated numerator loses its low-order "
+        "coefficients as (radius / |p|)^n, far beyond 1e-8 at n = 12",
+    )
+    def test_two_port_matches_pointwise_evaluation_at_n_12(self, rng):
+        for _ in range(10):
+            sys = random_passive(rng, 12, 2)
+            tf = transfer_rational(sys)
+            for w in np.linspace(-3.0, 3.0, 13):
+                direct = transfer_at(sys, 1j * w)
+                dev = np.abs(tf.eval(1j * w) - direct).max()
+                assert dev <= 1e-8 * max(1.0, np.abs(direct).max())
+
     def test_repeat_is_bit_identical(self, rng):
         sys = random_passive(rng, 6, 2)
         first, second = transfer_rational(sys), transfer_rational(sys)
@@ -444,6 +459,29 @@ class TestRationalTF:
     def test_non_square_numerator_rejected(self):
         with pytest.raises(DimensionMismatch, match=r"^numerator array has shape \(1, 2, 2\)$"):
             make_rational_tf(np.ones((1, 2, 2)), [0.5, 1.0])
+
+    @pytest.mark.parametrize(
+        "error, match, num, den, poles",
+        [
+            pytest.param(NonMonic, r"^denominator array\(\[\[1., 1.\]\]\) is not monic of degree",
+                         np.ones((1, 1, 2)), np.ones((1, 2)), None, id="den-2d"),
+            pytest.param(NonMonic, r"^denominator array\(\[1.\]\) is not monic of degree >= 1$",
+                         np.ones((1, 1, 1)), np.ones(1), None, id="den-degree-0"),
+            pytest.param(NonMonic, "is not monic", np.ones((1, 1, 2)),
+                         np.array([1.0, 1.0 + 2.0**-52]), None, id="den-lead-one-ulp-off"),
+            pytest.param(DimensionMismatch, r"^numerator shape \(1, 1, 2\) is not \(m, m, 3\)$",
+                         np.ones((1, 1, 2)), np.array([1.0, 2.0, 1.0]), None, id="num-short"),
+            pytest.param(DimensionMismatch, r"^numerator shape \(1, 2, 2\) is not \(m, m, 2\)$",
+                         np.ones((1, 2, 2)), np.array([1.0, 1.0]), None, id="num-not-square"),
+            pytest.param(DimensionMismatch, r"^numerator shape \(2,\) is not \(m, m, 2\)$",
+                         np.ones(2), np.array([1.0, 1.0]), None, id="num-1d"),
+            pytest.param(DimensionMismatch, r"^1 poles for degree 2$", np.ones((1, 1, 3)),
+                         np.array([1.0, 2.0, 1.0]), np.array([-1.0]), id="poles-short"),
+        ],
+    )
+    def test_constructor_refuses_broken_invariants(self, error, match, num, den, poles):
+        with pytest.raises(error, match=match):
+            qsysid.RationalTF(num=num, den=den, poles=poles)
 
     def test_short_numerator_padded_and_trailing_zeros_dropped(self):
         padded = make_rational_tf([0.5], [0.5, 0.2, 1.0])

@@ -13,6 +13,7 @@ from qsysid import (
     NonMonic,
     NotHurwitz,
     NotPassiveTF,
+    RationalTF,
     companion_realization,
     direct_reconstruction,
     eigenvalues_from_canonical,
@@ -111,6 +112,11 @@ class TestCompanionRealization:
     def test_non_monic(self):
         with pytest.raises(NonMonic):
             make_rational_tf([1.0, 2.0], [1.0, 2.0000001])
+
+    def test_short_numerator_refused_before_the_realization(self):
+        # a hand-built function whose numerator is shorter than its denominator
+        with pytest.raises(DimensionMismatch, match=r"^numerator shape \(1, 1, 2\)"):
+            companion_realization(RationalTF(num=np.array([[[1, 1]]]), den=np.array([1, 2, 1])))
 
     def test_not_vanishing_at_infinity(self):
         # Xi -> 2 at large |s|: no realization with direct term 1
@@ -603,6 +609,12 @@ class TestMimoCouplingGram:
         num[1, 1] = [1.0, 2.0]
         with pytest.raises(NotPassiveTF, match=NOT_VANISHING):
             mimo_coupling_gram(make_rational_tf(num, [1.0, 1.0]))
+
+    def test_non_monic_function_refused(self, rng):
+        # den scaled by 2 is not monic: the leading moments would come out wrong
+        tf = transfer_rational(random_passive(rng, 3, 2))
+        with pytest.raises(NonMonic, match="is not monic of degree >= 1$"):
+            mimo_coupling_gram(RationalTF(num=2 * tf.num, den=2 * tf.den))
 
     def test_rank_deficient_coupling_rejected(self, rng):
         # two ports driving the same mode combination: singular gram
