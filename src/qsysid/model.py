@@ -327,9 +327,9 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     det(sI + A†), since det Xi(s) = det(sI + A†) / det(sI - A) by the
     matrix determinant lemma and A + A† = -c†c: its roots are the poles
     mirrored, -conj(p_k), so its coefficients are (-1)^(n-k) conj(den_k).
-    The poles themselves ride along as ``poles``, so that the single-port
-    reconstruction never has to find them again from the coefficients.
-    For m > 1 numerator coefficients are
+    The spectral measure of ``sys.reached`` rides along as ``measure``,
+    ``(lam, |c v|²)``, so that the single-port reconstruction never has to
+    find it again from the coefficients. For m > 1 numerator coefficients are
     recovered by interpolating Xi(s) * den(s) on a circle of radius
     2 * (1 + spectral radius), where the interpolation nodes form a
     scaled DFT grid so the Vandermonde solve is an FFT. Xi is evaluated at
@@ -341,8 +341,8 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     """
     den = poly_from_roots(sys.poles)
     if sys.m == 1:
-        num = den.conj() * (-1.0) ** (sys.n - np.arange(sys.n + 1))
-        return RationalTF(num=num[None, None, :], den=den, poles=sys.poles)
+        num = (den.conj() * (-1.0) ** (sys.n - np.arange(sys.n + 1)))[None, None, :]
+        return RationalTF(num, den, (sys.reached.lam, np.abs(sys.reached.cv[0]) ** 2))
     radius = 2.0 * (1.0 + np.abs(sys.poles).max())
     npts = sys.n + 1
     nodes = radius * np.exp(2j * np.pi * np.arange(npts) / npts)

@@ -30,7 +30,8 @@ class ProbeDataset:
 
     ``responses[j]`` is the measured m x m matrix at ``freqs[j]`` (rad/s);
     ``noise_sigma`` is the per-component Gaussian standard deviation used
-    to generate it.
+    to generate it. Both arrays must be ndarrays, else ValueError naming the
+    field: :func:`sample_response` and the file reader convert their input.
     """
 
     freqs: np.ndarray
@@ -39,6 +40,9 @@ class ProbeDataset:
     seed: int | None = None
 
     def __post_init__(self):
+        for name, a in (("freqs", self.freqs), ("responses", self.responses)):
+            if not isinstance(a, np.ndarray):
+                raise ValueError(f"{name} must be an ndarray, got {type(a).__name__}")
         size, shape = np.size(self.freqs), np.shape(self.responses)
         if len(shape) != 3 or shape[0] != size or shape[1] != shape[2]:
             raise DimensionMismatch(f"responses must be {size} square matrices, not {shape}")
@@ -94,10 +98,8 @@ def sample_response(
     freqs = require_grid(freqs, "freqs", 1)
     rank = sys.reached.lam.size
     if rank < sys.n:
-        raise NotHurwitz(
-            f"fields reach {rank} of {sys.n} modes; "
-            "an unreached mode has a pole on the imaginary axis"
-        )
+        raise NotHurwitz(f"fields reach {rank} of {sys.n} modes; "
+                         "an unreached mode has a pole on the imaginary axis")
     responses = np.empty((freqs.size, sys.m, sys.m), dtype=complex)
     for j, s in enumerate((1j * freqs).tolist()):
         responses[j] = transfer_at(sys, s)
@@ -149,9 +151,8 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     require_finite(data.responses, "responses")
     n = require_whole(degree, "degree", 1)
     if freqs.size < 2 * (2 * n + 1):
-        raise InsufficientData(
-            f"{freqs.size} samples for degree {n}; need at least {2 * (2 * n + 1)}"
-        )
+        raise InsufficientData(f"{freqs.size} samples for degree {n}; "
+                               f"need at least {2 * (2 * n + 1)}")
     resp = data.responses[:, 0, 0]
     wref = np.exp(np.mean(np.log(np.abs(freqs[freqs != 0.0]))))
     z = 1j * freqs / wref
@@ -171,9 +172,7 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
         wdesign = wdesign / colnorm[None, :]
         solution, _, rank, _ = np.linalg.lstsq(wdesign, weights * rhs, rcond=None)
         if rank < 2 * n:
-            raise InsufficientData(
-                f"the samples determine {rank} of the {2 * n} coefficients"
-            )
+            raise InsufficientData(f"the samples determine {rank} of the {2 * n} coefficients")
         solution = solution / colnorm
         change = np.linalg.norm(solution - coeffs)
         scale = max(np.linalg.norm(solution), 1e-300)

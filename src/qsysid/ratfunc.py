@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numbers
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -104,9 +104,9 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RationalTF:
-    """Matrix rational function num(s) / den(s), immutable: ``num``, ``den``
-    and ``poles`` are made read-only at construction
-    (:func:`make_rational_tf` copies its input first).
+    """Matrix rational function num(s) / den(s), immutable: its arrays are
+    made read-only at construction (:func:`make_rational_tf` copies its
+    input first).
 
     Attributes
     ----------
@@ -115,34 +115,42 @@ class RationalTF:
     den : ndarray, shape (deg + 1,)
         Common denominator coefficients, ascending degree, monic: ``den[-1]``
         is exactly 1.
-    poles : ndarray or None
-        The exact roots of den when they are known (a single-port
-        :func:`~qsysid.model.transfer_rational`), else None; the single-port
-        reconstruction then takes them in place of ``eigvals`` of the
-        companion matrix.
+    measure : (lam, w) or None
+        The spectral measure of Xi when it is known (a single-port
+        :func:`~qsysid.model.transfer_rational`), else None: two real 1-D arrays
+        of one length <= the degree, lam ascending, w > 0, taken as den's own.
     """
 
     num: np.ndarray
     den: np.ndarray
-    poles: np.ndarray | None = None
-    # the single-port reconstruction of this immutable function: one read-only
-    # record, kept by qsysid.realization on first use and shared by every caller
-    _kept: dict = field(default_factory=dict, init=False, repr=False)
+    measure: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        """Raise NonMonic unless ``den`` is 1-D, of degree >= 1 and ends in
-        exactly 1, and DimensionMismatch unless ``num`` is (m, m, len(den))
-        and ``poles``, when given, holds one root per degree."""
-        if np.ndim(self.den) != 1 or len(self.den) < 2 or self.den[-1] != 1:
+        """Raise ValueError for a field, or part of ``measure``, not an ndarray, or
+        a measure's values not as above; NonMonic unless ``den`` is 1-D, of degree
+        >= 1 and ends in exactly 1; DimensionMismatch for any other shape not so."""
+        measure = () if self.measure is None else self.measure
+        for name, a in (("num", self.num), ("den", self.den), *(("measure", a) for a in measure)):
+            if not isinstance(a, np.ndarray):
+                raise ValueError(f"{name} must be an ndarray, got {type(a).__name__}")
+        if self.den.ndim != 1 or len(self.den) < 2 or self.den[-1] != 1:
             raise NonMonic(f"denominator {reprlib.repr(self.den)} is not monic of degree >= 1")
-        shape = np.shape(self.num)
+        shape = self.num.shape
         if shape != shape[:1] * 2 + (len(self.den),):
             raise DimensionMismatch(f"numerator shape {shape} is not (m, m, {len(self.den)})")
-        if self.poles is not None and np.shape(self.poles) != (self.degree,):
-            raise DimensionMismatch(f"{np.size(self.poles)} poles for degree {self.degree}")
-        for a in (self.num, self.den, self.poles):
-            if a is not None:
-                read_only(a)
+        if self.measure is not None:
+            shapes = [a.shape for a in measure]
+            if len(shapes) != 2 or shapes[0] != shapes[1] or len(shapes[0]) != 1 \
+                    or shapes[0][0] > self.degree:
+                raise DimensionMismatch(
+                    f"measure shapes {shapes} are not two of one length <= {self.degree}")
+            lam, w = measure
+            if not (lam.dtype.kind == w.dtype.kind == "f" and np.isfinite(lam).all()
+                    and (lam[:-1] <= lam[1:]).all() and ((0 < w) & (w < np.inf)).all()):
+                raise ValueError(f"measure must be real and finite, lam ascending and w > 0, "
+                                 f"got {reprlib.repr(measure)}")
+        for a in (self.num, self.den, *measure):
+            read_only(a)
 
     @property
     def m(self) -> int:

@@ -3,10 +3,9 @@
 A single-port passive Xi(s) = prod_k (s + conj p_k) / (s - p_k) is the
 series product (cascade) of one-mode cavities, one per pole. :func:`_measure`
 reads the spectral measure (lam, w) of the cascade's Hamiltonian off one
-``eigh``; (diag(lam), sqrt(w)) realizes Xi, and one Householder reflection
-gives the canonical parameters (theta, omega11, lambda_i, |E'_i|). Each
-function is reconstructed once, from its exact poles or from its
-coefficients, and keeps the result, which both public routes read.
+``eigh``, unless Xi carries it (:func:`~qsysid.model.transfer_rational`);
+(diag(lam), sqrt(w)) realizes Xi, and one Householder reflection gives the
+canonical parameters (theta, omega11, lambda_i, |E'_i|).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ PASSIVITY_RTOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class ClassicalRealization:
     """Companion triple, Xi(s) = 1 + c0 (sI - a0)^{-1} b0, and the function
-    it realizes, which keeps its reconstruction."""
+    it realizes, whose carried measure, if any, the reconstruction takes."""
 
     a0: np.ndarray
     b0: np.ndarray
@@ -68,10 +67,8 @@ def _vanishing_difference(tf: RationalTF) -> np.ndarray:
     lead = np.abs(diff[:, :, n]).max()
     threshold = PASSIVITY_RTOL * max(np.abs(diff).max(), np.abs(tf.den).max())
     if lead > threshold:
-        raise NotPassiveTF(
-            f"I - Xi does not vanish at large |s|: leading coefficient "
-            f"{lead:.3e} exceeds {threshold:.3e}"
-        )
+        raise NotPassiveTF(f"I - Xi does not vanish at large |s|: leading coefficient "
+                           f"{lead:.3e} exceeds {threshold:.3e}")
     return diff[:, :, :n]
 
 
@@ -80,8 +77,8 @@ def companion_realization(tf: RationalTF) -> ClassicalRealization:
 
     A0 carries the denominator coefficients in its last row, B0 = e_n, and
     C0 holds the coefficients of Xi(s) - 1 over the common denominator.
-    ``tf`` is carried on, so that its reconstruction is its own, computed
-    once (:func:`reconstruct_passive`). Xi(inf) must be 1, the direct term
+    ``tf`` is carried on, so that :func:`reconstruct_passive` can take its
+    measure when it carries one. Xi(inf) must be 1, the direct term
     of every passive system, within 1e-8 relative.
 
     Raises
@@ -165,57 +162,56 @@ def _cascade(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _measure(real: ClassicalRealization, tol: float) -> tuple:
-    """Spectral measure (lam ascending, w) of Xi from the cascade of its
-    poles, and its :class:`CanonicalParams`, all read-only.
+    """Spectral measure (lam ascending, w) of Xi and its CanonicalParams, all read-only.
 
-    Exact poles (``real.tf.poles``) have mirror gap g_k = 0. Otherwise the
-    poles are ``eigvals(a0)``, held to the mirror gap g_k of
-    :func:`_mirror_gap`, and move by conj(g_k) / 2 before :func:`_cascade`;
-    the root of den + num near the mode j nearest -Im p_k lies Re g_k / 2
-    off the imaginary axis. The first call on a function keeps, on
-    ``real.tf``, the measure, the parameters, each |Re g_k| / 2 and each j;
-    every call holds that record to its own ``tol``.
+    A measure carried by ``real.tf`` is taken as it is if it passes the PBH
+    (Popov-Belevitch-Hautus) test at the poles' rounding floor of
+    :func:`_require_hurwitz`, max|p| <= max|lam| + sum(w) / 2: adjacent modes
+    whose pole between them decays by at most 2 gap² / (cbrt w_j + cbrt w_j+1)³
+    <= floor are one eigenspace, reached in one direction, and an eigenspace
+    of weight <= 2 floor is unreached. Otherwise the poles are ``eigvals(a0)``,
+    held to the mirror gap g_k of :func:`_mirror_gap`, and move by conj(g_k) / 2
+    before :func:`_cascade`; the root of den + num near the mode j nearest
+    -Im p_k lies Re g_k / 2 off the imaginary axis, which is held to ``tol``.
 
     Raises
     ------
     ValueError
         tol is not finite and positive.
     NotHurwitz
-        per :func:`_require_hurwitz`.
+        a carried measure fails the PBH test, or the poles :func:`_require_hurwitz`.
     NotPassiveTF
-        some |g_k| not within -Re p_k, or some |Re g_k| above
-        2 tol sqrt(w_j theta).
+        some |g_k| not within -Re p_k, or some |Re g_k| above 2 tol sqrt(w_j theta).
     """
     tol = require_real(tol, "tol", 0.0, strict=True)
-    kept = real.tf._kept.get("measure")
-    if kept is None:
-        poles = real.tf.poles
-        p = np.linalg.eigvals(real.a0) if poles is None else poles
-        _require_hurwitz(p)
-        g = np.zeros_like(p)
-        if poles is None:
-            g = _mirror_gap(real, p)
-            k = int(np.argmax(np.abs(g) + p.real))
-            if not abs(g[k]) <= -p[k].real:
-                raise NotPassiveTF(
-                    f"zero of num {abs(g[k]):.3e} from the mirrored pole "
-                    f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}"
-                )
-            p = p + 0.5 * g.conj()
-        lam, w = _cascade(p)
-        j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
-        lam, w, j, offset = map(read_only, (lam, w, j, 0.5 * np.abs(g.real)))
-        # setdefault: callers racing on first use all get the first record kept
-        kept = real.tf._kept.setdefault("measure", (lam, w, _canonical(lam, w), offset, j))
-    lam, w, params, offset, j = kept
+    if real.tf.measure is not None:
+        lam, w = real.tf.measure
+        n, reach = real.tf.degree, lam.size
+        if reach == n:
+            floor = n * np.finfo(float).eps * max(1.0, np.abs(lam).max() + 0.5 * w.sum())
+            split = np.diff(lam) > np.sqrt(0.5 * floor) * (np.cbrt(w[:-1]) + np.cbrt(w[1:])) ** 1.5
+            reach = np.count_nonzero(np.bincount(np.cumsum(np.r_[0, split]), w) > 2 * floor)
+        if reach < n:
+            raise NotHurwitz(f"fields reach {reach} of {n} modes; "
+                             "an unreached mode has a pole on the imaginary axis")
+        return lam, w, _canonical(lam, w)
+    p = np.linalg.eigvals(real.a0)
+    _require_hurwitz(p)
+    g = _mirror_gap(real, p)
+    k = int(np.argmax(np.abs(g) + p.real))
+    if not abs(g[k]) <= -p[k].real:
+        raise NotPassiveTF(f"zero of num {abs(g[k]):.3e} from the mirrored pole "
+                           f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}")
+    p = p + 0.5 * g.conj()
+    lam, w = _cascade(p)
+    j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
+    offset = 0.5 * np.abs(g.real)
     bound = tol * np.sqrt(w[j]) * np.sqrt(w.sum())
     k = int(np.argmax(offset - bound))
     if offset[k] > bound[k]:
-        raise NotPassiveTF(
-            f"Xi = -1 near lam = {lam[j[k]]:.6g}, off the imaginary axis by "
-            f"{offset[k]:.3e} > {bound[k]:.3e}"
-        )
-    return lam, w, params
+        raise NotPassiveTF(f"Xi = -1 near lam = {lam[j[k]]:.6g}, off the imaginary axis by "
+                           f"{offset[k]:.3e} > {bound[k]:.3e}")
+    return read_only(lam), read_only(w), _canonical(lam, w)
 
 
 def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
@@ -243,14 +239,12 @@ def reconstruct_passive(
     """Recover (omega, c) and the canonical parameters from a classical
     realization of a passive single-port transfer function.
 
-    The measure (lam, w) of the cascade of the poles (:func:`_measure`)
-    gives omega = diag(lam), lam ascending, and c = sqrt(w) > 0; the rest of
-    the class is :func:`~qsysid.identifiability.gauge_transform` of it. Poles
+    The measure (lam, w) of Xi (:func:`_measure`), the one the function
+    carries or else that of the cascade of its poles, gives
+    omega = diag(lam), lam ascending, and c = sqrt(w) > 0; the rest of the
+    class is :func:`~qsysid.identifiability.gauge_transform` of it. Poles
     from coefficients are held to the mirror of num at the relative
-    tolerance ``passivity_tol``; loosen it for fitted functions. Each
-    function is reconstructed once: every call on it, and
-    :func:`direct_reconstruction`, returns the same read-only
-    :class:`CanonicalParams`, while ``passivity_tol`` applies per call.
+    tolerance ``passivity_tol``; loosen it for fitted functions.
 
     Raises
     ------
@@ -264,8 +258,7 @@ def reconstruct_passive(
 def direct_reconstruction(tf: RationalTF) -> CanonicalParams:
     """Identifiable parameters (theta, omega11, lambda_i, |E'_i|) of Xi, as
     :func:`reconstruct_passive` returns them from :func:`companion_realization`
-    of ``tf`` at the relative tolerance 1e-8: the one result both routes
-    share, computed on first use."""
+    of ``tf`` at the relative tolerance 1e-8."""
     return _measure(companion_realization(tf), PASSIVITY_RTOL)[2]
 
 
@@ -298,11 +291,9 @@ def mimo_coupling_gram(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
         (coupling not of full row rank).
     """
     n = tf.degree
-    m = tf.m
-    den = tf.den
     diff = _vanishing_difference(tf)
     moment0 = diff[:, :, n - 1]
-    moment1 = (diff[:, :, n - 2] if n >= 2 else np.zeros((m, m))) - den[n - 1] * moment0
+    moment1 = (diff[:, :, n - 2] if n >= 2 else np.zeros_like(moment0)) - tf.den[n - 1] * moment0
     gram = 0.5 * (moment0 + moment0.conj().T)
     lam, u = np.linalg.eigh(gram)
     if lam[0] <= PASSIVITY_RTOL * max(lam[-1], 0.0) or lam[-1] <= 0.0:

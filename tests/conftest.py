@@ -130,6 +130,12 @@ def random_single_node_siso(
         return new_system(omega, c)
 
 
+def assert_params_equal(a, b) -> None:
+    """The canonical parameters a and b are equal, bit for bit."""
+    assert (a.theta, a.omega11) == (b.theta, b.omega11)
+    assert a.lambdas.tobytes() == b.lambdas.tobytes() and a.e_abs.tobytes() == b.e_abs.tobytes()
+
+
 # Values that are no real scalar, each of which would read as 1 if converted:
 # every scalar argument refuses them, naming itself in the message.
 NOT_REAL = [True, 1j, np.complex128(1), "1", None, np.array([1.0])]

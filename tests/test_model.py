@@ -35,7 +35,13 @@ from qsysid import model
 from qsysid.probe import ProbeDataset
 from qsysid.ratfunc import poly_from_roots, require_real
 
-from conftest import chain_system, one_mode_system, random_passive, uniform_chain
+from conftest import (
+    assert_params_equal,
+    chain_system,
+    one_mode_system,
+    random_passive,
+    uniform_chain,
+)
 
 EPS = np.finfo(float).eps
 GRID = np.geomspace(0.1, 10.0, 40)
@@ -461,7 +467,7 @@ class TestRationalTF:
             make_rational_tf(np.ones((1, 2, 2)), [0.5, 1.0])
 
     @pytest.mark.parametrize(
-        "error, match, num, den, poles",
+        "error, match, num, den, measure",
         [
             pytest.param(NonMonic, r"^denominator array\(\[\[1., 1.\]\]\) is not monic of degree",
                          np.ones((1, 1, 2)), np.ones((1, 2)), None, id="den-2d"),
@@ -475,13 +481,44 @@ class TestRationalTF:
                          np.ones((1, 2, 2)), np.array([1.0, 1.0]), None, id="num-not-square"),
             pytest.param(DimensionMismatch, r"^numerator shape \(2,\) is not \(m, m, 2\)$",
                          np.ones(2), np.array([1.0, 1.0]), None, id="num-1d"),
-            pytest.param(DimensionMismatch, r"^1 poles for degree 2$", np.ones((1, 1, 3)),
-                         np.array([1.0, 2.0, 1.0]), np.array([-1.0]), id="poles-short"),
+            pytest.param(DimensionMismatch, r"^measure shapes \[\(2,\), \(1,\)\] are not two of",
+                         np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
+                         (np.zeros(2), np.ones(1)), id="measure-unequal"),
+            pytest.param(DimensionMismatch, r"^measure shapes \[\(3,\), \(3,\)\] are not two of "
+                         r"one length <= 2$", np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
+                         (np.zeros(3), np.ones(3)), id="measure-long"),
+            pytest.param(DimensionMismatch, r"^measure shapes \[\] are not two of",
+                         np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]), (), id="measure-empty"),
+            *(pytest.param(ValueError, r"^measure must be real and finite, lam ascending and "
+                           r"w > 0, got \(", np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
+                           measure, id=f"measure-{name}") for name, measure in [
+                ("complex", (np.array([0.0, 1.0 + 0j]), np.ones(2))),
+                ("not-finite", (np.array([0.0, np.inf]), np.ones(2))),
+                ("descending", (np.array([1.0, 0.0]), np.ones(2))),
+                ("weight-negative", (np.array([1.0]), np.array([-1.0]))),
+                ("weight-zero", (np.array([0.0, 1.0]), np.array([1.0, 0.0]))),
+                ("weight-nan", (np.array([0.0, 1.0]), np.array([1.0, np.nan]))),
+            ]),
         ],
     )
-    def test_constructor_refuses_broken_invariants(self, error, match, num, den, poles):
+    def test_constructor_refuses_broken_invariants(self, error, match, num, den, measure):
         with pytest.raises(error, match=match):
-            qsysid.RationalTF(num=num, den=den, poles=poles)
+            qsysid.RationalTF(num=num, den=den, measure=measure)
+
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            ("num", dict(num=[[[1, 1, 1]]], den=np.array([1.0, 2.0, 1.0]))),
+            ("den", dict(num=np.ones((1, 1, 3)), den=[1, 2, 1])),
+            ("measure", dict(num=np.ones((1, 1, 3)), den=np.array([1.0, 2.0, 1.0]),
+                             measure=([-1.0], np.ones(1)))),
+        ],
+        ids=["num-list", "den-list", "measure-list"],
+    )
+    def test_constructor_refuses_what_is_not_an_ndarray(self, name, fields):
+        # only make_rational_tf converts input; a list was an AttributeError
+        with pytest.raises(ValueError, match=f"^{name} must be an ndarray, got list$"):
+            qsysid.RationalTF(**fields)
 
     def test_short_numerator_padded_and_trailing_zeros_dropped(self):
         padded = make_rational_tf([0.5], [0.5, 0.2, 1.0])
@@ -492,7 +529,7 @@ class TestRationalTF:
             make_rational_tf([0.5, -0.2, 1.0, 0.0, 1e-300], [0.5, 0.2, 1.0])
 
     def test_coefficients_copied_read_only(self):
-        # the kept reconstruction is only sound for a function that cannot change
+        # a function is immutable: changing the caller's arrays leaves it as it was
         num = np.array([-0.4, 1.0], dtype=complex)
         den = np.array([0.4, 1.0], dtype=complex)
         tf = make_rational_tf(num, den)
@@ -500,12 +537,12 @@ class TestRationalTF:
         num[0], den[0] = 7.0, 7.0
         assert tf.num[0, 0, 0] == -0.4 and tf.den[0] == 0.4
         exact = transfer_rational(chain_system())
-        replaced = dataclasses.replace(exact, poles=exact.poles.copy())
-        for array in (tf.num, tf.den, exact.num, exact.den, replaced.poles):
+        replaced = dataclasses.replace(exact, measure=tuple(a.copy() for a in exact.measure))
+        for array in (tf.num, tf.den, exact.num, exact.den, *replaced.measure):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7.0
-        assert qsysid.direct_reconstruction(tf) is before
+        assert_params_equal(qsysid.direct_reconstruction(tf), before)
 
 
 class TestPolyFromRoots:

@@ -144,6 +144,16 @@ class TestFitRational:
         with pytest.raises(DimensionMismatch, match="^fit requires single-port data, got m = 2$"):
             fit_rational(data, 1)
 
+    @pytest.mark.parametrize("field", ["freqs", "responses"])
+    def test_dataset_of_lists_refused(self, field):
+        # only sample_response and the file reader convert input: a nested
+        # list of responses made .m, and so the fit, raise AttributeError
+        data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 40))
+        fields = dict(freqs=data.freqs, responses=data.responses, noise_sigma=0.0)
+        fields[field] = fields[field].tolist()
+        with pytest.raises(ValueError, match=f"^{field} must be an ndarray, got list$"):
+            ProbeDataset(**fields)
+
     def test_non_finite_response_rejected(self):
         data = sample_response(chain_system(), np.geomspace(0.01, 100.0, 40))
         responses = data.responses.copy()

@@ -1,6 +1,5 @@
 """Companion forms, the Lyapunov solve, reconstruction from the spectral measure."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -32,8 +31,10 @@ from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _measure
 
 from conftest import (
     NOT_REAL,
+    assert_params_equal,
     chain_system,
     one_mode_system,
+    planted_rank_system,
     random_passive,
     random_single_node_siso,
     random_unitary,
@@ -157,15 +158,12 @@ class TestSolveLyapunov:
         with pytest.raises(NotHurwitz):
             solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
 
-    @pytest.mark.parametrize("route", ["lyapunov", "coefficients", "exact"])
+    @pytest.mark.parametrize("route", ["lyapunov", "coefficients"])
     def test_pole_within_rounding_refused_by_both(self, route):
         # Xi = (s - 1e-17) / (s + 1e-17): its pole -1e-17 is negative by sign
         # alone, within the rounding of a computed pole, so neither the
         # Lyapunov solve nor the reconstruction takes it as Hurwitz
-        tf = make_rational_tf([-1e-17, 1.0], [1e-17, 1.0])
-        if route == "exact":
-            tf = dataclasses.replace(tf, poles=np.array([-1e-17 + 0j]))
-        real = companion_realization(tf)
+        real = companion_realization(make_rational_tf([-1e-17, 1.0], [1e-17, 1.0]))
         assert np.linalg.eigvals(real.a0).real.max() < 0.0
         with pytest.raises(NotHurwitz, match="real part not below"):
             if route == "lyapunov":
@@ -231,7 +229,7 @@ class TestReconstructPassive:
     @pytest.mark.parametrize("tol", [np.float32(1e-8), np.int64(1)], ids=repr)
     def test_numpy_scalar_tolerance_accepted(self, tol):
         real = companion_realization(transfer_rational(chain_system()))
-        assert reconstruct_passive(real, tol)[1] is reconstruct_passive(real)[1]
+        assert_params_equal(reconstruct_passive(real, tol)[1], reconstruct_passive(real)[1])
 
     def test_bool_tolerance_refused(self):
         real = companion_realization(transfer_rational(chain_system()))
@@ -246,10 +244,7 @@ class TestReconstructPassive:
         tf = transfer_rational(sys)
         rebuilt, params = reconstruct_passive(companion_realization(tf))
         assert find_gauge(rebuilt, sys).equivalent
-        direct = direct_reconstruction(tf)
-        assert (direct.theta, direct.omega11) == (params.theta, params.omega11)
-        np.testing.assert_array_equal(direct.lambdas, params.lambdas)
-        np.testing.assert_array_equal(direct.e_abs, params.e_abs)
+        assert_params_equal(direct_reconstruction(tf), params)
 
     def test_reproduces_transfer(self, rng):
         for _ in range(20):
@@ -295,15 +290,21 @@ class TestReconstructPassive:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_exact_rebuild_equivalent_property(self, kind, n, seed):
-        # the poles of transfer_rational fix the cascade exactly, so the
-        # rebuild is certified equivalent to the source up to n = 128
+        # transfer_rational carries the source's reached measure, so the
+        # rebuild is that measure, bit for bit, and certified equivalent to
+        # the source up to n = 128
         rng = np.random.default_rng(seed)
         if kind == "dense":
             sys = random_passive(rng, n, 1)
         else:
             sys = chain_of(n, rng.uniform(0.2, 2.0))
-        rebuilt, _ = reconstruct_passive(companion_realization(transfer_rational(sys)))
+        tf = transfer_rational(sys)
+        rebuilt, params = reconstruct_passive(companion_realization(tf))
         assert find_gauge(rebuilt, sys).equivalent
+        assert rebuilt.omega.tobytes() == np.diag(sys.reached.lam).astype(complex).tobytes()
+        c = np.sqrt(np.abs(sys.reached.cv) ** 2)
+        assert rebuilt.c.tobytes() == c.astype(complex).tobytes()
+        assert_params_equal(direct_reconstruction(tf), params)
 
 
 class TestDirectReconstruction:
@@ -375,16 +376,23 @@ class TestDirectReconstruction:
     def test_merged_interior_mode_rejected(self):
         # equal couplings to two identical interior detunings: a mode
         # decouples, its pole sits on the imaginary axis, and the operation
-        # refuses rather than approximates, from exact poles and from
-        # coefficients alike
+        # refuses rather than approximates, from the exact measure (by the
+        # PBH rank) and from coefficients alike; so too for one unreached
+        # mode planted among 40, and for a mode of weight 1e-18, which
+        # reached keeps but whose pole decays by 5e-19, within the rounding
         omega = np.array(
             [[0.0, 0.5, 0.5], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]], dtype=complex
         )
-        tf = transfer_rational(new_system(omega, [[1.0, 0.0, 0.0]]))
-        with pytest.raises(NotHurwitz):
-            direct_reconstruction(tf)
-        with pytest.raises((NotHurwitz, NotPassiveTF)):
-            direct_reconstruction(make_rational_tf(tf.num, tf.den))
+        merged = new_system(omega, [[1.0, 0.0, 0.0]])
+        planted = planted_rank_system(np.random.default_rng(40), 40, 1, 39)
+        weak = new_system(np.diag([0.0, 1.0]), [[1.0, 1e-9]])
+        assert weak.reached.lam.size == 2
+        for sys, reached in ((merged, 2), (planted, 39), (weak, 1)):
+            tf = transfer_rational(sys)
+            with pytest.raises(NotHurwitz, match=f"^fields reach {reached} of {sys.n} modes; "):
+                direct_reconstruction(tf)
+            with pytest.raises((NotHurwitz, NotPassiveTF)):
+                direct_reconstruction(make_rational_tf(tf.num, tf.den))
 
     def test_sign_flipped_chain_rejected(self):
         # chain-like function with the interior response sign flipped:
@@ -397,23 +405,26 @@ class TestDirectReconstruction:
         with pytest.raises(NotHurwitz):
             direct_reconstruction(make_rational_tf(num, den))
 
-    @pytest.mark.parametrize("route", ["exact", "exact_negative", "coefficients"])
+    @pytest.mark.parametrize("route", ["exact", "coefficients"])
     def test_near_pair_refused_by_scale_threshold(self, route):
         # modes 0.3 and 0.3 + 1e-10 with weights 0.5 each: the dark
         # combination decays at about 5e-21, below the poles' rounding
-        # n eps max(1, |p|), so the pair is refused whatever the sign that
-        # rounding gives its real part
-        sys = new_system(np.diag([0.3, 0.3 + 1e-10]), np.sqrt([[0.5, 0.5]]))
-        tf = transfer_rational(sys)
-        if route == "exact_negative":
-            # Hurwitz by sign alone: every real part strictly negative
-            poles = tf.poles.copy()
-            poles.real = np.minimum(poles.real, -1e-17)
-            tf = dataclasses.replace(tf, poles=poles)
-        elif route == "coefficients":
-            tf = make_rational_tf(tf.num, tf.den)
-        with pytest.raises(NotHurwitz, match=r"real part not below -4\.441e-16"):
-            direct_reconstruction(tf)
+        # n eps max(1, |p|) = 4.4e-16, so both routes refuse the pair: from
+        # coefficients whatever the sign that rounding gives its real part,
+        # from the exact measure as one eigenspace with one direction
+        # unreached. At a gap of 1e-5 it decays at 5e-11, and both rebuild
+        # it; each side lies five decades from the floor
+        def xi(gap):
+            sys = new_system(np.diag([0.3, 0.3 + gap]), np.sqrt([[0.5, 0.5]]))
+            tf = transfer_rational(sys)
+            return sys, (tf if route == "exact" else make_rational_tf(tf.num, tf.den))
+
+        refused = {"exact": r"^fields reach 1 of 2 modes; an unreached mode has a pole on the",
+                   "coefficients": r"real part not below -4\.441e-16"}[route]
+        with pytest.raises(NotHurwitz, match=refused):
+            direct_reconstruction(xi(1e-10)[1])
+        sys, tf = xi(1e-5)
+        assert find_gauge(reconstruct_passive(companion_realization(tf))[0], sys).equivalent
 
 
 class TestMeasure:
@@ -436,7 +447,7 @@ class TestMeasure:
             assert np.abs(w - w_true).max() <= rtol * w_true.sum()
 
     def test_no_eigenvectors_and_no_solve(self, monkeypatch):
-        # fresh functions, exact and from coefficients, so nothing is kept yet
+        # functions exact and from coefficients, each built afresh
         def exact():
             return transfer_rational(chain_system())
 
@@ -457,20 +468,20 @@ class TestMeasure:
             np.testing.assert_array_equal(w, w0)
             np.testing.assert_array_equal(params.lambdas, params0.lambdas)
 
-    def test_exact_poles_take_no_mirror_gap(self, monkeypatch):
-        # exact poles have g = 0: they pass the same checks without the
-        # Newton step from the coefficients
-        expected = _measure(companion_realization(transfer_rational(chain_system())), 1e-8)
+    def test_exact_measure_takes_no_cascade(self, monkeypatch):
+        # a carried measure is taken as it is: no poles, no mirror gap and
+        # no cascade, only the canonical form of it
+        tf = transfer_rational(chain_system())
 
         def refuse(*args, **kwargs):
-            raise AssertionError("exact poles need no mirror gap")
+            raise AssertionError("an exact measure needs no poles")
 
-        monkeypatch.setattr(realization, "_mirror_gap", refuse)
-        tf = transfer_rational(chain_system())
+        for module, name in ((realization, "_mirror_gap"), (realization, "_cascade"),
+                             (np.linalg, "eigvals")):
+            monkeypatch.setattr(module, name, refuse)
         lam, w, _ = _measure(companion_realization(tf), 1e-8)
-        np.testing.assert_array_equal(lam, expected[0])
-        np.testing.assert_array_equal(w, expected[1])
-        with pytest.raises(AssertionError, match="no mirror gap"):
+        assert lam is tf.measure[0] and w is tf.measure[1]
+        with pytest.raises(AssertionError, match="no poles"):
             _measure(companion_realization(make_rational_tf(tf.num, tf.den)), 1e-8)
 
     def test_huge_scale_rebuilt_without_warning(self):
@@ -490,12 +501,12 @@ class TestMeasure:
 
 
 class TestSharedReconstruction:
-    """A function is reconstructed once; both routes read the result."""
+    """Both routes give one result, bit for bit."""
 
     @pytest.mark.parametrize("coefficients", [False, True])
     def test_eigh_calls(self, rng, monkeypatch, coefficients):
-        # one cascade eigh and one canonical eigh, however many
-        # reconstructions are asked, from exact poles or coefficients alike
+        # per reconstruction, one canonical eigh, and from coefficients one
+        # cascade eigh before it
         tf = transfer_rational(random_single_node_siso(rng, 8))
         if coefficients:
             tf = make_rational_tf(tf.num, tf.den)
@@ -510,7 +521,7 @@ class TestSharedReconstruction:
         for _ in range(2):
             reconstruct_passive(companion_realization(tf))
             direct_reconstruction(tf)
-        assert len(count) == 2
+        assert len(count) == (8 if coefficients else 4)
 
     @pytest.mark.parametrize("coefficients", [False, True])
     def test_routes_agree_read_only(self, rng, coefficients):
@@ -527,15 +538,14 @@ class TestSharedReconstruction:
                 a[0] = 0.0
 
     def test_tolerance_applies_to_every_call(self):
-        # Xi = -1 lies 2.5e-5 off the axis: the kept record holds the offset,
-        # not a verdict, so each call's own tolerance decides
+        # Xi = -1 lies 2.5e-5 off the axis: each call's own tolerance decides
         tf = two_node_tf(2.0, 0.3, -0.6 + 1e-4)
         refused = r"off the imaginary axis by 2\.500e-05 > 4\.242e-09"
         with pytest.raises(NotPassiveTF, match=refused):
             reconstruct_passive(companion_realization(tf))
         sys, params = reconstruct_passive(companion_realization(tf), passivity_tol=1e-3)
-        lam, w, kept = _measure(companion_realization(tf), 1e-3)
-        assert kept is params
+        lam, w, again = _measure(companion_realization(tf), 1e-3)
+        assert_params_equal(again, params)
         np.testing.assert_array_equal(sys.omega, np.diag(lam))
         np.testing.assert_array_equal(sys.c, np.sqrt(w)[None, :])
         for route in (lambda: reconstruct_passive(companion_realization(tf)),
