@@ -38,7 +38,7 @@ UNITARY_TOL = 1e-10
 
 
 class Reached(NamedTuple):
-    """Read-only value of :attr:`PassiveSystem.reached`."""
+    """Read-only value of :attr:`PassiveSystem.reached`, by the rule of :func:`eigenspaces`."""
 
     lam: np.ndarray
     v: np.ndarray
@@ -114,38 +114,43 @@ class PassiveSystem:
 
     @cached_property
     def reached(self) -> Reached:
-        """Eigen-directions ``(lam, v, cv)`` of omega the fields reach (the PBH
-        test per eigenspace), with ``scale``, the larger of the spread of the
-        eigenvalues about their mean and ||c||_F², which a uniform detuning
-        leaves alone, and ``eps_omega`` = eps ||omega||, the unit of eigh's
-        rounding. Eigenvalues within 1e-10 scale or 100 eps_omega (eigh
-        splits a multiple eigenvalue by about 30 eps ||omega|| at n = 256)
-        form one eigenspace, labelled by ``cluster``; one of several is
-        rotated onto the right singular vectors of its block of c V.
-        ``err`` = 10 eps_omega / gap, gap the distance to the nearest other
-        eigenspace, bounds eigh's turn of each eigenvector and so the coupling
-        it leaks into an unreached direction, relative to ||c||_F. A direction
-        is kept when its column of c V exceeds (1e-10 + err) ||c||_F.
-        """
+        """Eigen-directions ``(lam, v, cv)`` of omega the fields reach, by :func:`eigenspaces`,
+        with its ``cluster``, ``scale``, ``eps_omega`` and ``err`` (per direction); one of
+        several in an eigenspace is turned onto the right singular vectors of its c V block."""
         lam, v, cv = self.spectrum
-        mean = lam.mean()
-        scale = float(max(lam[-1] - mean, mean - lam[0], np.linalg.norm(self.c) ** 2))
-        eps_omega = float(np.finfo(float).eps * max(-lam[0], lam[-1]))
-        gaps = np.diff(lam)
-        split = gaps > max(SPECTRAL_RTOL * scale, 100 * eps_omega)
-        cluster = np.concatenate([[0], np.cumsum(split)])
-        sides = np.concatenate([[np.inf], gaps[split], [np.inf]])
-        err = 10 * eps_omega / np.minimum(sides[:-1], sides[1:])[cluster]
-        if not split.all():
+        cluster, err, scale, eps_omega = eigenspaces(lam, np.linalg.norm(self.c) ** 2)
+        if cluster[-1] + 1 < cluster.size:  # some eigenspace is shared
             v, cv = v.copy(), cv.copy()
         for k in np.flatnonzero(np.bincount(cluster) > 1):
             block = cluster == k
             wh = np.linalg.svd(cv[:, block])[2].conj().T
             v[:, block], cv[:, block] = v[:, block] @ wh, cv[:, block] @ wh
-        keep = np.linalg.norm(cv, axis=0) > (SPECTRAL_RTOL + err) * np.linalg.norm(self.c)
+        keep = np.linalg.norm(cv, axis=0) > (SPECTRAL_RTOL + err[cluster]) * np.linalg.norm(self.c)
         if not keep.all():
-            lam, v, cv, cluster, err = (a[..., keep] for a in (lam, v, cv, cluster, err))
-        return Reached(*map(read_only, (lam, v, cv, cluster, err)), scale, eps_omega)
+            lam, v, cv, cluster = (a[..., keep] for a in (lam, v, cv, cluster))
+        return Reached(*map(read_only, (lam, v, cv, cluster, err[cluster])), scale, eps_omega)
+
+
+def eigenspaces(lam: np.ndarray, norm2: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The one minimality rule, on ascending eigenvalues ``lam`` of omega (none
+    for an empty measure) and ``norm2`` = ||c||_F²: ``(cluster, err, scale,
+    eps_omega)``. ``scale`` is the larger of the spread of lam about its mean
+    and norm2, which a uniform detuning leaves alone; ``eps_omega`` = eps
+    ||omega||, the unit of eigh's rounding. Eigenvalues within 1e-10 scale or
+    100 eps_omega (eigh splits a multiple eigenvalue by about 30 eps ||omega||
+    at n = 256) form one eigenspace, labelled by ``cluster``. Its ``err`` =
+    10 eps_omega / gap, gap the distance to the nearest other, bounds eigh's
+    turn of its eigenvectors and so the coupling they leak into an unreached
+    direction, relative to ||c||_F. The fields reach a direction whose coupling
+    exceeds (1e-10 + err) ||c||_F, in a system (:attr:`PassiveSystem.reached`)
+    and a rebuilt measure (:func:`~qsysid.realization.reconstruct_passive`) alike."""
+    scale = float(np.abs(lam - lam.sum() / max(lam.size, 1)).max(initial=norm2))
+    eps_omega = float(np.finfo(float).eps * np.abs(lam).max(initial=0.0))
+    step = np.diff(lam, prepend=lam[:1])  # 0, then the gaps
+    split = step > max(SPECTRAL_RTOL * scale, 100 * eps_omega)
+    sides = np.concatenate([[np.inf], step[split], [np.inf]])
+    err = 10 * eps_omega / np.minimum(sides[:-1], sides[1:])
+    return np.cumsum(split), err, scale, eps_omega
 
 
 def _secular_roots(lam: np.ndarray, w: np.ndarray) -> tuple[np.ndarray | None, int]:

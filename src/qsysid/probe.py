@@ -81,10 +81,9 @@ def sample_response(
     Raises
     ------
     NotHurwitz
-        drift matrix is not Hurwitz, decided by the PBH rank as in
-        :func:`~qsysid.analysis.structure_report`: a passive system is
-        Hurwitz exactly when the fields reach every eigen-direction of omega,
-        whatever the rounding of the abscissa.
+        the fields reach fewer eigen-directions of omega than modes, by the rule
+        of :func:`~qsysid.model.eigenspaces`: as in :func:`~qsysid.analysis.structure_report`,
+        a passive system is Hurwitz exactly when minimal, whatever the abscissa's rounding.
     NonMonotoneGrid, ValueError
         per :func:`~qsysid.model.require_grid`: freqs empty, not finite numbers,
         or not strictly increasing.

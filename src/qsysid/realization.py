@@ -22,7 +22,7 @@ from .errors import (
     RankDeficientCoupling,
     SolverSingular,
 )
-from .model import PassiveSystem, new_system
+from . import model
 from .ratfunc import RationalTF, read_only, require_finite, require_real
 
 LYAPUNOV_RTOL = 1e-10
@@ -164,54 +164,48 @@ def _cascade(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _measure(real: ClassicalRealization, tol: float) -> tuple:
     """Spectral measure (lam ascending, w) of Xi and its CanonicalParams, all read-only.
 
-    A measure carried by ``real.tf`` is taken as it is if it passes the PBH
-    (Popov-Belevitch-Hautus) test at the poles' rounding floor of
-    :func:`_require_hurwitz`, max|p| <= max|lam| + sum(w) / 2: adjacent modes
-    whose pole between them decays by at most 2 gap² / (cbrt w_j + cbrt w_j+1)³
-    <= floor are one eigenspace, reached in one direction, and an eigenspace
-    of weight <= 2 floor is unreached. Otherwise the poles are ``eigvals(a0)``,
-    held to the mirror gap g_k of :func:`_mirror_gap`, and move by conj(g_k) / 2
-    before :func:`_cascade`; the root of den + num near the mode j nearest
-    -Im p_k lies Re g_k / 2 off the imaginary axis, which is held to ``tol``.
+    A measure carried by ``real.tf`` is taken as it is. Otherwise the poles
+    are ``eigvals(a0)``, held to the mirror gap g_k of :func:`_mirror_gap`,
+    and move by conj(g_k) / 2 before :func:`_cascade`; the root of den + num
+    near the mode j nearest -Im p_k lies Re g_k / 2 off the imaginary axis,
+    which is held to ``tol``. Either measure must reach as many eigenspaces
+    as the degree by the rule of :func:`~qsysid.model.eigenspaces`, ||c||_F² = sum(w).
 
     Raises
     ------
     ValueError
         tol is not finite and positive.
     NotHurwitz
-        a carried measure fails the PBH test, or the poles :func:`_require_hurwitz`.
+        the poles fail :func:`_require_hurwitz`, or the measure reaches too few eigenspaces.
     NotPassiveTF
         some |g_k| not within -Re p_k, or some |Re g_k| above 2 tol sqrt(w_j theta).
     """
     tol = require_real(tol, "tol", 0.0, strict=True)
     if real.tf.measure is not None:
         lam, w = real.tf.measure
-        n, reach = real.tf.degree, lam.size
-        if reach == n:
-            floor = n * np.finfo(float).eps * max(1.0, np.abs(lam).max() + 0.5 * w.sum())
-            split = np.diff(lam) > np.sqrt(0.5 * floor) * (np.cbrt(w[:-1]) + np.cbrt(w[1:])) ** 1.5
-            reach = np.count_nonzero(np.bincount(np.cumsum(np.r_[0, split]), w) > 2 * floor)
-        if reach < n:
-            raise NotHurwitz(f"fields reach {reach} of {n} modes; "
-                             "an unreached mode has a pole on the imaginary axis")
-        return lam, w, _canonical(lam, w)
-    p = np.linalg.eigvals(real.a0)
-    _require_hurwitz(p)
-    g = _mirror_gap(real, p)
-    k = int(np.argmax(np.abs(g) + p.real))
-    if not abs(g[k]) <= -p[k].real:
-        raise NotPassiveTF(f"zero of num {abs(g[k]):.3e} from the mirrored pole "
-                           f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}")
-    p = p + 0.5 * g.conj()
-    lam, w = _cascade(p)
-    j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
-    offset = 0.5 * np.abs(g.real)
-    bound = tol * np.sqrt(w[j]) * np.sqrt(w.sum())
-    k = int(np.argmax(offset - bound))
-    if offset[k] > bound[k]:
-        raise NotPassiveTF(f"Xi = -1 near lam = {lam[j[k]]:.6g}, off the imaginary axis by "
-                           f"{offset[k]:.3e} > {bound[k]:.3e}")
-    return read_only(lam), read_only(w), _canonical(lam, w)
+    else:
+        p = np.linalg.eigvals(real.a0)
+        _require_hurwitz(p)
+        g = _mirror_gap(real, p)
+        k = int(np.argmax(np.abs(g) + p.real))
+        if not abs(g[k]) <= -p[k].real:
+            raise NotPassiveTF(f"zero of num {abs(g[k]):.3e} from the mirrored pole "
+                               f"{-p[k].conj():.6g}, beyond its width {-p[k].real:.3e}")
+        p = p + 0.5 * g.conj()
+        lam, w = map(read_only, _cascade(p))
+        j = np.abs(lam + p.imag[:, None]).argmin(axis=1)
+        offset = 0.5 * np.abs(g.real)
+        bound = tol * np.sqrt(w[j]) * np.sqrt(w.sum())
+        k = int(np.argmax(offset - bound))
+        if offset[k] > bound[k]:
+            raise NotPassiveTF(f"Xi = -1 near lam = {lam[j[k]]:.6g}, off the imaginary axis by "
+                               f"{offset[k]:.3e} > {bound[k]:.3e}")
+    cluster, err, _, _ = model.eigenspaces(lam, w.sum())
+    reach = np.count_nonzero(np.bincount(cluster, w) > (model.SPECTRAL_RTOL + err) ** 2 * w.sum())
+    if reach < real.tf.degree:
+        raise NotHurwitz(f"fields reach {reach} of {real.tf.degree} modes; "
+                         "an unreached mode has a pole on the imaginary axis")
+    return lam, w, _canonical(lam, w)
 
 
 def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
@@ -235,16 +229,17 @@ def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
 
 def reconstruct_passive(
     real: ClassicalRealization, passivity_tol: float = PASSIVITY_RTOL
-) -> tuple[PassiveSystem, CanonicalParams]:
+) -> tuple[model.PassiveSystem, CanonicalParams]:
     """Recover (omega, c) and the canonical parameters from a classical
     realization of a passive single-port transfer function.
 
     The measure (lam, w) of Xi (:func:`_measure`), the one the function
-    carries or else that of the cascade of its poles, gives
-    omega = diag(lam), lam ascending, and c = sqrt(w) > 0; the rest of the
-    class is :func:`~qsysid.identifiability.gauge_transform` of it. Poles
-    from coefficients are held to the mirror of num at the relative
-    tolerance ``passivity_tol``; loosen it for fitted functions.
+    carries or else that of the cascade of its poles, minimal by the rule of
+    :func:`~qsysid.model.eigenspaces`, gives omega = diag(lam), lam ascending,
+    and c = sqrt(w) > 0; the rest of the class is
+    :func:`~qsysid.identifiability.gauge_transform` of it. Poles from
+    coefficients are held to the mirror of num at the relative tolerance
+    ``passivity_tol``; loosen it for fitted functions.
 
     Raises
     ------
@@ -252,7 +247,7 @@ def reconstruct_passive(
         per :func:`_measure`.
     """
     lam, w, params = _measure(real, passivity_tol)
-    return new_system(np.diag(lam), np.sqrt(w)[None, :]), params
+    return model.new_system(np.diag(lam), np.sqrt(w)[None, :]), params
 
 
 def direct_reconstruction(tf: RationalTF) -> CanonicalParams:

@@ -11,6 +11,7 @@ from qsysid import (
     DimensionMismatch,
     NonMonic,
     NotHurwitz,
+    NotMinimal,
     NotPassiveTF,
     RationalTF,
     companion_realization,
@@ -22,11 +23,14 @@ from qsysid import (
     mimo_coupling_gram,
     new_system,
     reconstruct_passive,
+    sample_response,
     solve_lyapunov,
+    structure_report,
     transfer_at,
     transfer_rational,
 )
 from qsysid import realization
+from qsysid.model import SPECTRAL_RTOL
 from qsysid.realization import PASSIVITY_RTOL, CanonicalParams, _measure
 
 from conftest import (
@@ -378,21 +382,26 @@ class TestDirectReconstruction:
         # decouples, its pole sits on the imaginary axis, and the operation
         # refuses rather than approximates, from the exact measure (by the
         # PBH rank) and from coefficients alike; so too for one unreached
-        # mode planted among 40, and for a mode of weight 1e-18, which
-        # reached keeps but whose pole decays by 5e-19, within the rounding
+        # mode planted among 40. A mode of weight 1e-18, which reached keeps,
+        # is rebuilt from its measure by the same rule and certified, while
+        # its pole decays by 5e-19, within the coefficients' pole rounding
         omega = np.array(
             [[0.0, 0.5, 0.5], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]], dtype=complex
         )
         merged = new_system(omega, [[1.0, 0.0, 0.0]])
         planted = planted_rank_system(np.random.default_rng(40), 40, 1, 39)
-        weak = new_system(np.diag([0.0, 1.0]), [[1.0, 1e-9]])
-        assert weak.reached.lam.size == 2
-        for sys, reached in ((merged, 2), (planted, 39), (weak, 1)):
+        for sys, reached in ((merged, 2), (planted, 39)):
             tf = transfer_rational(sys)
             with pytest.raises(NotHurwitz, match=f"^fields reach {reached} of {sys.n} modes; "):
                 direct_reconstruction(tf)
             with pytest.raises((NotHurwitz, NotPassiveTF)):
                 direct_reconstruction(make_rational_tf(tf.num, tf.den))
+        weak = new_system(np.diag([0.0, 1.0]), [[1.0, 1e-9]])
+        assert weak.reached.lam.size == 2
+        tf = transfer_rational(weak)
+        assert find_gauge(reconstruct_passive(companion_realization(tf))[0], weak).equivalent
+        with pytest.raises(NotHurwitz, match=r"real part not below -4\.441e-16"):
+            direct_reconstruction(make_rational_tf(tf.num, tf.den))
 
     def test_sign_flipped_chain_rejected(self):
         # chain-like function with the interior response sign flipped:
@@ -407,24 +416,61 @@ class TestDirectReconstruction:
 
     @pytest.mark.parametrize("route", ["exact", "coefficients"])
     def test_near_pair_refused_by_scale_threshold(self, route):
-        # modes 0.3 and 0.3 + 1e-10 with weights 0.5 each: the dark
-        # combination decays at about 5e-21, below the poles' rounding
-        # n eps max(1, |p|) = 4.4e-16, so both routes refuse the pair: from
-        # coefficients whatever the sign that rounding gives its real part,
-        # from the exact measure as one eigenspace with one direction
-        # unreached. At a gap of 1e-5 it decays at 5e-11, and both rebuild
-        # it; each side lies five decades from the floor
+        # modes 0.3 and 0.3 + gap with weights 0.5 each; reached splits them
+        # above 1e-10, the scale threshold. At 3e-11 both routes refuse the
+        # pair: from the exact measure as one eigenspace with one direction
+        # unreached, from coefficients as a dark pole within the poles'
+        # rounding n eps max(1, |p|) = 4.4e-16. At 3e-10 the exact measure is
+        # rebuilt and certified, while its dark pole, decaying at 4.5e-20,
+        # is still within that rounding. At 1e-5 both rebuild it
         def xi(gap):
             sys = new_system(np.diag([0.3, 0.3 + gap]), np.sqrt([[0.5, 0.5]]))
             tf = transfer_rational(sys)
             return sys, (tf if route == "exact" else make_rational_tf(tf.num, tf.den))
 
+        pole_rounding = r"real part not below -4\.441e-16"
         refused = {"exact": r"^fields reach 1 of 2 modes; an unreached mode has a pole on the",
-                   "coefficients": r"real part not below -4\.441e-16"}[route]
+                   "coefficients": pole_rounding}[route]
         with pytest.raises(NotHurwitz, match=refused):
-            direct_reconstruction(xi(1e-10)[1])
+            direct_reconstruction(xi(3e-11)[1])
+        sys, tf = xi(3e-10)
+        if route == "exact":
+            assert find_gauge(reconstruct_passive(companion_realization(tf))[0], sys).equivalent
+        else:
+            with pytest.raises(NotHurwitz, match=pole_rounding):
+                direct_reconstruction(tf)
         sys, tf = xi(1e-5)
         assert find_gauge(reconstruct_passive(companion_realization(tf))[0], sys).equivalent
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (1e-3, 1.0)])
+    def test_near_pair_verdicts_agree(self, weights):
+        # modes 0.3 and 0.3 + gap, gap 1e-11 to 1e-5 in half decades, the
+        # upper mode also one ulp down and one up: every reader of reached's
+        # rule, the exact reconstruction included, gives one verdict, even
+        # where one ulp flips it (the 1e-10 pair sits 8e-18 above the scale
+        # threshold). From coefficients the poles' rounding refuses more
+        # pairs, so that route may rebuild only what the rule calls minimal
+        def succeeds(call, errors):
+            try:
+                call()
+            except errors:
+                return False
+            return True
+
+        verdicts = []
+        for gap in 10.0 ** np.arange(-11, -4.75, 0.5):
+            for upper in (np.nextafter(0.3 + gap, 0), 0.3 + gap, np.nextafter(0.3 + gap, 1)):
+                sys = new_system(np.diag([0.3, upper]), np.sqrt([weights]))
+                tf = transfer_rational(sys)
+                minimal = structure_report(sys).minimal
+                assert succeeds(lambda: sample_response(sys, [1.0]), NotHurwitz) == minimal
+                assert succeeds(lambda: find_gauge(sys, sys), NotMinimal) == minimal
+                assert succeeds(lambda: direct_reconstruction(tf), NotHurwitz) == minimal
+                coefficients = make_rational_tf(tf.num, tf.den)
+                assert minimal or not succeeds(lambda: direct_reconstruction(coefficients),
+                                               (NotHurwitz, NotPassiveTF))
+                verdicts.append(minimal)
+        assert not any(verdicts[:6]) and all(verdicts[-6:])
 
 
 class TestMeasure:
@@ -445,6 +491,37 @@ class TestMeasure:
             rtol = 1e-10 if coefficients else 1e-12
             assert np.abs(lam - lam_true).max() <= rtol * scale
             assert np.abs(w - w_true).max() <= rtol * w_true.sum()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        pair=st.sampled_from([None, 0.3, 3.0]),
+        weak=st.one_of(st.none(), st.floats(-22.0, -18.0)),
+    )
+    def test_hand_built_measure_rebuilt_iff_minimal_property(self, n, seed, scale, pair, weak):
+        # a carried measure (lam, w) is rebuilt exactly when structure_report
+        # calls (diag(lam), sqrt(w)) minimal: one rule decides both, for a
+        # pair planted 0.3 or 3 times the scale threshold apart and for a
+        # weight of 1e-22 to 1e-18 of the total, about the reach threshold
+        rng = np.random.default_rng(seed)
+        lam = np.sort(rng.standard_normal(n)) * scale
+        w = rng.uniform(1e-3, 1.0, n)
+        if pair is not None:
+            k = int(rng.integers(n - 1))
+            lam[k + 1] = lam[k]
+            lam[k + 1] += pair * SPECTRAL_RTOL * max(np.abs(lam - lam.mean()).max(), w.sum())
+        if weak is not None:
+            w[rng.integers(n)] = 10.0**weak * w.sum()
+        sys = new_system(np.diag(lam), np.sqrt(w)[None])
+        tf = transfer_rational(sys)
+        measured = RationalTF(tf.num, tf.den, (lam, w))
+        if structure_report(sys).minimal:
+            direct_reconstruction(measured)
+        else:
+            with pytest.raises(NotHurwitz, match="^fields reach"):
+                direct_reconstruction(measured)
 
     def test_no_eigenvectors_and_no_solve(self, monkeypatch):
         # functions exact and from coefficients, each built afresh
