@@ -167,7 +167,3 @@ def main(argv=None) -> int:
     except (QsysidError, OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
         return 1 if isinstance(exc, QsysidError) else 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

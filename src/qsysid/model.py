@@ -55,11 +55,8 @@ class PassiveSystem:
 
     Construct through :func:`new_system`, which validates shapes and
     Hermiticity. Instances are safe to share between threads, and compare
-    and hash by identity. The drift matrix, its eigenvalues (the poles),
-    the poles mirrored (the zeros of det Xi), the spectral abscissa, the
-    spectral decomposition of omega and the part of it the fields reach are
-    computed on first use and kept, read-only, on the instance; the poles of a
-    minimal single-port system of n >= 32 modes come from that reached part.
+    and hash by identity. Each cached property below is computed on first
+    use and kept, read-only, on the instance.
     """
 
     omega: np.ndarray
@@ -82,15 +79,13 @@ class PassiveSystem:
 
     @cached_property
     def poles(self) -> np.ndarray:
-        """Eigenvalues of the drift matrix: the poles of Xi(s). With one field,
-        every mode reached and n >= 32, the n roots of the secular equation
-        1 + sum_k w_k / (2 (s + i lam_k)) = 0 of ``reached`` (w_k = |c v_k|²)
-        by :func:`_secular_roots`, in order of lam_k; else, or when its sweeps
-        do not settle, ``eigvals(drift)``."""
-        # tools/poles.py (one BLAS thread): at n = 24 eigvals still wins on dense
-        # systems, 0.30 ms to 0.36; from n = 32 the sweeps win on all four families
-        if self.m == 1 and self.n >= 32 and self.reached.lam.size == self.n:
-            roots, _ = _secular_roots(self.reached.lam, np.abs(self.reached.cv[0]) ** 2)
+        """Eigenvalues of the drift matrix: the poles of Xi(s). With every mode reached, no
+        eigenspace shared and n >= 64, the roots of det(I + G(s)/2) = 0, G(s) = sum_k
+        (c v_k)(c v_k)† / (s + i lam_k) over ``reached`` (Golub, SIAM Rev. 1973), by
+        :func:`_secular_roots` in order of lam_k; else, or unsettled, ``eigvals(drift)``."""
+        # tools/poles.py, one BLAS thread: at n = 48, m = 4 eigvals wins on dense, 1.93 ms to 2.71
+        if self.n >= 64 and (r := self.reached).lam.size == self.n and r.cluster[-1] + 1 == self.n:
+            roots, _ = _secular_roots(r.lam, r.cv)
             if roots is not None:
                 return read_only(roots)
         return read_only(np.linalg.eigvals(self.drift))
@@ -153,33 +148,43 @@ def eigenspaces(lam: np.ndarray, norm2: float) -> tuple[np.ndarray, np.ndarray, 
     return np.cumsum(split), err, scale, eps_omega
 
 
-def _secular_roots(lam: np.ndarray, w: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """Roots of f(s) = 1 + sum_k w_k d_k / 2, d_k = 1 / (s + i lam_k), for
-    increasing lam and w > 0, and the sweeps taken; the roots are None unless
-    all settle within n + 50 sweeps. A sweep, O(n²), takes each unsettled root
-    one Aberth step (Math. Comp. 1973) on f(s) prod_k (s + i lam_k). Root k
-    starts at -i lam_k - min(w_k, gap to the nearest lam_j) (1 + i/4) / 2: a
-    weak mode's first-order shift, capped for strong coupling, tilted as a
-    symmetric start stalls on damped chains. It settles at a step within
-    4 eps of |s| or of f's rounding at s over |f'(s)|."""
+def _secular_roots(lam: np.ndarray, cv: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Roots of p(s) = det M(s) prod_k (s + i lam_k), M = I + sum_k (c v_k)(c v_k)† d_k / 2,
+    d_k = 1 / (s + i lam_k), for strictly increasing lam and couplings cv = c V (m x n), with
+    the sweeps taken; None for roots unsettled after n + 50 sweeps. A sweep takes each root
+    left one Aberth step (Math. Comp. 1973), Newton step 1 / (tr(M^-1 M') + sum_k d_k); one
+    port steps f / (df + f (...)), f = M. Root k starts at -i lam_k - min(w_k, gap to the
+    nearest lam_j) (1 + i/4) / 2, w_k = ||c v_k||²: a weak mode's first-order shift, capped for
+    strong coupling, tilted as a symmetric start stalls on damped chains. It settles at a step
+    within 4 eps of |s| or of (1 + sum_k w_k |d_k| / 2) ||M^-1|| / |tr(M^-1 M')|."""
+    m, n = cv.shape
+    w = (np.abs(cv) ** 2).sum(axis=0)
+    k = (cv.T[:, :, None] * cv.T[:, None, :].conj()).reshape(n, m * m)  # rows (c v_k)(c v_k)†
     gaps = np.diff(lam, prepend=-np.inf, append=np.inf)
     s = -1j * lam - np.minimum(w, np.minimum(gaps[:-1], gaps[1:])) * (0.5 + 0.125j)
-    live = np.arange(s.size)
-    for sweep in range(1, s.size + 51):
+    live = np.arange(n)
+    for sweep in range(1, n + 51):
         x = s[live]
         d = 1.0 / (x[:, None] + 1j * lam)
-        wd = w * d
-        f = 1.0 + 0.5 * wd.sum(axis=1)
-        df = -0.5 * (wd * d).sum(axis=1)
         others = x[:, None] - s
         others[np.arange(x.size), live] = np.inf
-        step = f / (df + f * (d.sum(axis=1) - (1.0 / others).sum(axis=1)))
+        aberth = d.sum(axis=1) - (1.0 / others).sum(axis=1)
+        mm = np.eye(m) + 0.5 * (d @ k).reshape(-1, m, m)
+        dm = -0.5 * ((d * d) @ k).reshape(-1, m, m)
+        if m == 1:  # f / (df + f (...)): a root where f = 0 has settled
+            f, df = mm[:, 0, 0], dm[:, 0, 0]
+            step, gain = f / (df + f * aberth), 1.0 / np.abs(df)
+        else:
+            singular = np.linalg.det(mm) == 0.0  # p(s) = 0: that root has settled
+            inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m), mm))
+            t = np.where(singular, np.inf, np.einsum("lij,lji->l", inv, dm))
+            step, gain = 1.0 / (t + aberth), np.linalg.norm(inv, axis=(1, 2)) / np.abs(t)
         s[live] = x - step
-        tol = np.maximum(np.abs(x), (1.0 + 0.5 * np.abs(wd).sum(axis=1)) / np.abs(df))
+        tol = np.maximum(np.abs(x), (1.0 + 0.5 * (np.abs(d) @ w)) * gain)
         live = live[~(np.abs(step) <= 4 * np.finfo(float).eps * tol)]  # NaN stays live
         if not live.size:
             return s, sweep
-    return None, s.size + 50
+    return None, n + 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,22 +332,16 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
 def transfer_rational(sys: PassiveSystem) -> RationalTF:
     """Rational form of the transfer function: exact for one port only.
 
-    The common denominator is the characteristic polynomial of A,
-    reconstructed from its eigenvalues. For one port the numerator is
-    det(sI + A†), since det Xi(s) = det(sI + A†) / det(sI - A) by the
-    matrix determinant lemma and A + A† = -c†c: its roots are the poles
-    mirrored, -conj(p_k), so its coefficients are (-1)^(n-k) conj(den_k).
-    The spectral measure of ``sys.reached`` rides along as ``measure``,
-    ``(lam, |c v|²)``, so that the single-port reconstruction never has to
-    find it again from the coefficients. For m > 1 numerator coefficients are
-    recovered by interpolating Xi(s) * den(s) on a circle of radius
-    2 * (1 + spectral radius), where the interpolation nodes form a
-    scaled DFT grid so the Vandermonde solve is an FFT. Xi is evaluated at
-    all nodes at once from ``sys.spectrum``, as the Cayley transform
-    Xi = (I + G/2)^{-1} (I - G/2) of G(s) = sum_k (c v_k)(c v_k)† / (s + i lam_k).
-    That interpolation loses the low-order coefficients as (radius / |p|)^n:
-    on random dense systems the worst error on the imaginary axis in [-3i, 3i]
-    is about 1e-9 at n = 6, 1e-6 to 1e-5 at n = 8, and 0.1 or more at n = 12.
+    The common denominator is the characteristic polynomial of A, multiplied out from
+    ``sys.poles``. For one port the numerator is det(sI + A†), since det Xi(s) = det(sI +
+    A†) / det(sI - A) by the matrix determinant lemma and A + A† = -c†c: its roots are the
+    poles mirrored, -conj(p_k), so its coefficients are (-1)^(n-k) conj(den_k). The spectral
+    measure of ``sys.reached`` rides along as ``measure``, ``(lam, |c v|²)``, so that the
+    single-port reconstruction never has to find it again from the coefficients. For m > 1
+    numerator coefficients are recovered by interpolating Xi(s) den(s) at a scaled DFT grid
+    on a circle of radius 2 (1 + spectral radius), so the Vandermonde solve is an FFT; Xi
+    there is the Cayley transform (I + G/2)^{-1} (I - G/2) of the G of ``poles``. That
+    interpolation loses the low-order coefficients as (radius / |p|)^n (README).
     """
     den = poly_from_roots(sys.poles)
     if sys.m == 1:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidNetwork
 from .model import PassiveSystem, new_system
-from .ratfunc import read_only, require_finite, require_whole
+from .ratfunc import as_numbers, read_only, require_finite, require_whole
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +65,17 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     n = require_whole(n, "n", -np.inf)
     if n < 1:
         raise InvalidNetwork("need at least one vertex")
-    canon = {}
-    for i, j, w in edges:
-        i, j = require_whole(i, "edge index", -np.inf), require_whole(j, "edge index", -np.inf)
+    canon, edges = {}, list(edges)
+    try:  # one number check of every index; on any failure the per-value check names it
+        index = as_numbers([v for i, j, _ in edges for v in (i, j)], real=True)
+    except (TypeError, ValueError):
+        index = None
+    if index is not None and all(map(float.is_integer, index.tolist())):
+        pairs = [(int(i), int(j)) for i, j in index.reshape(-1, 2).tolist()]
+    else:
+        pairs = ((require_whole(i, "edge index", -np.inf), require_whole(j, "edge index", -np.inf))
+                 for i, j, _ in edges)
+    for (i, j), (_, _, w) in zip(pairs, edges):
         if not (0 <= i < n and 0 <= j < n):
             raise InvalidNetwork(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:
@@ -94,8 +102,7 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
         outside = [v for v in range(n) if v not in accessible and coupling[:, v].any()]
         if outside:
             raise InvalidNetwork(f"coupling supported outside accessible set: {outside}")
-    gram = coupling.conj().T @ coupling
-    sub = gram[np.ix_(accessible, accessible)]
+    sub = coupling[:, accessible].conj().T @ coupling[:, accessible]
     eigs = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
     if eigs.min() <= 1e-12 * max(eigs.max(), 1e-300):
         raise InvalidNetwork("c†c restricted to the accessible set is not positive")
@@ -152,14 +159,6 @@ def omega_from_network(net: NetworkModel) -> PassiveSystem:
     return net._system
 
 
-def _adjacency(net: NetworkModel) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(net.n)]
-    for i, j, _ in net.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
 def infection_closure(net: NetworkModel) -> InfectionTrace:
     """Run the infection iteration to its fixed point.
 
@@ -172,7 +171,10 @@ def infection_closure(net: NetworkModel) -> InfectionTrace:
     have an uninfected neighbour: the others never gain one, so skipping
     them changes no step.
     """
-    adj = _adjacency(net)
+    adj: list[set[int]] = [set() for _ in range(net.n)]
+    for i, j, _ in net.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     infected = set(net.accessible)
     front = set(infected)
     steps: list[tuple[int, int]] = []

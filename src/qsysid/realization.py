@@ -211,20 +211,23 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple:
 def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
     """Canonical parameters of the measure (lam, w), with read-only arrays.
 
-    The Householder reflection H that maps u = sqrt(w / theta) to -e1
-    turns (diag(lam), sqrt(w)) into the single-node form with
-    omega = H diag(lam) H and c = -sqrt(theta) e1; its trailing block
-    holds the interior spectrum and its first row the couplings.
+    The Householder reflection H that maps u = sqrt(w / theta) to -e1 turns (diag(lam),
+    sqrt(w)) into the single-node form omega = H diag(lam) H, c = -sqrt(theta) e1. Its
+    trailing block holds the zeros lambda_i of F(x) = sum_k u_k² / (x - lam_k), and |E'_i|² is
+    minus the residue of 1/F there, -prod_k (lambda_i - lam_k) / prod_{j != i} (lambda_i -
+    lambda_j), a form in which the arrowhead keeps the eigenvalues lam (Gu and Eisenstat 1995).
     """
     theta = w.sum()
     v = np.sqrt(w / theta)
     v[0] += 1.0  # v = u + e1: no cancellation, since u_1 > 0
     h = np.eye(len(v)) - np.outer(v, v) * (2.0 / (v @ v))
     reflected = h @ (lam[:, None] * h)
-    lambdas, y = np.linalg.eigh(reflected[1:, 1:])
-    e_abs = np.abs(reflected[0, 1:] @ y)
-    lambdas, e_abs = map(read_only, (lambdas, e_abs))
-    return CanonicalParams(float(theta), float(reflected[0, 0]), lambdas, e_abs)
+    lambdas = np.linalg.eigvalsh(reflected[1:, 1:])
+    span = lam[-1] - lam[0]  # the unit of every gap: their products neither overflow nor underflow
+    gap = (lambdas[:, None] - lam) / span
+    ratio = gap[:, :-1] / ((lambdas[:, None] - lambdas) / span + np.eye(len(lambdas)))
+    e_abs = span * np.sqrt(np.abs(gap[:, -1] * ratio.prod(axis=1)))
+    return CanonicalParams(float(theta), float(reflected[0, 0]), *map(read_only, (lambdas, e_abs)))
 
 
 def reconstruct_passive(

@@ -176,37 +176,43 @@ class TestDriftMatrix:
         assert structure_report(sys).spectral_abscissa == sys.abscissa
 
     def test_poles_are_drift_eigenvalues(self, rng):
-        # every system off the secular route: m > 1, below the crossover at
-        # n = 32, and a single port whose last ten modes the field never reaches
-        cases = [random_passive(rng, 5, 2), random_passive(rng, 40, 2),
-                 random_passive(rng, 31, 1), uniform_chain(40, cut=30)]
-        assert cases[-1].reached.lam.size < 40
+        # every system off the secular route: below the crossover at n = 64,
+        # two ports sharing an eigenspace of omega, and a single port whose last
+        # ten modes the field never reaches
+        lam = np.arange(64.0)
+        lam[1] = lam[0]
+        shared = new_system(np.diag(lam), rng.standard_normal((2, 64)))
+        cases = [random_passive(rng, 5, 2), random_passive(rng, 63, 4),
+                 random_passive(rng, 63, 1), shared, uniform_chain(70, cut=60)]
+        assert shared.reached.lam.size == 64 and shared.reached.cluster[-1] == 62
+        assert cases[-1].reached.lam.size < 70
         for sys in cases:
             np.testing.assert_array_equal(sys.poles, np.linalg.eigvals(sys.drift))
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.sampled_from([32, 48, 64, 128]),
+        n=st.sampled_from([64, 96, 128]),
+        m=st.sampled_from([1, 2, 4]),
         family=st.sampled_from(["dense", "chain", "single_node", "detuned"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_secular_poles_match_drift_eigenvalues(self, n, family, seed):
+    def test_secular_poles_match_drift_eigenvalues(self, n, m, family, seed):
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         omega = (g + g.conj().T) / (2 * np.sqrt(n))
-        c = (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))) / np.sqrt(n)
-        if family == "chain":
+        c = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(n)
+        if family == "chain":  # fed at its ends
             omega = rng.uniform(0.5, 1.5) * (np.eye(n, k=1) + np.eye(n, k=-1))
-            c = np.sqrt(rng.uniform(0.5, 2.0)) * np.eye(1, n)
-        elif family == "single_node":
-            c = np.sqrt(rng.uniform(0.5, 2.0)) * np.eye(1, n)
+            c = np.sqrt(rng.uniform(0.5, 2.0)) * np.eye(n)[[0, n - 1, 1, n - 2][:m]]
+        elif family == "single_node":  # a few coupled nodes
+            c = np.sqrt(rng.uniform(0.5, 2.0, (m, 1))) * np.eye(m, n)
         elif family == "detuned":
             omega = omega + 80.04 * np.eye(n)
         sys = new_system(omega, c)
         r = sys.reached
-        assert r.lam.size == n
+        assert r.lam.size == n and r.cluster[-1] == n - 1
         # the secular route, settled: its roots are the poles, bit for bit
-        roots, _ = model._secular_roots(r.lam, np.abs(r.cv[0]) ** 2)
+        roots, _ = model._secular_roots(r.lam, r.cv)
         np.testing.assert_array_equal(sys.poles, roots)
         p, q = sys.poles, np.linalg.eigvals(sys.drift)
         dist = np.abs(p[:, None] - q[None, :])
@@ -215,10 +221,17 @@ class TestDriftMatrix:
         assert sys.zeros.tobytes() == (-sys.poles.conj()).tobytes()
 
     def test_unsettled_sweeps_fall_back_to_eigvals(self, rng, monkeypatch):
-        monkeypatch.setattr(model, "_secular_roots", lambda lam, w: (None, lam.size + 50))
-        sys = random_passive(rng, 40, 1)
-        assert sys.reached.lam.size == 40
-        np.testing.assert_array_equal(sys.poles, np.linalg.eigvals(sys.drift))
+        monkeypatch.setattr(model, "_secular_roots", lambda lam, cv: (None, lam.size + 50))
+        for m in (1, 4):
+            sys = random_passive(rng, 64, m)
+            assert sys.reached.lam.size == 64
+            np.testing.assert_array_equal(sys.poles, np.linalg.eigvals(sys.drift))
+
+    def test_singular_block_settles(self):
+        # two decoupled modes, one port each: the sweeps land on the poles -1/2
+        # and -1/2 - i exactly, where M(s) = I + G(s)/2 is exactly singular
+        roots, _ = model._secular_roots(np.array([0.0, 1.0]), np.eye(2, dtype=complex))
+        np.testing.assert_array_equal(roots, [-0.5, -0.5 - 1j])
 
     def test_one_mode_zero_hamiltonian(self):
         kappa = 0.7

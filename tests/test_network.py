@@ -159,6 +159,11 @@ class TestOmegaFromNetwork:
             ((3, [(-1, 1, 1.0)], [0]), {}, "edge (-1, 1) out of range for n=3"),
             ((3, [(0, 1, 1.0)], [-1]), {}, "accessible vertices (-1,) out of range"),
             ((2, [(1, 0, np.complex64(1 + 1j))], [0]), {}, "edge (0, 1) has complex weight (1+1j)"),
+            # edges are refused in order, whatever fault a later edge has
+            ((3, [(0, 5, 1.0), (1, 2.5, 1.0)], [0]), {}, "edge (0, 5) out of range for n=3"),
+            ((3, [(0, 5, 1.0), (1, 2)], [0]), {}, "edge (0, 5) out of range for n=3"),
+            ((3, [(1, 2**60 + 1, 1.0)], [0]), {},
+             "edge (1, 1152921504606846976) out of range for n=3"),
         ],
     )
     def test_refusal_names_its_cause(self, args, kwargs, message):
