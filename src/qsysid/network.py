@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidNetwork
 from .model import PassiveSystem, new_system
-from .ratfunc import as_numbers, read_only, require_finite, require_whole
+from .ratfunc import read_only, require_finite, require_whole
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,17 +65,10 @@ def new_network(n, edges, accessible, coupling=None, detunings=None) -> NetworkM
     n = require_whole(n, "n", -np.inf)
     if n < 1:
         raise InvalidNetwork("need at least one vertex")
-    canon, edges = {}, list(edges)
-    try:  # one number check of every index; on any failure the per-value check names it
-        index = as_numbers([v for i, j, _ in edges for v in (i, j)], real=True)
-    except (TypeError, ValueError):
-        index = None
-    if index is not None and all(map(float.is_integer, index.tolist())):
-        pairs = [(int(i), int(j)) for i, j in index.reshape(-1, 2).tolist()]
-    else:
-        pairs = ((require_whole(i, "edge index", -np.inf), require_whole(j, "edge index", -np.inf))
-                 for i, j, _ in edges)
-    for (i, j), (_, _, w) in zip(pairs, edges):
+    canon = {}
+    for i, j, w in edges:  # plain ints in range, the common case, need no number check
+        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+            i, j = require_whole(i, "edge index", -np.inf), require_whole(j, "edge index", -np.inf)
         if not (0 <= i < n and 0 <= j < n):
             raise InvalidNetwork(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:

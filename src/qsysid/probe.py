@@ -159,13 +159,9 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     design = np.hstack([powers, -resp[:, None] * powers])
     rhs = (resp - 1.0) * z**n
     coeffs = np.zeros(2 * n, dtype=complex)
-    # start from the prior denominator (z + 1)^n so the first pass is
-    # weighted like the converged ones; iteration refines from there
     weights = 1.0 / np.abs(z + 1.0) ** n
     for iterations in range(1, MAX_SK_ITERATIONS + 1):
         wdesign = weights[:, None] * design
-        # equilibrate columns before judging the rank; the solution is
-        # rescaled back, so only the conditioning changes
         colnorm = np.linalg.norm(wdesign, axis=0)
         colnorm[colnorm == 0.0] = 1.0
         wdesign = wdesign / colnorm[None, :]

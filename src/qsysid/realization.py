@@ -4,8 +4,8 @@ A single-port passive Xi(s) = prod_k (s + conj p_k) / (s - p_k) is the
 series product (cascade) of one-mode cavities, one per pole. :func:`_measure`
 reads the spectral measure (lam, w) of the cascade's Hamiltonian off one
 ``eigh``, unless Xi carries it (:func:`~qsysid.model.transfer_rational`);
-(diag(lam), sqrt(w)) realizes Xi, and one Householder reflection gives the
-canonical parameters (theta, omega11, lambda_i, |E'_i|).
+(diag(lam), sqrt(w)) realizes Xi, and the zeros of the measure's Stieltjes
+function give the canonical parameters (theta, omega11, lambda_i, |E'_i|).
 """
 
 from __future__ import annotations
@@ -211,23 +211,32 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple:
 def _canonical(lam: np.ndarray, w: np.ndarray) -> CanonicalParams:
     """Canonical parameters of the measure (lam, w), with read-only arrays.
 
-    The Householder reflection H that maps u = sqrt(w / theta) to -e1 turns (diag(lam),
-    sqrt(w)) into the single-node form omega = H diag(lam) H, c = -sqrt(theta) e1. Its
-    trailing block holds the zeros lambda_i of F(x) = sum_k u_k² / (x - lam_k), and |E'_i|² is
-    minus the residue of 1/F there, -prod_k (lambda_i - lam_k) / prod_{j != i} (lambda_i -
-    lambda_j), a form in which the arrowhead keeps the eigenvalues lam (Gu and Eisenstat 1995).
+    With u² = w / theta and F(x) = sum_k u_k² / (x - lam_k), the arrowhead [[omega11, |E'|],
+    [|E'|^T, diag(lambdas)]] has the measure (lam, u²) at e1 for omega11 = sum_k u_k² lam_k, the
+    lambda_i the zeros of F and |E'_i| = |F'(lambda_i)|^(-1/2). Each zero, from eigvalsh of P
+    diag(lam) P (P = I - u u^T), is held as its offset tau from the nearer pole and refined by
+    Newton steps on tau F, so each gap lambda_i - lam_k and |E'_i| keep their relative accuracy.
     """
     theta = w.sum()
-    v = np.sqrt(w / theta)
-    v[0] += 1.0  # v = u + e1: no cancellation, since u_1 > 0
-    h = np.eye(len(v)) - np.outer(v, v) * (2.0 / (v @ v))
-    reflected = h @ (lam[:, None] * h)
-    lambdas = np.linalg.eigvalsh(reflected[1:, 1:])
-    span = lam[-1] - lam[0]  # the unit of every gap: their products neither overflow nor underflow
-    gap = (lambdas[:, None] - lam) / span
-    ratio = gap[:, :-1] / ((lambdas[:, None] - lambdas) / span + np.eye(len(lambdas)))
-    e_abs = span * np.sqrt(np.abs(gap[:, -1] * ratio.prod(axis=1)))
-    return CanonicalParams(float(theta), float(reflected[0, 0]), *map(read_only, (lambdas, e_abs)))
+    u2 = w / theta
+    u, omega11 = np.sqrt(u2), u2 @ lam
+    span = lam[-1] - lam[0] or 1.0  # the unit of every offset
+    proj = np.diag(lam) - np.outer(u, lam * u) - np.outer(lam * u, u)  # u's own eigenvalue is 0
+    start = np.linalg.eigvalsh(proj + (omega11 + lam[-1] + span) * np.outer(u, u))[:-1]  # moved up
+    origin = np.arange(lam.size - 1) + (2 * start > lam[:-1] + lam[1:])  # the nearer pole
+    pole = (lam - lam[origin, None]) / span
+    tau = (start - lam[origin]) / span
+    tau[tau == 0] = np.finfo(float).eps  # tau F is smooth across 0, but is formed as tau * F
+    for _ in range(50):
+        gap = tau[:, None] - pole  # x - lam_k, in units of span
+        t1 = u2 / gap
+        step = tau * t1.sum(1) / -(t1 / gap * pole).sum(1)  # tau F over its slope
+        tau = tau - step
+        if (step * step <= 4 * np.finfo(float).eps * tau * tau).all():  # the next is at rounding
+            break
+    gap = tau[:, None] - pole
+    lambdas, e_abs = lam[origin] + tau * span, span / np.sqrt((u2 / gap ** 2).sum(1))
+    return CanonicalParams(float(theta), float(omega11), *map(read_only, (lambdas, e_abs)))
 
 
 def reconstruct_passive(

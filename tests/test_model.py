@@ -176,18 +176,21 @@ class TestDriftMatrix:
         assert structure_report(sys).spectral_abscissa == sys.abscissa
 
     def test_poles_are_drift_eigenvalues(self, rng):
-        # every system off the secular route: below the crossover at n = 64,
-        # two ports sharing an eigenspace of omega, and a single port whose last
-        # ten modes the field never reaches
+        # every system off the secular route: below the crossover at n = 32 for
+        # one port and n = 64 for more, two ports sharing an eigenspace of omega,
+        # and a single port whose last ten modes the field never reaches
         lam = np.arange(64.0)
         lam[1] = lam[0]
         shared = new_system(np.diag(lam), rng.standard_normal((2, 64)))
-        cases = [random_passive(rng, 5, 2), random_passive(rng, 63, 4),
-                 random_passive(rng, 63, 1), shared, uniform_chain(70, cut=60)]
+        cases = [random_passive(rng, 5, 2), random_passive(rng, 63, 4), random_passive(rng, 63, 2),
+                 random_passive(rng, 31, 1), shared, uniform_chain(70, cut=60)]
         assert shared.reached.lam.size == 64 and shared.reached.cluster[-1] == 62
         assert cases[-1].reached.lam.size < 70
         for sys in cases:
             np.testing.assert_array_equal(sys.poles, np.linalg.eigvals(sys.drift))
+        # a single port at the crossover takes the sweeps
+        sys = random_passive(rng, 32, 1)
+        np.testing.assert_array_equal(sys.poles, model._secular_roots(sys.reached.lam, sys.reached.cv)[0])
 
     @settings(max_examples=40, deadline=None)
     @given(

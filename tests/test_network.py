@@ -207,6 +207,16 @@ class TestOmegaFromNetwork:
         net = new_network(2, [(0, 1, 1.0)], [0], detunings=np.array([0.5 + 0j, 0]))
         assert net.detunings.dtype == float and net.detunings.tolist() == [0.5, 0.0]
 
+    def test_each_edge_read_once(self):
+        # an edge may be a one-shot iterator; one that is not three values is
+        # refused as unpacking refuses it, after the edges before it
+        edges = [(0, 1, 0.5), (2, 1, 1.5)]
+        assert new_network(3, (iter(e) for e in edges), [0]).edges == ((0, 1, 0.5), (1, 2, 1.5))
+        with pytest.raises(ValueError, match=r"^not enough values to unpack \(expected 3, got 2\)$"):
+            new_network(3, [iter((0, 1, 0.5)), iter((1, 2))], [0])
+        with pytest.raises(InvalidNetwork, match=r"^duplicate edge \(0, 1\)$"):
+            new_network(3, [(0, 1, 0.5), (1, 0, 0.5), 7], [0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_edge_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="^edge weights must be finite"):

@@ -1,5 +1,6 @@
 """Companion forms, the Lyapunov solve, reconstruction from the spectral measure."""
 
+import decimal
 import warnings
 
 import numpy as np
@@ -653,18 +654,53 @@ class TestEigenvaluesFromCanonical:
                 atol=1e-8,
             )
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 128), weak=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
-    def test_arrowhead_rebuilds_the_measure(self, n, weak, seed):
-        # the couplings from secular residues give back the measure's spectrum,
-        # also with some modes at 1e-12 of the total weight
+    @staticmethod
+    def weak_measure(seed, n):
+        """Sorted lam, scaled and maybe offset, and weights of which some lie
+        between 1e-20 of the total (the reach threshold) and 1e-10."""
         rng = np.random.default_rng(seed)
-        lam = np.sort(rng.uniform(-1.0, 1.0, n)) * 10.0 ** rng.uniform(-3, 3)
+        lam = (np.sort(rng.uniform(-1.0, 1.0, n)) + rng.choice([0.0, 3.0])) * 10.0 ** rng.uniform(-3, 3)
         w = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.uniform(-3, 3)
-        w[rng.choice(n, min(weak, n - 1), replace=False)] = 1e-12 * w.sum()
+        weak = rng.choice(n, rng.integers(0, n), replace=False)
+        w[weak] = 10.0 ** rng.uniform(-20, -10, weak.size) * w.sum()
+        return lam, w
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 128), seed=st.integers(0, 2**32 - 1))
+    def test_arrowhead_rebuilds_the_measure(self, n, seed):
+        # the arrowhead (omega11, lambdas, |E'|) has the measure's spectrum and,
+        # seen from e1, its weights, to eigh's rounding eps scale / gap
+        lam, w = self.weak_measure(seed, n)
         params = realization._canonical(lam, w)
-        deviation = np.abs(eigenvalues_from_canonical(params) - lam).max()
-        assert deviation <= 1e-12 * np.abs(lam).max()
+        assert np.all(lam[:-1] <= params.lambdas) and np.all(params.lambdas <= lam[1:])
+        arrow = np.diag(np.concatenate([[params.omega11], params.lambdas]))
+        arrow[0, 1:] = arrow[1:, 0] = params.e_abs
+        mu, vec = np.linalg.eigh(arrow)
+        scale = np.abs(lam).max()
+        assert np.abs(mu - lam).max() <= 1e-12 * scale
+        gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
+        assert np.all(np.abs(np.abs(vec[0]) - np.sqrt(w / w.sum())) <= 1e-13 * scale / gap)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    def test_couplings_match_a_decimal_reference(self, n, seed):
+        # each zero of F(x) = sum_k u_k² / (x - lam_k) by 80-digit bisection, and
+        # |E'_i| = F'(lambda_i)^(-1/2) there: every coupling keeps its relative
+        # accuracy, also beside a mode of weight 1e-20, where eigvalsh resolves the
+        # gap lambda_i - lam_k to no digit and eigenvectors give |E'| to none
+        lam, w = self.weak_measure(seed, n)
+        params = realization._canonical(lam, w)
+        with decimal.localcontext() as context:
+            context.prec = 80
+            poles = [decimal.Decimal(x) for x in lam]
+            u2 = [decimal.Decimal(x) / sum(map(decimal.Decimal, w)) for x in w]
+            for i, (lo, hi) in enumerate(zip(poles[:-1], poles[1:])):
+                for _ in range(300):
+                    x = (lo + hi) / 2
+                    lo, hi = (x, hi) if sum(u / (x - p) for u, p in zip(u2, poles)) > 0 else (lo, x)
+                e_abs = sum(u / (x - p) ** 2 for u, p in zip(u2, poles)).sqrt() ** -1
+                assert abs(params.lambdas[i] - float(x)) <= 1e-15 * np.abs(lam).max()
+                assert abs(params.e_abs[i] - float(e_abs)) <= 1e-11 * float(e_abs)
 
 
 class TestMimoCouplingGram:

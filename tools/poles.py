@@ -12,7 +12,10 @@ its ``single_node_siso`` fed at the first m nodes; and the dense system
 detuned by omega + 80.04 I), 10 seeded minimal draws go through
 ``eigvals(drift)`` and through the block secular-equation sweeps of
 ``qsysid.model._secular_roots`` on the system's ``reached`` measure, which
-the sweeps read and which is cached and not timed. One line per cell gives
+the sweeps read and which is cached and not timed. For m = 1 the sweeps are
+also timed with the couplings' second row set to zero (``block_ms``): the
+roots are the same, since M = diag(M_11, 1), but each step takes the block
+branch, which is what the one-port step saves. One line per cell gives
 the median over the draws of each route's best of 5 calls, in ms; the median
 and largest sweep count; the draws whose sweeps did not settle (the
 fallbacks to ``eigvals``); and the largest deviation between the two pole
@@ -66,10 +69,10 @@ def main() -> int:
         omega, c = workloads.dense_system(rng, n, m)
         return (omega + 80.04 * np.eye(n), c) if family == "detuned" else (omega, c)
 
-    print(f"{'m':>2} {'n':>4} {'family':<12} {'eigvals_ms':>10} {'secular_ms':>10} "
+    print(f"{'m':>2} {'n':>4} {'family':<12} {'eigvals_ms':>10} {'secular_ms':>10} {'block_ms':>8} "
           f"{'sweeps_med':>10} {'sweeps_max':>10} {'fallbacks':>9} {'max_dev':>8}")
     for m, n, family in ((m, n, f) for m in PORTS for n in SIZES for f in FAMILIES):
-        eig_ms, sec_ms, sweeps, fallbacks, worst = [], [], [], 0, 0.0
+        eig_ms, sec_ms, block_ms, sweeps, fallbacks, worst = [], [], [], [], 0, 0.0
         for k in range(10):
             system = new_system(*draw(family, n, m, k))
             r = system.reached
@@ -80,6 +83,8 @@ def main() -> int:
             drift = system.drift
             eig_ms.append(best_ms(lambda: np.linalg.eigvals(drift)))
             sec_ms.append(best_ms(lambda: model._secular_roots(lam, cv)))
+            if m == 1:
+                block_ms.append(best_ms(lambda: model._secular_roots(lam, np.vstack([cv, 0 * cv]))))
             roots, taken = model._secular_roots(lam, cv)
             sweeps.append(taken)
             if roots is None:
@@ -89,7 +94,8 @@ def main() -> int:
             dist = np.abs(roots[:, None] - exact[None, :])
             dev = max(dist.min(axis=0).max(), dist.min(axis=1).max())
             worst = max(worst, dev / np.abs(exact).max())
-        print(f"{m:>2} {n:>4} {family:<12} {np.median(eig_ms):>10.3f} {np.median(sec_ms):>10.3f} "
+        block = f"{np.median(block_ms):>8.3f}" if block_ms else f"{'-':>8}"
+        print(f"{m:>2} {n:>4} {family:<12} {np.median(eig_ms):>10.3f} {np.median(sec_ms):>10.3f} {block} "
               f"{np.median(sweeps):>10.0f} {max(sweeps):>10d} {fallbacks:>9d} {worst:>8.1e}")
     return 0
 
