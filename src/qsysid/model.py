@@ -102,28 +102,20 @@ class PassiveSystem:
         return float(self.poles.real.max())
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lam, V, c V)`` from one ``eigh(omega)``. Xi is fixed by the
-        spectral measure ``{(lam_k, (c v_k)(c v_k)†)}`` of omega seen from c†."""
-        lam, v = np.linalg.eigh(self.omega)
-        return read_only(lam), read_only(v), read_only(self.c @ v)
-
-    @cached_property
     def reached(self) -> Reached:
-        """Eigen-directions ``(lam, v, cv)`` of omega the fields reach, by :func:`eigenspaces`,
-        with its ``cluster``, ``scale``, ``eps_omega`` and ``err`` (per direction); one of
-        several in an eigenspace is turned onto the right singular vectors of its c V block."""
-        lam, v, cv = self.spectrum
+        """Eigen-directions ``(lam, v, cv)`` of the one ``eigh(omega)`` the fields reach, by
+        :func:`eigenspaces`, with its ``cluster``, ``scale``, ``eps_omega`` and ``err`` (per
+        direction); one of several in an eigenspace is turned onto the right singular vectors
+        of its c V block. Xi is the Cayley form of this measure (:func:`_cayley`)."""
+        lam, v = np.linalg.eigh(self.omega)
+        cv = self.c @ v
         cluster, err, scale, eps_omega = eigenspaces(lam, np.linalg.norm(self.c) ** 2)
-        if cluster[-1] + 1 < cluster.size:  # some eigenspace is shared
-            v, cv = v.copy(), cv.copy()
         for k in np.flatnonzero(np.bincount(cluster) > 1):
             block = cluster == k
             wh = np.linalg.svd(cv[:, block])[2].conj().T
             v[:, block], cv[:, block] = v[:, block] @ wh, cv[:, block] @ wh
         keep = np.linalg.norm(cv, axis=0) > (SPECTRAL_RTOL + err[cluster]) * np.linalg.norm(self.c)
-        if not keep.all():
-            lam, v, cv, cluster = (a[..., keep] for a in (lam, v, cv, cluster))
+        lam, v, cv, cluster = (a[..., keep] for a in (lam, v, cv, cluster))
         return Reached(*map(read_only, (lam, v, cv, cluster, err[cluster])), scale, eps_omega)
 
 
@@ -290,6 +282,21 @@ def require_unitary(u, n: int) -> np.ndarray:
     return u
 
 
+def _cayley(r: Reached, s: np.ndarray) -> np.ndarray:
+    """Xi at the points s (1-D): (I + G/2)^{-1} (I - G/2), G(s) = sum_k u_k u_k† / (s + i lam_k),
+    u_k = c v_k over the measure r. The solve loses |G_k| = |u_k|² / |s + i lam_k| times eps at
+    a pole of G, where Xi has none: an atom with |G_k| > 100 joins after it by Sherman-Morrison."""
+    e = s[:, None] + 1j * r.lam
+    near = (np.abs(r.cv) ** 2).sum(axis=0) > 100 * np.abs(e)
+    g = (r.cv / np.where(near, np.inf, e)[:, None, :]) @ r.cv.conj().T
+    eye = np.eye(r.cv.shape[0])
+    xi = np.linalg.solve(eye + 0.5 * g, eye - 0.5 * g)
+    for p, k in zip(*np.nonzero(near)):  # on Xi + I = 2 (I + G/2)^{-1}
+        a, u = xi[p] + eye, r.cv[:, k]
+        xi[p] -= np.outer(a @ u, u.conj() @ a) / (4 * e[p, k] + u.conj() @ a @ u)
+    return xi
+
+
 def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     """Transfer function Xi(s) = I - c (sI - A)^{-1} c† at one point.
 
@@ -297,8 +304,7 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     (``sys.poles``) and the zeros z_k = -conj(p_k) (``sys.zeros``), by the
     matrix determinant lemma and A + A† = -c†c, as in
     :func:`transfer_rational`; on the imaginary axis each factor has
-    modulus 1 up to rounding. For m > 1 the resolvent (sI - A)^{-1} c† is
-    solved directly.
+    modulus 1 up to rounding. For m > 1 it is the Cayley form of ``sys.reached``.
 
     The distance to the nearest pole is scanned only where a pole can lie
     within the bound below: for Re s >= 0 the computed Re(s - p_k) is at
@@ -326,8 +332,7 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
         q = s - sys.zeros
         q /= d
         return np.multiply.reduce(q, keepdims=True).reshape(1, 1)
-    res = np.linalg.solve(s * np.eye(sys.n) - sys.drift, sys.c.conj().T)
-    return np.eye(sys.m) - sys.c @ res
+    return _cayley(sys.reached, np.array([s]))[0]
 
 
 def transfer_rational(sys: PassiveSystem) -> RationalTF:
@@ -339,10 +344,9 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     poles mirrored, -conj(p_k), so its coefficients are (-1)^(n-k) conj(den_k). The spectral
     measure of ``sys.reached`` rides along as ``measure``, ``(lam, |c v|²)``, so that the
     single-port reconstruction never has to find it again from the coefficients. For m > 1
-    numerator coefficients are recovered by interpolating Xi(s) den(s) at a scaled DFT grid
-    on a circle of radius 2 (1 + spectral radius), so the Vandermonde solve is an FFT; Xi
-    there is the Cayley transform (I + G/2)^{-1} (I - G/2) of the G of ``poles``. That
-    interpolation loses the low-order coefficients as (radius / |p|)^n (README).
+    the numerator interpolates Xi(s) den(s), Xi by :func:`_cayley`, at n + 1 DFT nodes on a
+    circle of radius 2 (1 + max|p|), so the Vandermonde solve is an FFT; it loses the
+    low-order coefficients as (radius / |p|)^n (README).
     """
     den = poly_from_roots(sys.poles)
     if sys.m == 1:
@@ -351,11 +355,7 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     radius = 2.0 * (1.0 + np.abs(sys.poles).max())
     npts = sys.n + 1
     nodes = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
-    lam, _, cv = sys.spectrum
-    g = (cv / (nodes[:, None, None] + 1j * lam)) @ cv.conj().T
-    eye = np.eye(sys.m)
-    xi = np.linalg.solve(eye + 0.5 * g, eye - 0.5 * g)
-    samples = xi * polyval(nodes, den)[:, None, None]
+    samples = _cayley(sys.reached, nodes) * polyval(nodes, den)[:, None, None]
     num = np.fft.fft(samples, axis=0) / npts
     num /= (radius ** np.arange(npts))[:, None, None]
     num = np.moveaxis(num, 0, 2)

@@ -129,7 +129,7 @@ class TestMarkovDistinguishable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert markov_distinguishable(sys, other)
-        assert "spectrum" not in sys.__dict__ and "spectrum" not in other.__dict__
+        assert "reached" not in sys.__dict__ and "reached" not in other.__dict__
 
     @settings(max_examples=200, deadline=None)
     @given(

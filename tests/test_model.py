@@ -39,7 +39,9 @@ from conftest import (
     assert_params_equal,
     chain_system,
     one_mode_system,
+    planted_rank_system,
     random_passive,
+    random_unitary,
     uniform_chain,
 )
 
@@ -150,17 +152,21 @@ class TestDriftMatrix:
         with pytest.raises(ValueError):
             sys.poles[0] = 1.0
 
-    def test_spectrum_is_one_cached_eigh(self, rng):
+    def test_reached_is_one_cached_eigh(self, rng):
+        # a minimal system with distinct eigenvalues reaches every direction of
+        # its one eigh(omega), as eigh gives it; the system keeps no other copy
         sys = random_passive(rng, 5, 2)
-        lam, v, cv = sys.spectrum
-        np.testing.assert_allclose(sys.omega @ v, v * lam, atol=1e-12)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
-        np.testing.assert_array_equal(cv, sys.c @ v)
-        assert np.all(np.diff(lam) >= 0)
-        for part in sys.spectrum:
+        lam, v = np.linalg.eigh(sys.omega)
+        reached = sys.reached
+        assert reached.lam.tobytes() == lam.tobytes() and reached.v.tobytes() == v.tobytes()
+        assert reached.cv.tobytes() == (sys.c @ v).tobytes()
+        np.testing.assert_allclose(sys.omega @ reached.v, reached.v * reached.lam, atol=1e-12)
+        np.testing.assert_allclose(reached.v.conj().T @ reached.v, np.eye(5), atol=1e-12)
+        assert np.all(np.diff(reached.lam) > 0)
+        for part in (reached.lam, reached.v, reached.cv):
             with pytest.raises(ValueError):
                 part[0] = 1.0
-        assert sys.spectrum is sys.spectrum
+        assert sys.reached is reached and not hasattr(sys, "spectrum")
         assert sys.drift is sys.drift and sys.poles is sys.poles
 
     def test_zeros_and_abscissa_cached_and_read_only(self, rng):
@@ -371,7 +377,13 @@ class TestTransferAt:
         if sys.m == 1:
             expected = ((s + sys.poles.conj()) / (s - sys.poles)).prod().reshape(1, 1)
         else:
-            expected = resolvent_transfer(sys, s)
+            expected = model._cayley(sys.reached, np.array([s]))[0]
+            # both forms err by eps times their conditioning, which grows as |Xi| / gap
+            # near a pole: at most 9.7 eps max(1, |Xi|) rho / gap over 40000 draws
+            rho = max(1.0, np.abs(sys.poles).max(), abs(s))
+            gap = np.abs(s - sys.poles).min()
+            bound = 100 * EPS * max(1.0, np.abs(xi).max()) * rho / gap
+            assert np.abs(xi - resolvent_transfer(sys, s)).max() <= bound
         assert xi.tobytes() == expected.tobytes()
 
     def test_weakly_coupled_mode_still_refused_on_the_axis(self):
@@ -382,13 +394,61 @@ class TestTransferAt:
         with pytest.raises(SingularResolvent):
             transfer_at(sys, 2.0j)
 
-    def test_multi_port_is_the_resolvent_solve(self, rng):
+    def test_multi_port_is_the_cayley_form(self, rng):
+        # the helper's value at the one point, bit for bit; within 3.9e-14 of
+        # the dense resolvent solve on these draws
         for _ in range(10):
             n = int(rng.integers(2, 9))
             sys = random_passive(rng, n, int(rng.integers(2, n + 1)))
             for s in [1j * rng.uniform(-5.0, 5.0), complex(*rng.uniform(-3.0, 3.0, 2))]:
                 xi = transfer_at(sys, s)
-                assert xi.tobytes() == resolvent_transfer(sys, s).tobytes()
+                assert xi.tobytes() == model._cayley(sys.reached, np.array([s]))[0].tobytes()
+                assert np.abs(xi - resolvent_transfer(sys, s)).max() <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([2, 4]),
+        extra=st.integers(1, 60),
+        kind=st.sampled_from(["dense", "unreached", "shared"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_multi_port_matches_resolvent_on_the_grid(self, m, extra, kind, seed):
+        # on the axis the Cayley form of the reached measure departs from the
+        # solve by the solve's own rounding, eps rho / gap (at most 4.2 times
+        # that over 1500 draws); an unreached mode (a planted block) and an
+        # eigenspace shared by up to m + 1 directions, which reached turns
+        # onto its couplings' singular vectors, change nothing
+        rng = np.random.default_rng(seed)
+        n = m + extra
+        if kind == "dense":
+            sys = random_passive(rng, n, m)
+        elif kind == "unreached":
+            sys = planted_rank_system(rng, n, m, n - 1)
+        else:
+            lam = rng.standard_normal(n)
+            lam[1 : int(rng.integers(2, m + 2))] = lam[0]
+            u = random_unitary(rng, n)
+            c = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            sys = new_system(u @ np.diag(lam) @ u.conj().T, c)
+        rho = max(1.0, np.abs(sys.poles).max(), GRID[-1])
+        for s in 1j * GRID:
+            gap = np.abs(s - sys.poles).min()
+            bound = 100 * EPS * rho / gap
+            assert np.abs(transfer_at(sys, s) - resolvent_transfer(sys, s)).max() <= bound
+
+    def test_multi_port_beside_a_pole_of_g(self):
+        # G has a pole at s = -i lam_k, where Xi has none: the odd chain's
+        # middle mode has lam = 5e-17 from eigh, and a plain m x m solve there
+        # errs by eps |c v_k|² / |s + i lam_k|, 0.3 at s = 1e-17 i
+        omega = np.diag([0.6, 0.8], 1) + np.diag([0.6, 0.8], -1)
+        sys = new_system(omega, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.7]])
+        for s in [0.0, 1e-17j, -1e-17j, 1e-12j, 1e-8 + 1e-8j, 1e-6j]:
+            np.testing.assert_allclose(transfer_at(sys, s), resolvent_transfer(sys, s),
+                                       rtol=0, atol=1e-15)
+        shared = new_system(np.diag([1.0, 1.0, 2.0]), [[1.0, 0.5, 0.2], [0.3, -1.0, 0.4]])
+        for s in [-1j, -1j + 1e-15j, -2j, -2j + 1e-12]:
+            np.testing.assert_allclose(transfer_at(shared, s), resolvent_transfer(shared, s),
+                                       rtol=0, atol=1e-15)
 
 
 class TestTransferRational:
@@ -740,6 +800,10 @@ class TestOneNumberRule:
                 [["0", "0.5"], ["0.5", True]], [[True, "0"]]), id="omega str and bool"),
             pytest.param(ValueError, "omega", lambda: new_system([[0, 1], [1]], [[1, 0]]),
                          id="omega ragged"),
+            pytest.param(ValueError, "omega", lambda: new_system(
+                [np.zeros((2, 2)), np.zeros((2, 3))], [[1, 0]]), id="omega too ragged for NumPy"),
+            pytest.param(NonMonic, "denominator", lambda: make_rational_tf([1.0], [1.0]),
+                         id="den of degree 0"),
             pytest.param(ValueError, "num", lambda: make_rational_tf([True, 1.0], [1.0, 1.0]),
                          id="num bool"),
             pytest.param(ValueError, "num", lambda: make_rational_tf(["1", 1.0], [1.0, 1.0]),

@@ -486,8 +486,8 @@ class TestMeasure:
             if coefficients:
                 tf = make_rational_tf(tf.num, tf.den)
             lam, w, _ = _measure(companion_realization(tf), 1e-8)
-            lam_true, _, cv = sys.spectrum
-            w_true = np.abs(cv[0]) ** 2
+            lam_true, v = np.linalg.eigh(sys.omega)
+            w_true = np.abs(sys.c[0] @ v) ** 2
             scale = np.abs(lam_true).max() + w_true.sum()
             rtol = 1e-10 if coefficients else 1e-12
             assert np.abs(lam - lam_true).max() <= rtol * scale
