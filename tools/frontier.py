@@ -86,10 +86,13 @@ def main() -> int:
                        lambda answer: ops.judge_identify(op, answer)[0])
 
     def round_trip(op, route: str) -> str:
-        system, _ = ops._build(qsysid, op.inputs["family"], op.inputs["system"])
-        tf = qsysid.transfer_rational(system)
-        if route == "coefficients":
-            tf = qsysid.make_rational_tf(tf.num, tf.den)
+        try:
+            system, _ = ops._build(qsysid, op.inputs["family"], op.inputs["system"])
+            tf = qsysid.transfer_rational(system)
+            if route == "coefficients":
+                tf = qsysid.make_rational_tf(tf.num, tf.den)
+        except Exception as exc:  # a failed build or function, judged like a failed stage
+            return type(exc).__name__
         truth = dict(op.truth, applied=op.inputs["gauge"])
         for stage, call in (
             ("lyapunov", lambda: qsysid.reconstruct_passive(qsysid.companion_realization(tf))),
