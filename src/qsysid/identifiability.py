@@ -174,7 +174,7 @@ def find_gauge(
     v2u = r2.v * np.exp(1j * np.angle(np.einsum("ik,ik->k", r2.cv.conj(), r1.cv)))
     close = 1e3 * np.finfo(float).eps * np.abs(r1.lam).max()
     near = np.concatenate([[0], np.cumsum(np.diff(r1.lam) * rtol > close)])
-    for labels in (r1.cluster, near) if sys1.m > 1 else ():  # one field fixes only phases
+    for labels in (r1.cluster, near):
         sizes = np.bincount(labels)
         for k in np.flatnonzero((sizes > 1) & (sizes <= sys1.m)):
             block = labels == k

@@ -28,7 +28,7 @@ from .errors import (
     NotUnitary,
     SingularResolvent,
 )
-from .ratfunc import RationalTF, poly_from_roots, read_only, require_finite
+from .ratfunc import RationalTF, cayley, poly_from_roots, read_only, require_finite
 
 HERMIT_RTOL = 1e-12
 HERMIT_ATOL = 1e-14
@@ -106,7 +106,7 @@ class PassiveSystem:
         """Eigen-directions ``(lam, v, cv)`` of the one ``eigh(omega)`` the fields reach, by
         :func:`eigenspaces`, with its ``cluster``, ``scale``, ``eps_omega`` and ``err`` (per
         direction); one of several in an eigenspace is turned onto the right singular vectors
-        of its c V block. Xi is the Cayley form of this measure (:func:`_cayley`)."""
+        of its c V block. Xi is the Cayley form of this measure (:func:`~qsysid.ratfunc.cayley`)."""
         lam, v = np.linalg.eigh(self.omega)
         cv = self.c @ v
         cluster, err, scale, eps_omega = eigenspaces(lam, np.linalg.norm(self.c) ** 2)
@@ -282,21 +282,6 @@ def require_unitary(u, n: int) -> np.ndarray:
     return u
 
 
-def _cayley(r: Reached, s: np.ndarray) -> np.ndarray:
-    """Xi at the points s (1-D): (I + G/2)^{-1} (I - G/2), G(s) = sum_k u_k u_k† / (s + i lam_k),
-    u_k = c v_k over the measure r. The solve loses |G_k| = |u_k|² / |s + i lam_k| times eps at
-    a pole of G, where Xi has none: an atom with |G_k| > 100 joins after it by Sherman-Morrison."""
-    e = s[:, None] + 1j * r.lam
-    near = (np.abs(r.cv) ** 2).sum(axis=0) > 100 * np.abs(e)
-    g = (r.cv / np.where(near, np.inf, e)[:, None, :]) @ r.cv.conj().T
-    eye = np.eye(r.cv.shape[0])
-    xi = np.linalg.solve(eye + 0.5 * g, eye - 0.5 * g)
-    for p, k in zip(*np.nonzero(near)):  # on Xi + I = 2 (I + G/2)^{-1}
-        a, u = xi[p] + eye, r.cv[:, k]
-        xi[p] -= np.outer(a @ u, u.conj() @ a) / (4 * e[p, k] + u.conj() @ a @ u)
-    return xi
-
-
 def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     """Transfer function Xi(s) = I - c (sI - A)^{-1} c† at one point.
 
@@ -332,34 +317,30 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
         q = s - sys.zeros
         q /= d
         return np.multiply.reduce(q, keepdims=True).reshape(1, 1)
-    return _cayley(sys.reached, np.array([s]))[0]
+    return cayley(sys.reached.lam, sys.reached.cv, np.array([s]))[0]
 
 
 def transfer_rational(sys: PassiveSystem) -> RationalTF:
-    """Rational form of the transfer function: exact for one port only.
+    """Rational form of the transfer function, carrying the measure ``(lam, cv)`` of
+    ``sys.reached``, by whose Cayley form :meth:`~qsysid.ratfunc.RationalTF.eval` is exact.
 
     The common denominator is the characteristic polynomial of A, multiplied out from
     ``sys.poles``. For one port the numerator is det(sI + A†), since det Xi(s) = det(sI +
     A†) / det(sI - A) by the matrix determinant lemma and A + A† = -c†c: its roots are the
-    poles mirrored, -conj(p_k), so its coefficients are (-1)^(n-k) conj(den_k). The spectral
-    measure of ``sys.reached`` rides along as ``measure``, ``(lam, |c v|²)``, so that the
-    single-port reconstruction never has to find it again from the coefficients. For m > 1
-    the numerator interpolates Xi(s) den(s), Xi by :func:`_cayley`, at n + 1 DFT nodes on a
-    circle of radius 2 (1 + max|p|), so the Vandermonde solve is an FFT; it loses the
-    low-order coefficients as (radius / |p|)^n (README).
+    poles mirrored, -conj(p_k), so its coefficients are (-1)^(n-k) conj(den_k). For m > 1
+    the numerator interpolates Xi(s) den(s) at n + 1 DFT nodes on a circle of radius
+    2 (1 + max|p|), so the Vandermonde solve is an FFT; it loses the low-order coefficients
+    as (radius / |p|)^n (README). ValueError when a coefficient overflows.
     """
-    den = poly_from_roots(sys.poles)
+    den, k, r = poly_from_roots(sys.poles), np.arange(sys.n + 1), sys.reached
     if sys.m == 1:
-        num = (den.conj() * (-1.0) ** (sys.n - np.arange(sys.n + 1)))[None, None, :]
-        return RationalTF(num, den, (sys.reached.lam, np.abs(sys.reached.cv[0]) ** 2))
-    radius = 2.0 * (1.0 + np.abs(sys.poles).max())
-    npts = sys.n + 1
-    nodes = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
-    samples = _cayley(sys.reached, nodes) * polyval(nodes, den)[:, None, None]
-    num = np.fft.fft(samples, axis=0) / npts
-    num /= (radius ** np.arange(npts))[:, None, None]
-    num = np.moveaxis(num, 0, 2)
-    return RationalTF(num=num, den=den)
+        num = (den.conj() * (-1.0) ** (sys.n - k))[None, None, :]
+    else:
+        radius = 2.0 * (1.0 + np.abs(sys.poles).max())
+        nodes = radius * np.exp(2j * np.pi * k / k.size)
+        num = np.fft.fft(cayley(r.lam, r.cv, nodes) * polyval(nodes, den)[:, None, None], axis=0)
+        num = np.moveaxis(num / k.size / (radius ** k)[:, None, None], 0, 2)
+    return RationalTF(num, den, (r.lam, r.cv))
 
 
 def simulate_means(

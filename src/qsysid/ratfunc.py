@@ -115,10 +115,11 @@ class RationalTF:
     den : ndarray, shape (deg + 1,)
         Common denominator coefficients, ascending degree, monic: ``den[-1]``
         is exactly 1.
-    measure : (lam, w) or None
-        The spectral measure of Xi when it is known (a single-port
-        :func:`~qsysid.model.transfer_rational`), else None: two real 1-D arrays
-        of one length <= the degree, lam ascending, w > 0, taken as den's own.
+    measure : (lam, cv) or None
+        The spectral measure of Xi when it is known (the reached ``(lam, c V)`` of
+        :func:`~qsysid.model.transfer_rational`), else None: real lam of a length
+        k <= the degree, ascending, and couplings cv, m x k, no column 0, all
+        finite; taken as den's own. Xi is then its Cayley form, :func:`cayley`.
     """
 
     num: np.ndarray
@@ -126,13 +127,14 @@ class RationalTF:
     measure: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        """Raise ValueError for a field, or part of ``measure``, not an ndarray, or
+        """Raise ValueError for a field, or part of ``measure``, not a finite ndarray, or
         a measure's values not as above; NonMonic unless ``den`` is 1-D, of degree
         >= 1 and ends in exactly 1; DimensionMismatch for any other shape not so."""
         measure = () if self.measure is None else self.measure
         for name, a in (("num", self.num), ("den", self.den), *(("measure", a) for a in measure)):
             if not isinstance(a, np.ndarray):
                 raise ValueError(f"{name} must be an ndarray, got {type(a).__name__}")
+            require_finite(a, name)
         if self.den.ndim != 1 or len(self.den) < 2 or self.den[-1] != 1:
             raise NonMonic(f"denominator {reprlib.repr(self.den)} is not monic of degree >= 1")
         shape = self.num.shape
@@ -140,14 +142,14 @@ class RationalTF:
             raise DimensionMismatch(f"numerator shape {shape} is not (m, m, {len(self.den)})")
         if self.measure is not None:
             shapes = [a.shape for a in measure]
-            if len(shapes) != 2 or shapes[0] != shapes[1] or len(shapes[0]) != 1 \
+            if len(shapes) != 2 or len(shapes[0]) != 1 or shapes[1] != (self.m, *shapes[0]) \
                     or shapes[0][0] > self.degree:
-                raise DimensionMismatch(
-                    f"measure shapes {shapes} are not two of one length <= {self.degree}")
-            lam, w = measure
-            if not (lam.dtype.kind == w.dtype.kind == "f" and np.isfinite(lam).all()
-                    and (lam[:-1] <= lam[1:]).all() and ((0 < w) & (w < np.inf)).all()):
-                raise ValueError(f"measure must be real and finite, lam ascending and w > 0, "
+                raise DimensionMismatch(f"measure shapes {shapes} are not (k,) and "
+                                        f"({self.m}, k), k <= {self.degree}")
+            lam, cv = measure
+            if not (lam.dtype.kind == "f" and (lam[:-1] <= lam[1:]).all()
+                    and np.abs(cv).max(axis=0, initial=0.0).all()):
+                raise ValueError(f"measure must be real lam ascending and cv with no column 0, "
                                  f"got {reprlib.repr(measure)}")
         for a in (self.num, self.den, *measure):
             read_only(a)
@@ -162,11 +164,28 @@ class RationalTF:
         return len(self.den) - 1
 
     def eval(self, s) -> np.ndarray:
-        """Value at a complex point or an array of them, shape ``s.shape + (m, m)``;
-        s passes :func:`require_finite`."""
+        """Value at a complex point or an array of them, shape ``s.shape + (m, m)``, s passing
+        :func:`require_finite`: the Cayley form of ``measure`` if any, else num(s) / den(s)."""
         s = np.asarray(require_finite(s, "s"), dtype=complex)
+        if self.measure is not None:
+            return cayley(*self.measure, s.ravel()).reshape(s.shape + (self.m,) * 2)
         num = np.moveaxis(polyval(s, np.moveaxis(self.num, 2, 0)), (0, 1), (-2, -1))
         return num / polyval(s, self.den)[..., None, None]
+
+
+def cayley(lam: np.ndarray, cv: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Xi at the points s (1-D): (I + G/2)^{-1} (I - G/2), G(s) = sum_k u_k u_k† / (s + i lam_k),
+    u_k the columns of cv. The solve loses |G_k| = |u_k|² / |s + i lam_k| times eps at a
+    pole of G, where Xi has none: an atom with |G_k| > 100 joins after it by Sherman-Morrison."""
+    e = s[:, None] + 1j * lam
+    near = (np.abs(cv) ** 2).sum(axis=0) > 100 * np.abs(e)
+    g = (cv / np.where(near, np.inf, e)[:, None, :]) @ cv.conj().T
+    eye = np.eye(cv.shape[0])
+    xi = np.linalg.solve(eye + 0.5 * g, eye - 0.5 * g)
+    for p, k in zip(*np.nonzero(near)):  # on Xi + I = 2 (I + G/2)^{-1}
+        a, u = xi[p] + eye, cv[:, k]
+        xi[p] -= np.outer(a @ u, u.conj() @ a) / (4 * e[p, k] + u.conj() @ a @ u)
+    return xi
 
 
 def make_rational_tf(num, den) -> RationalTF:

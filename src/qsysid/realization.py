@@ -164,7 +164,7 @@ def _cascade(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _measure(real: ClassicalRealization, tol: float) -> tuple:
     """Spectral measure (lam ascending, w) of Xi and its CanonicalParams, all read-only.
 
-    A measure carried by ``real.tf`` is taken as it is. Otherwise the poles
+    A measure (lam, cv) carried by ``real.tf`` gives lam and w = |cv|². Otherwise the poles
     are ``eigvals(a0)``, held to the mirror gap g_k of :func:`_mirror_gap`,
     and move by conj(g_k) / 2 before :func:`_cascade`; the root of den + num
     near the mode j nearest -Im p_k lies Re g_k / 2 off the imaginary axis,
@@ -182,7 +182,7 @@ def _measure(real: ClassicalRealization, tol: float) -> tuple:
     """
     tol = require_real(tol, "tol", 0.0, strict=True)
     if real.tf.measure is not None:
-        lam, w = real.tf.measure
+        lam, w = real.tf.measure[0], read_only(np.abs(real.tf.measure[1][0]) ** 2)
     else:
         p = np.linalg.eigvals(real.a0)
         _require_hurwitz(p)

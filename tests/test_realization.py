@@ -502,7 +502,7 @@ class TestMeasure:
         weak=st.one_of(st.none(), st.floats(-22.0, -18.0)),
     )
     def test_hand_built_measure_rebuilt_iff_minimal_property(self, n, seed, scale, pair, weak):
-        # a carried measure (lam, w) is rebuilt exactly when structure_report
+        # a carried measure (lam, sqrt(w)) is rebuilt exactly when structure_report
         # calls (diag(lam), sqrt(w)) minimal: one rule decides both, for a
         # pair planted 0.3 or 3 times the scale threshold apart and for a
         # weight of 1e-22 to 1e-18 of the total, about the reach threshold
@@ -517,7 +517,7 @@ class TestMeasure:
             w[rng.integers(n)] = 10.0**weak * w.sum()
         sys = new_system(np.diag(lam), np.sqrt(w)[None])
         tf = transfer_rational(sys)
-        measured = RationalTF(tf.num, tf.den, (lam, w))
+        measured = RationalTF(tf.num, tf.den, (lam, np.sqrt(w)[None]))
         if structure_report(sys).minimal:
             direct_reconstruction(measured)
         else:
@@ -547,8 +547,8 @@ class TestMeasure:
             np.testing.assert_array_equal(params.lambdas, params0.lambdas)
 
     def test_exact_measure_takes_no_cascade(self, monkeypatch):
-        # a carried measure is taken as it is: no poles, no mirror gap and
-        # no cascade, only the canonical form of it
+        # a carried measure (lam, cv) is taken as it is, with w = |cv|²: no
+        # poles, no mirror gap and no cascade, only the canonical form of it
         tf = transfer_rational(chain_system())
 
         def refuse(*args, **kwargs):
@@ -558,7 +558,8 @@ class TestMeasure:
                              (np.linalg, "eigvals")):
             monkeypatch.setattr(module, name, refuse)
         lam, w, _ = _measure(companion_realization(tf), 1e-8)
-        assert lam is tf.measure[0] and w is tf.measure[1]
+        assert lam is tf.measure[0] and not w.flags.writeable
+        assert w.tobytes() == (np.abs(tf.measure[1][0]) ** 2).tobytes()
         with pytest.raises(AssertionError, match="no poles"):
             _measure(companion_realization(make_rational_tf(tf.num, tf.den)), 1e-8)
 

@@ -27,12 +27,21 @@ Two kinds of cell, each 10 seeded draws:
   ``lyapunov`` and ``direct`` stages; the op's outcome is its first stage
   that is not ``ok``.
 
+- ``evaluation``: the exact function ``transfer_rational`` of a ``dense_system``
+  draw (the benchmark's generator), for m in EVAL_PORTS and n in EVAL_SIZES,
+  on the same two routes; its error is the worst ``|tf.eval - transfer_at| /
+  max(1, |Xi|)`` over EVAL_POINTS points of the imaginary axis in [-3i, 3i],
+  inf when the function cannot be built.
+
 An op's outcome is ``ok``, ``wrong`` or the class name of the exception it
 raised. Output is JSON lines: one per cell with its outcome counts; one per
 grid and sigma (``identify``) or family and route (``round_trip``) with
 ``largest_n``, the largest n whose cell has at least 9 ``ok`` of 10 and no
 ``wrong`` (null if none); a line with the op count and ``sha256`` over the
-ordered per-op outcomes; and, for each benchmark seed in REPLAY_SEEDS, one
+ordered per-op outcomes; one line per evaluation cell with its worst error
+over the draws, and one per m and route with ``largest_n``, the largest n
+whose worst error is within EVAL_TOL (null if none), all kept out of the
+digest; and, for each benchmark seed in REPLAY_SEEDS, one
 line per grid with the outcome counts of the benchmark's whole
 ``identify_small`` op list, each op's grid swapped for the two-sided one of
 the same points; the positive grid is the benchmark's own.
@@ -51,6 +60,10 @@ SIGMAS = (0.0, 1e-6, 1e-4)
 ROUND_TRIP_SIZES = (4, 8, 16, 24, 32, 48, 64, 128, 256)
 FAMILIES = ("dense_siso", "chain")
 ROUTES = ("measure", "coefficients")
+EVAL_PORTS = (1, 2, 4)
+EVAL_SIZES = (8, 12, 24, 48, 128)
+EVAL_POINTS = 13
+EVAL_TOL = 1e-8
 DRAWS = 10
 SEED = 1
 REPLAY_SEEDS = (1, 2, 3)
@@ -145,6 +158,36 @@ def main() -> int:
         print(json.dumps({"part": part, ("grid" if part == "identify" else "family"): kind,
                           ("sigma" if part == "identify" else "route"): key, "largest_n": n}))
     print(json.dumps({"seed": SEED, "ops": count, "sha256": digest.hexdigest()}))
+
+    def evaluation_error(system, route: str) -> float:
+        try:
+            tf = qsysid.transfer_rational(system)
+            if route == "coefficients":
+                tf = qsysid.make_rational_tf(tf.num, tf.den)
+        except Exception:  # a function that cannot be built evaluates nowhere
+            return float("inf")
+        points = 1j * np.linspace(-3.0, 3.0, EVAL_POINTS)
+        direct = np.array([qsysid.transfer_at(system, s) for s in points])
+        with np.errstate(all="ignore"):  # monomials at large n overflow; NaN reads as inf
+            error = np.abs(tf.eval(points) - direct).max(axis=(1, 2))
+        error /= np.maximum(1.0, np.abs(direct).max(axis=(1, 2)))
+        return float(error.max()) if np.isfinite(error).all() else float("inf")
+
+    for m in EVAL_PORTS:
+        for route in ROUTES:
+            largest = None
+            for n in EVAL_SIZES:
+                worst = 0.0
+                for draw in range(DRAWS):
+                    rng = np.random.default_rng([SEED, 13, m, n, draw])
+                    system = qsysid.new_system(*workloads.dense_system(rng, n, m))
+                    worst = max(worst, evaluation_error(system, route))
+                print(json.dumps({"part": "evaluation", "m": m, "route": route, "n": n,
+                                  "worst": worst}))
+                if worst <= EVAL_TOL:
+                    largest = n
+            print(json.dumps({"part": "evaluation", "m": m, "route": route,
+                              "largest_n": largest}))
 
     for seed in REPLAY_SEEDS:
         tallies: dict[str, dict[str, int]] = {"positive": {}, "two_sided": {}}
