@@ -31,10 +31,8 @@ from .identifiability import (
     markov_sequence,
 )
 from .model import (
-    MeanTrajectory,
     PassiveSystem,
     new_system,
-    simulate_means,
     transfer_at,
     transfer_rational,
 )

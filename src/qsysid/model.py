@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -180,20 +180,6 @@ def _secular_roots(lam: np.ndarray, cv: np.ndarray) -> tuple[np.ndarray | None, 
     return None, n + 50
 
 
-@dataclass(frozen=True, eq=False)
-class MeanTrajectory:
-    """Sampled first-moment trajectories of a driven system.
-
-    All per-instant arrays share the length of ``times``; ``input_means``
-    and ``output_means`` are (len, m), ``system_means`` is (len, n).
-    """
-
-    times: np.ndarray
-    input_means: np.ndarray
-    system_means: np.ndarray
-    output_means: np.ndarray
-
-
 def new_system(omega, c) -> PassiveSystem:
     """Validate matrices and build a :class:`PassiveSystem`.
 
@@ -237,9 +223,9 @@ def new_system(omega, c) -> PassiveSystem:
     return PassiveSystem(omega=read_only(omega.copy()), c=read_only(c.copy()))
 
 
-def require_grid(values, name: str, min_size: int) -> np.ndarray:
-    """Return values as a flat float array: the one check of every time and
-    frequency grid.
+def require_grid(values) -> np.ndarray:
+    """Return values as a flat float array: the one check of every frequency
+    grid, named ``freqs`` in its refusals.
 
     Raises
     ------
@@ -247,17 +233,16 @@ def require_grid(values, name: str, min_size: int) -> np.ndarray:
         the values are not finite numbers, per :func:`~qsysid.ratfunc.require_finite`,
         or are complex, even with zero imaginary parts.
     NonMonotoneGrid
-        fewer than ``min_size`` points, or the values are not strictly
-        increasing.
+        no points, or the values are not strictly increasing.
     """
-    grid = require_finite(values, name)
+    grid = require_finite(values, "freqs")
     if np.iscomplexobj(grid):
-        raise ValueError(f"{name} must be real, got complex values")
+        raise ValueError("freqs must be real, got complex values")
     grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size < min_size:
-        raise NonMonotoneGrid(f"{name} has {grid.size} points, needs at least {min_size}")
+    if not grid.size:
+        raise NonMonotoneGrid("freqs has 0 points, needs at least 1")
     if np.any(np.diff(grid) <= 0):
-        raise NonMonotoneGrid(f"{name} must be strictly increasing")
+        raise NonMonotoneGrid("freqs must be strictly increasing")
     return grid
 
 
@@ -338,81 +323,9 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     else:
         radius = 2.0 * (1.0 + np.abs(sys.poles).max())
         nodes = radius * np.exp(2j * np.pi * k / k.size)
-        num = np.fft.fft(cayley(r.lam, r.cv, nodes) * polyval(nodes, den)[:, None, None], axis=0)
-        num = np.moveaxis(num / k.size / (radius ** k)[:, None, None], 0, 2)
+        with np.errstate(all="ignore"):  # an overflow gives inf or NaN, which RationalTF refuses
+            num = np.fft.fft(cayley(r.lam, r.cv, nodes) * polyval(nodes, den)[:, None, None],
+                             axis=0)
+            num = np.moveaxis(num / k.size / (radius ** k)[:, None, None], 0, 2)
     return RationalTF(num, den, (r.lam, r.cv))
 
-
-def simulate_means(
-    sys: PassiveSystem,
-    beta: Callable[[float], np.ndarray],
-    t_grid,
-    initial_mean=None,
-) -> MeanTrajectory:
-    """Integrate the coherent-mean dynamics with fixed-step RK4.
-
-    Parameters
-    ----------
-    sys : PassiveSystem
-    beta : callable
-        Input mean amplitude, mapping time to a finite m-vector (scalars
-        are broadcast for m = 1).
-    t_grid : array_like
-        At least two finite, strictly increasing sample instants, checked by
-        :func:`require_grid`; integration steps once per interval, no
-        substepping, and calls beta once per instant and once per interval
-        midpoint.
-    initial_mean : array_like, optional
-        Finite mode means at t_grid[0], n of them; defaults to the zero
-        vector.
-
-    Returns
-    -------
-    MeanTrajectory
-        Input, mode and output means at every grid instant, with the
-        output read out as <b_out> = c <a> + beta.
-
-    Raises
-    ------
-    DimensionMismatch
-        initial_mean or a value of beta has the wrong length.
-    ValueError
-        initial_mean or a value of beta is not finite numbers, per
-        :func:`~qsysid.ratfunc.require_finite`.
-    NonMonotoneGrid
-        per :func:`require_grid`.
-    """
-    t = require_grid(t_grid, "t_grid", 2)
-    a = sys.drift
-    n, m = sys.n, sys.m
-    cdag = sys.c.conj().T
-
-    def beta_vec(ti: float) -> np.ndarray:
-        val = np.asarray(require_finite(beta(ti), "beta(t)"), dtype=complex).reshape(-1)
-        if val.size != m:
-            raise DimensionMismatch(f"beta(t) must have length {m}, got {val.size}")
-        return val
-
-    x0 = np.zeros(n) if initial_mean is None else initial_mean
-    x = np.asarray(require_finite(x0, "initial_mean"), dtype=complex).ravel()
-    if x.size != n:
-        raise DimensionMismatch(f"initial_mean must have length {n}, got {x.size}")
-    in_means = np.array([beta_vec(ti) for ti in t])
-    drive = [cdag @ b for b in in_means]
-    sys_means = np.empty((t.size, n), dtype=complex)
-    sys_means[0] = x
-    for k in range(t.size - 1):
-        h = t[k + 1] - t[k]
-        mid = cdag @ beta_vec(t[k] + 0.5 * h)
-        k1 = a @ x - drive[k]
-        k2 = a @ (x + 0.5 * h * k1) - mid
-        k3 = a @ (x + 0.5 * h * k2) - mid
-        k4 = a @ (x + h * k3) - drive[k + 1]
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sys_means[k + 1] = x
-    return MeanTrajectory(
-        times=t.copy(),
-        input_means=in_means,
-        system_means=sys_means,
-        output_means=sys_means @ sys.c.T + in_means,
-    )

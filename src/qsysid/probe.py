@@ -94,7 +94,7 @@ def sample_response(
     """
     noise_sigma = require_real(noise_sigma, "noise_sigma", 0.0)
     seed = require_whole(seed, "seed", 0)
-    freqs = require_grid(freqs, "freqs", 1)
+    freqs = require_grid(freqs)
     rank = sys.reached.lam.size
     if rank < sys.n:
         raise NotHurwitz(f"fields reach {rank} of {sys.n} modes; "
@@ -146,7 +146,7 @@ def fit_rational(data: ProbeDataset, degree: int) -> FitResult:
     """
     if data.m != 1:
         raise DimensionMismatch(f"fit requires single-port data, got m = {data.m}")
-    freqs = require_grid(data.freqs, "freqs", 1)
+    freqs = require_grid(data.freqs)
     require_finite(data.responses, "responses")
     n = require_whole(degree, "degree", 1)
     if freqs.size < 2 * (2 * n + 1):

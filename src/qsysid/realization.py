@@ -31,11 +31,11 @@ PASSIVITY_RTOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ClassicalRealization:
-    """Companion triple, Xi(s) = 1 + c0 (sI - a0)^{-1} b0, and the function
-    it realizes, whose carried measure, if any, the reconstruction takes."""
+    """Companion pair, Xi(s) = 1 + c0 (sI - a0)^{-1} B0 with the constant B0 = e_n,
+    and the function it realizes, whose carried measure, if any, the
+    reconstruction takes."""
 
     a0: np.ndarray
-    b0: np.ndarray
     c0: np.ndarray
     tf: RationalTF
 
@@ -94,9 +94,7 @@ def companion_realization(tf: RationalTF) -> ClassicalRealization:
     c0 = -_vanishing_difference(tf)[0, 0].reshape(1, n)
     a0 = np.eye(n, k=1, dtype=complex)
     a0[n - 1, :] = -tf.den[:n]
-    b0 = np.zeros((n, 1), dtype=complex)
-    b0[n - 1, 0] = 1.0
-    return ClassicalRealization(a0=a0, b0=b0, c0=c0, tf=tf)
+    return ClassicalRealization(a0=a0, c0=c0, tf=tf)
 
 
 def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -105,7 +105,7 @@ def dataset_to_obj(data: ProbeDataset) -> dict:
 
 def dataset_from_obj(obj) -> ProbeDataset:
     return ProbeDataset(
-        freqs=require_grid(obj["freqs"], "freqs", 1),
+        freqs=require_grid(obj["freqs"]),
         responses=array_from_obj(obj["responses"], 3, "responses"),
         noise_sigma=require_real(obj.get("noise_sigma", 0.0), "noise_sigma", 0.0),
         seed=require_whole(obj["seed"], "seed", 0) if "seed" in obj else None,
