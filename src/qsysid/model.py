@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     DimensionMismatch,
@@ -313,19 +312,12 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     ``sys.poles``. For one port the numerator is det(sI + A†), since det Xi(s) = det(sI +
     A†) / det(sI - A) by the matrix determinant lemma and A + A† = -c†c: its roots are the
     poles mirrored, -conj(p_k), so its coefficients are (-1)^(n-k) conj(den_k). For m > 1
-    the numerator interpolates Xi(s) den(s) at n + 1 DFT nodes on a circle of radius
-    2 (1 + max|p|), so the Vandermonde solve is an FFT; it loses the low-order coefficients
-    as (radius / |p|)^n (README). ValueError when a coefficient overflows.
+    the function is its denominator and measure, with no numerator. ValueError when a
+    coefficient overflows.
     """
-    den, k, r = poly_from_roots(sys.poles), np.arange(sys.n + 1), sys.reached
-    if sys.m == 1:
-        num = (den.conj() * (-1.0) ** (sys.n - k))[None, None, :]
-    else:
-        radius = 2.0 * (1.0 + np.abs(sys.poles).max())
-        nodes = radius * np.exp(2j * np.pi * k / k.size)
-        with np.errstate(all="ignore"):  # an overflow gives inf or NaN, which RationalTF refuses
-            num = np.fft.fft(cayley(r.lam, r.cv, nodes) * polyval(nodes, den)[:, None, None],
-                             axis=0)
-            num = np.moveaxis(num / k.size / (radius ** k)[:, None, None], 0, 2)
+    poles, r, num = sys.poles, sys.reached, None
+    with np.errstate(all="ignore"):  # an overflow gives inf or NaN, which RationalTF refuses
+        den = poly_from_roots(poles)
+        if sys.m == 1:
+            num = (den.conj() * (-1.0) ** (sys.n - np.arange(sys.n + 1)))[None, None, :]
     return RationalTF(num, den, (r.lam, r.cv))
-

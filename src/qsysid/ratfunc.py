@@ -1,8 +1,8 @@
 """Rational matrix transfer functions over a common monic denominator.
 
 Coefficients are stored in ascending degree order: ``den[k]`` multiplies
-``s**k``. An m-port function keeps one numerator polynomial per (output,
-input) entry in an ``(m, m, deg + 1)`` array.
+``s**k``. A single-port function keeps its numerator as a ``(1, 1, deg + 1)``
+array; an m-port one (m > 1) is its denominator and spectral measure alone.
 """
 
 from __future__ import annotations
@@ -87,13 +87,14 @@ def require_real(value, name: str, low: float, strict: bool = False) -> float:
 
 def require_whole(value, name: str, low: float) -> int:
     """Return value as an int: a real number by :func:`as_numbers`, integral
-    and >= low. Every refusal, a bool's too, reads "``name`` must be an integer
-    >= low" ("``name`` must be an integer" for ``low = -inf``)."""
+    and >= low; an int or NumPy integer comes back exact, not through its float.
+    Every refusal, a bool's too, reads "``name`` must be an integer >= low"
+    ("``name`` must be an integer" for ``low = -inf``)."""
     x = as_numbers([value], real=True)
     if x is None or not (x[0] >= low and x[0].is_integer()):
         bound = f" >= {low}" if low > -np.inf else ""
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(x[0])
+    return int(value if isinstance(value, numbers.Integral) else x[0])
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -104,14 +105,14 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RationalTF:
-    """Matrix rational function num(s) / den(s), immutable: its arrays are
-    made read-only at construction (:func:`make_rational_tf` copies its
-    input first).
+    """Matrix rational function Xi(s) over a common monic denominator, immutable:
+    its arrays are made read-only at construction (:func:`make_rational_tf`
+    copies its input first).
 
     Attributes
     ----------
-    num : ndarray, shape (m, m, deg + 1)
-        Numerator coefficients per port pair, ascending degree.
+    num : ndarray, shape (1, 1, deg + 1), or None
+        Numerator coefficients, ascending degree, given exactly when m = 1.
     den : ndarray, shape (deg + 1,)
         Common denominator coefficients, ascending degree, monic: ``den[-1]``
         is exactly 1.
@@ -122,42 +123,49 @@ class RationalTF:
         finite; taken as den's own. Xi is then its Cayley form, :func:`cayley`.
     """
 
-    num: np.ndarray
+    num: np.ndarray | None
     den: np.ndarray
     measure: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         """Raise ValueError for a field, or part of ``measure``, not a finite ndarray, or
         a measure's values not as above; NonMonic unless ``den`` is 1-D, of degree
-        >= 1 and ends in exactly 1; DimensionMismatch for any other shape not so."""
+        >= 1 and ends in exactly 1; DimensionMismatch for any other shape not so, and
+        for a numerator given when m > 1 or missing when m = 1."""
         measure = () if self.measure is None else self.measure
-        for name, a in (("num", self.num), ("den", self.den), *(("measure", a) for a in measure)):
+        named = [("den", self.den), *(("measure", a) for a in measure)]
+        if self.num is not None:  # a multiport function carries none
+            named.insert(0, ("num", self.num))
+        for name, a in named:
             if not isinstance(a, np.ndarray):
                 raise ValueError(f"{name} must be an ndarray, got {type(a).__name__}")
             require_finite(a, name)
         if self.den.ndim != 1 or len(self.den) < 2 or self.den[-1] != 1:
             raise NonMonic(f"denominator {reprlib.repr(self.den)} is not monic of degree >= 1")
-        shape = self.num.shape
-        if shape != shape[:1] * 2 + (len(self.den),):
-            raise DimensionMismatch(f"numerator shape {shape} is not (m, m, {len(self.den)})")
         if self.measure is not None:
             shapes = [a.shape for a in measure]
-            if len(shapes) != 2 or len(shapes[0]) != 1 or shapes[1] != (self.m, *shapes[0]) \
-                    or shapes[0][0] > self.degree:
+            if len(shapes) != 2 or len(shapes[0]) != 1 or shapes[1][1:] != shapes[0] \
+                    or not shapes[1][0] or shapes[0][0] > self.degree:
                 raise DimensionMismatch(f"measure shapes {shapes} are not (k,) and "
-                                        f"({self.m}, k), k <= {self.degree}")
+                                        f"(m, k), k <= {self.degree}")
             lam, cv = measure
             if not (lam.dtype.kind == "f" and (lam[:-1] <= lam[1:]).all()
                     and np.abs(cv).max(axis=0, initial=0.0).all()):
                 raise ValueError(f"measure must be real lam ascending and cv with no column 0, "
                                  f"got {reprlib.repr(measure)}")
-        for a in (self.num, self.den, *measure):
+        if (self.num is None) != (self.m > 1):
+            raise DimensionMismatch(f"a numerator is given exactly when m = 1, got "
+                                    f"{'none' if self.num is None else 'one'} for m = {self.m}")
+        if self.num is not None and self.num.shape != (1, 1, len(self.den)):
+            raise DimensionMismatch(f"numerator shape {self.num.shape} is not "
+                                    f"(1, 1, {len(self.den)})")
+        for _, a in named:
             read_only(a)
 
     @property
     def m(self) -> int:
-        """Port count, the numerator's."""
-        return self.num.shape[0]
+        """Port count, the measure's, or 1 without one."""
+        return 1 if self.measure is None else self.measure[1].shape[0]
 
     @property
     def degree(self) -> int:
@@ -169,8 +177,7 @@ class RationalTF:
         s = np.asarray(require_finite(s, "s"), dtype=complex)
         if self.measure is not None:
             return cayley(*self.measure, s.ravel()).reshape(s.shape + (self.m,) * 2)
-        num = np.moveaxis(polyval(s, np.moveaxis(self.num, 2, 0)), (0, 1), (-2, -1))
-        return num / polyval(s, self.den)[..., None, None]
+        return (polyval(s, self.num[0, 0]) / polyval(s, self.den))[..., None, None]
 
 
 def cayley(lam: np.ndarray, cv: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -189,20 +196,22 @@ def cayley(lam: np.ndarray, cv: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def make_rational_tf(num, den) -> RationalTF:
-    """Validate and normalize raw coefficient arrays into a RationalTF.
+    """Validate and normalize raw single-port coefficient arrays into a RationalTF.
 
-    ``num`` may be a 1-D array for the single-port case or a full
-    ``(m, m, deg + 1)`` array. The denominator must be monic within
-    ``MONIC_TOL``; its leading coefficient is then snapped to exactly 1.
-    Raises ValueError naming ``num`` or ``den`` unless it is finite numbers
-    (:func:`require_finite`). Both are copied, never shared with the caller.
+    ``num`` may be a 1-D array or a ``(1, 1, deg + 1)`` one. The denominator
+    must be monic within ``MONIC_TOL``; its leading coefficient is then snapped
+    to exactly 1. Raises ValueError naming ``num`` or ``den`` unless it is finite
+    numbers (:func:`require_finite`), and DimensionMismatch for a numerator of
+    any other shape: a multiport function is its measure
+    (:func:`~qsysid.model.transfer_rational`). Both are copied, never shared with
+    the caller.
     """
     num = np.array(require_finite(num, "num"), dtype=complex)
     den = np.array(require_finite(den, "den"), dtype=complex).ravel()
     if num.ndim == 1:
         num = num.reshape(1, 1, -1)
-    if num.ndim != 3 or num.shape[0] != num.shape[1]:
-        raise DimensionMismatch(f"numerator array has shape {num.shape}")
+    if num.ndim != 3 or num.shape[:2] != (1, 1):
+        raise DimensionMismatch(f"numerator array has shape {num.shape}, not that of one port")
     if len(den) < 2:
         raise NonMonic("denominator must have degree >= 1")
     if abs(den[-1] - 1.0) > MONIC_TOL * max(1.0, np.abs(den).max()):
@@ -212,6 +221,6 @@ def make_rational_tf(num, den) -> RationalTF:
     if num.shape[2] != size:
         if np.abs(num[:, :, size:]).max(initial=0.0) > 0:
             raise DimensionMismatch("numerator degree exceeds denominator degree")
-        kept, num = num[:, :, :size], np.zeros(num.shape[:2] + (size,), dtype=complex)
+        kept, num = num[:, :, :size], np.zeros((1, 1, size), dtype=complex)
         num[:, :, : kept.shape[2]] = kept
     return RationalTF(num=num, den=den)

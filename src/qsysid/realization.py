@@ -56,20 +56,20 @@ class CanonicalParams:
 
 
 def _vanishing_difference(tf: RationalTF) -> np.ndarray:
-    """Coefficients of den I - num below s^n, shape (m, m, n), ascending.
+    """Coefficients of den - num below s^n, ascending, for a single-port ``tf``.
 
     Raises NotPassiveTF when the s^n coefficient exceeds 1e-8 times the
-    largest coefficient of den I - num or den: I - Xi does not vanish at
-    large |s|, so no passive system (whose direct term is I) realizes Xi.
+    largest coefficient of den - num or den: 1 - Xi does not vanish at
+    large |s|, so no passive system (whose direct term is 1) realizes Xi.
     """
     n = tf.degree
-    diff = tf.den * np.eye(tf.m)[:, :, None] - tf.num
-    lead = np.abs(diff[:, :, n]).max()
+    diff = tf.den - tf.num[0, 0]
+    lead = abs(diff[n])
     threshold = PASSIVITY_RTOL * max(np.abs(diff).max(), np.abs(tf.den).max())
     if lead > threshold:
         raise NotPassiveTF(f"I - Xi does not vanish at large |s|: leading coefficient "
                            f"{lead:.3e} exceeds {threshold:.3e}")
-    return diff[:, :, :n]
+    return diff[:n]
 
 
 def companion_realization(tf: RationalTF) -> ClassicalRealization:
@@ -91,7 +91,7 @@ def companion_realization(tf: RationalTF) -> ClassicalRealization:
     if tf.m != 1:
         raise DimensionMismatch(f"operation requires m = 1, got m = {tf.m}")
     n = tf.degree
-    c0 = -_vanishing_difference(tf)[0, 0].reshape(1, n)
+    c0 = -_vanishing_difference(tf).reshape(1, n)
     a0 = np.eye(n, k=1, dtype=complex)
     a0[n - 1, :] = -tf.den[:n]
     return ClassicalRealization(a0=a0, c0=c0, tf=tf)
@@ -279,32 +279,34 @@ def eigenvalues_from_canonical(params: CanonicalParams) -> np.ndarray:
 
 
 def mimo_coupling_gram(tf: RationalTF) -> tuple[np.ndarray, np.ndarray]:
-    """Leading moments of a multiport transfer function.
+    """Leading moments of a transfer function, from its spectral measure (lam, cv).
 
     Returns the positive square root C0 of the coupling Gram matrix
-    lim s (I - Xi(s)) = C C†, and the accessible Hamiltonian block rotated
-    by the unrecoverable right unitary of the coupling. Both follow
-    algebraically from the first two coefficients of the expansion of
-    I - Xi at large |s|.
+    lim s (I - Xi(s)) = C C† = cv cv†, and the accessible Hamiltonian block
+    C0^-1 (cv diag(lam) cv†) C0^-1, rotated by the unrecoverable right unitary
+    of the coupling. A single-port function that carries no measure (a fit or
+    a file) takes the one :func:`reconstruct_passive` rebuilds from its
+    coefficients at the relative tolerance 1e-8.
 
     Raises
     ------
-    NotPassiveTF
-        I - Xi does not vanish at large |s|, within 1e-8 relative.
+    NotPassiveTF, NotHurwitz
+        a function without a measure, per :func:`companion_realization` and
+        :func:`_measure`.
     RankDeficientCoupling
         the smallest Gram eigenvalue is not above 1e-8 times the largest
         (coupling not of full row rank).
     """
-    n = tf.degree
-    diff = _vanishing_difference(tf)
-    moment0 = diff[:, :, n - 1]
-    moment1 = (diff[:, :, n - 2] if n >= 2 else np.zeros_like(moment0)) - tf.den[n - 1] * moment0
-    gram = 0.5 * (moment0 + moment0.conj().T)
-    lam, u = np.linalg.eigh(gram)
-    if lam[0] <= PASSIVITY_RTOL * max(lam[-1], 0.0) or lam[-1] <= 0.0:
-        raise RankDeficientCoupling(f"gram eigenvalues {lam} are not all positive")
-    c0 = (u * np.sqrt(lam)) @ u.conj().T
-    c0_inv = (u / np.sqrt(lam)) @ u.conj().T
-    block = 1j * (c0_inv @ moment1 @ c0_inv) + 0.5j * gram
-    block = 0.5 * (block + block.conj().T)
-    return c0, block
+    if tf.measure is None:
+        lam, w, _ = _measure(companion_realization(tf), PASSIVITY_RTOL)
+        cv = np.sqrt(w)[None, :]
+    else:
+        lam, cv = tf.measure
+    gram = cv @ cv.conj().T
+    ev, u = np.linalg.eigh(gram)
+    if ev[0] <= PASSIVITY_RTOL * max(ev[-1], 0.0) or ev[-1] <= 0.0:
+        raise RankDeficientCoupling(f"gram eigenvalues {ev} are not all positive")
+    c0 = (u * np.sqrt(ev)) @ u.conj().T
+    c0_inv = (u / np.sqrt(ev)) @ u.conj().T
+    block = c0_inv @ ((cv * lam) @ cv.conj().T) @ c0_inv
+    return c0, 0.5 * (block + block.conj().T)

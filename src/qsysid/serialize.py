@@ -63,22 +63,17 @@ def system_from_obj(obj) -> PassiveSystem:
 
 
 def tf_to_obj(tf: RationalTF) -> dict:
+    if tf.num is None:
+        raise DimensionMismatch(f"a {tf.m}-port function has no coefficients to write")
     return {"m": tf.m, "den": array_to_obj(tf.den), "num": array_to_obj(tf.num)}
 
 
 def tf_from_obj(obj) -> RationalTF:
     m = require_whole(obj["m"], "m", 0)
-    num = [[array_from_obj(entry, 1, "num") for entry in row] for row in obj["num"]]
-    if not num or any(len(row) != len(num) for row in num):
-        raise DimensionMismatch("num must be a square array of polynomials")
-    den = array_from_obj(obj["den"], 1, "den")
-    # pad ragged entries; make_rational_tf refuses nonzero terms beyond den's degree
-    size = max(len(den), *(len(entry) for row in num for entry in row))
-    num = [[np.pad(entry, (0, size - len(entry))) for entry in row] for row in num]
-    tf = make_rational_tf(np.array(num), den)
-    if tf.m != m:
-        raise DimensionMismatch(f"declared m = {m} but the numerator is {tf.m}-port")
-    return tf
+    if m != 1:
+        raise DimensionMismatch(f"declared m = {m}, but a function file holds one port")
+    num = array_from_obj(obj["num"], 3, "num")
+    return make_rational_tf(num, array_from_obj(obj["den"], 1, "den"))
 
 
 def network_to_obj(net: NetworkModel) -> dict:

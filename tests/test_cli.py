@@ -217,6 +217,15 @@ class TestReconstruct:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "DimensionMismatch"
 
+    def test_multiport_file_exit_one(self, tmp_path):
+        # a file holds one port's coefficients: one declaring m = 2 is refused as it was
+        obj = serialize.tf_to_obj(transfer_rational(chain_system()))
+        entry = obj["num"][0][0]
+        obj = dict(obj, m=2, num=[[entry, entry], [entry, entry]])
+        proc = run_cli("reconstruct", write_json(tmp_path / "two.json", obj))
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "DimensionMismatch"
+
 
 class TestInfect:
     def test_chain_verdict(self, tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -491,8 +492,7 @@ class TestTransferRational:
                 assert dev <= 1e-8 * max(1.0, np.abs(direct).max())
 
     def test_two_port_matches_pointwise_evaluation_at_n_12(self, rng):
-        # the function evaluates by the Cayley form of the measure it carries,
-        # which the FFT numerator's lost low-order coefficients do not touch
+        # a multiport function is its measure and evaluates by its Cayley form
         for _ in range(10):
             sys = random_passive(rng, 12, 2)
             tf = transfer_rational(sys)
@@ -505,8 +505,8 @@ class TestTransferRational:
     def test_evaluation_is_exact_at_n_128(self, m):
         # dense draws scaled as the benchmark's dense_system: on the axis the
         # carried measure stays within 1e-12 max(1, |Xi|) of transfer_at
-        # (3.1e-14 for m = 1 and 0 for m = 4 on these draws), where the
-        # monomial coefficients err by 2.0 (m = 1) and 1e112 (m = 4)
+        # (3.1e-14 for m = 1 and 0 for m = 4 on these draws), where the one-port
+        # monomial coefficients err by 2.0
         rng = np.random.default_rng(128)
         for _ in range(3):
             base = random_passive(rng, 128, m)
@@ -542,18 +542,35 @@ class TestTransferRational:
             assert np.abs(tf.eval(s) - direct).max() <= bound
 
     def test_overflowing_coefficients_refused(self):
-        # max|p| is about 140 here: the FFT numerator overflows in radius^k and
-        # den(node), and the function refuses its NaN coefficients with no warning
+        # poles up to 1e3 at n = 128: den overflows past 1e308 while it is multiplied
+        # out, and the function refuses its inf and NaN coefficients with no warning
+        lam = np.sort(np.random.default_rng(0).uniform(-1e3, 1e3, 128))
+        sys = new_system(np.diag(lam), np.ones((1, 128)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^num must be finite$"):
+                transfer_rational(sys)
+
+    def test_two_port_function_at_n_128_builds(self):
+        # max|p| is about 140 and den stays finite; a two-port function carries no
+        # numerator, whose monomial coefficients would overflow here
         sys = random_passive(np.random.default_rng(1), 128, 2)
-        with pytest.raises(ValueError, match="^num must be finite$"):
-            transfer_rational(sys)
+        tf = transfer_rational(sys)
+        assert tf.num is None and tf.m == 2 and tf.degree == 128
+        points = 1j * np.linspace(-20.0, 20.0, 41)
+        for s, xi in zip(points, tf.eval(points)):
+            direct = transfer_at(sys, s)
+            assert np.abs(xi - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max())
 
     def test_repeat_is_bit_identical(self, rng):
-        sys = random_passive(rng, 6, 2)
-        first, second = transfer_rational(sys), transfer_rational(sys)
-        np.testing.assert_array_equal(first.den, poly_from_roots(sys.poles))
-        assert first.num.tobytes() == second.num.tobytes()
-        assert first.den.tobytes() == second.den.tobytes()
+        for m in (1, 2):
+            sys = random_passive(rng, 6, m)
+            first, second = transfer_rational(sys), transfer_rational(sys)
+            np.testing.assert_array_equal(first.den, poly_from_roots(sys.poles))
+            assert (first.num is None) == (m > 1)
+            for a, b in zip((first.num, first.den, *first.measure),
+                            (second.num, second.den, *second.measure)):
+                assert a is b is None or a.tobytes() == b.tobytes()
 
 
 class TestRationalTF:
@@ -570,16 +587,20 @@ class TestRationalTF:
         with pytest.raises(ValueError, match="^num must be finite"):
             make_rational_tf([1.0, np.nan], [0.5, 1.0])
 
-    def test_port_count_is_the_numerators(self, rng):
+    def test_port_count_is_the_measures(self, rng):
+        # coefficients are one port's; a multiport function is its den and measure
         assert "m" not in {f.name for f in dataclasses.fields(qsysid.RationalTF)}
         assert list(inspect.signature(make_rational_tf).parameters) == ["num", "den"]
-        for m in (1, 2):
-            tf = transfer_rational(random_passive(rng, 3, m))
-            assert tf.m == tf.num.shape[0] == m
-            assert make_rational_tf(tf.num, tf.den).m == m
+        one, two = (transfer_rational(random_passive(rng, 3, m)) for m in (1, 2))
+        assert one.m == one.measure[1].shape[0] == 1 and one.num.shape == (1, 1, 4)
+        assert two.m == two.measure[1].shape[0] == 2 and two.num is None
+        assert make_rational_tf(one.num, one.den).m == 1
+        with pytest.raises(DimensionMismatch, match=r"^numerator array has shape \(2, 2, 4\), "):
+            make_rational_tf(np.ones((2, 2, 4)), two.den)
 
     def test_non_square_numerator_rejected(self):
-        with pytest.raises(DimensionMismatch, match=r"^numerator array has shape \(1, 2, 2\)$"):
+        with pytest.raises(DimensionMismatch, match=r"^numerator array has shape \(1, 2, 2\), "
+                           r"not that of one port$"):
             make_rational_tf(np.ones((1, 2, 2)), [0.5, 1.0])
 
     @pytest.mark.parametrize(
@@ -591,20 +612,30 @@ class TestRationalTF:
                          np.ones((1, 1, 1)), np.ones(1), None, id="den-degree-0"),
             pytest.param(NonMonic, "is not monic", np.ones((1, 1, 2)),
                          np.array([1.0, 1.0 + 2.0**-52]), None, id="den-lead-one-ulp-off"),
-            pytest.param(DimensionMismatch, r"^numerator shape \(1, 1, 2\) is not \(m, m, 3\)$",
+            pytest.param(DimensionMismatch, r"^numerator shape \(1, 1, 2\) is not \(1, 1, 3\)$",
                          np.ones((1, 1, 2)), np.array([1.0, 2.0, 1.0]), None, id="num-short"),
-            pytest.param(DimensionMismatch, r"^numerator shape \(1, 2, 2\) is not \(m, m, 2\)$",
+            pytest.param(DimensionMismatch, r"^numerator shape \(1, 2, 2\) is not \(1, 1, 2\)$",
                          np.ones((1, 2, 2)), np.array([1.0, 1.0]), None, id="num-not-square"),
-            pytest.param(DimensionMismatch, r"^numerator shape \(2,\) is not \(m, m, 2\)$",
+            pytest.param(DimensionMismatch, r"^numerator shape \(2,\) is not \(1, 1, 2\)$",
                          np.ones(2), np.array([1.0, 1.0]), None, id="num-1d"),
+            pytest.param(DimensionMismatch, r"^numerator shape \(2, 2, 3\) is not \(1, 1, 3\)$",
+                         np.ones((2, 2, 3)), np.array([1.0, 2.0, 1.0]), None, id="num-two-port"),
+            pytest.param(DimensionMismatch, r"^a numerator is given exactly when m = 1, got none "
+                         r"for m = 1$", None, np.array([1.0, 2.0, 1.0]), None, id="num-missing"),
+            pytest.param(DimensionMismatch, r"^a numerator is given exactly when m = 1, got none "
+                         r"for m = 1$", None, np.array([1.0, 2.0, 1.0]),
+                         (np.zeros(2), np.ones((1, 2))), id="num-missing-one-port-measure"),
             pytest.param(DimensionMismatch, r"^measure shapes \[\(2,\), \(1, 1\)\] are not \(k,\) "
-                         r"and \(1, k\), k <= 2$", np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
+                         r"and \(m, k\), k <= 2$", np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
                          (np.zeros(2), np.ones((1, 1))), id="measure-unequal"),
+            pytest.param(DimensionMismatch, r"^measure shapes \[\(0,\), \(0, 0\)\] are not",
+                         None, np.array([1.0, 2.0, 1.0]), (np.zeros(0), np.ones((0, 0))),
+                         id="measure-no-ports"),
             pytest.param(DimensionMismatch, r"^measure shapes \[\(3,\), \(1, 3\)\] are not",
                          np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
                          (np.zeros(3), np.ones((1, 3))), id="measure-long"),
-            pytest.param(DimensionMismatch, r"^measure shapes \[\(2,\), \(2, 2\)\] are not",
-                         np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
+            pytest.param(DimensionMismatch, r"^a numerator is given exactly when m = 1, got one "
+                         r"for m = 2$", np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
                          (np.zeros(2), np.ones((2, 2))), id="measure-ports"),
             pytest.param(DimensionMismatch, r"^measure shapes \[\] are not",
                          np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]), (), id="measure-empty"),

@@ -163,7 +163,7 @@ class TestOmegaFromNetwork:
             ((3, [(0, 5, 1.0), (1, 2.5, 1.0)], [0]), {}, "edge (0, 5) out of range for n=3"),
             ((3, [(0, 5, 1.0), (1, 2)], [0]), {}, "edge (0, 5) out of range for n=3"),
             ((3, [(1, 2**60 + 1, 1.0)], [0]), {},
-             "edge (1, 1152921504606846976) out of range for n=3"),
+             "edge (1, 1152921504606846977) out of range for n=3"),
         ],
     )
     def test_refusal_names_its_cause(self, args, kwargs, message):

@@ -119,6 +119,14 @@ class TestSampleResponse:
         same = sample_response(chain_system(), [0.1, 1.0], noise_sigma=1e-3, seed=4)
         np.testing.assert_array_equal(data.responses, same.responses)
 
+    @pytest.mark.parametrize("seed", [2**60 + 1, np.uint64(2**64 - 1)], ids=repr)
+    def test_big_integer_seed_kept_exactly(self, seed):
+        # a seed beyond 2^53 is not rounded through its float onto a neighbour's data
+        data = sample_response(chain_system(), [0.1, 1.0], noise_sigma=1e-3, seed=seed)
+        assert data.seed == int(seed) and type(data.seed) is int
+        near = sample_response(chain_system(), [0.1, 1.0], noise_sigma=1e-3, seed=int(seed) - 1)
+        assert not np.array_equal(data.responses, near.responses)
+
     def test_non_finite_frequency_rejected(self):
         with pytest.raises(ValueError, match="^freqs must be finite"):
             sample_response(chain_system(), [0.1, np.nan, 1.0])

@@ -710,6 +710,10 @@ class TestMimoCouplingGram:
         params = direct_reconstruction(tf)
         assert (c0[0, 0] ** 2).real == pytest.approx(params.theta, abs=1e-10)
         assert block[0, 0].real == pytest.approx(params.omega11, abs=1e-10)
+        # coefficients alone, as a fit or a file gives them: the measure is rebuilt
+        c0, block = mimo_coupling_gram(make_rational_tf(tf.num, tf.den))
+        assert (c0[0, 0] ** 2).real == pytest.approx(params.theta, abs=1e-10)
+        assert block[0, 0].real == pytest.approx(params.omega11, abs=1e-10)
 
     def test_two_port_diagonal(self):
         k1, k2 = 0.6, 1.1
@@ -737,18 +741,15 @@ class TestMimoCouplingGram:
         np.testing.assert_allclose(c0_1 @ c0_1.conj().T, c @ c.conj().T, atol=1e-9)
 
     def test_not_vanishing_at_infinity(self):
-        # Xi_22 -> 2 at large |s|, so I - Xi keeps a constant entry
-        num = np.zeros((2, 2, 2), dtype=complex)
-        num[0, 0] = [0.5, 1.0]
-        num[1, 1] = [1.0, 2.0]
+        # Xi -> 2 at large |s|: no measure of a passive system gives these coefficients
         with pytest.raises(NotPassiveTF, match=NOT_VANISHING):
-            mimo_coupling_gram(make_rational_tf(num, [1.0, 1.0]))
+            mimo_coupling_gram(make_rational_tf([1.0, 2.0], [1.0, 1.0]))
 
     def test_non_monic_function_refused(self, rng):
-        # den scaled by 2 is not monic: the leading moments would come out wrong
+        # den scaled by 2 is not monic: the function is refused before any moment
         tf = transfer_rational(random_passive(rng, 3, 2))
         with pytest.raises(NonMonic, match="is not monic of degree >= 1$"):
-            mimo_coupling_gram(RationalTF(num=2 * tf.num, den=2 * tf.den))
+            mimo_coupling_gram(RationalTF(num=None, den=2 * tf.den, measure=tf.measure))
 
     def test_rank_deficient_coupling_rejected(self, rng):
         # two ports driving the same mode combination: singular gram
@@ -774,3 +775,27 @@ class TestMimoCouplingGram:
         ut = np.linalg.solve(c0, ct)
         np.testing.assert_allclose(ut @ ut.conj().T, np.eye(m), atol=1e-9)
         np.testing.assert_allclose(block, ut @ omega[:m, :m] @ ut.conj().T, atol=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([2, 4]), n=st.integers(5, 128), unreached=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gram_and_block_from_the_measure_property(self, m, n, unreached, seed):
+        # c = [ct, 0] couples to the first m modes; with ``unreached`` the last mode is
+        # cut off from the rest, and the measure drops it. The block error stays within
+        # 1.7 eps cond(ct)^2 max(1, max|omega|) over 300 draws
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        omega = 0.5 * (g + g.conj().T) / np.sqrt(n)
+        if unreached:
+            omega[-1, :-1] = omega[:-1, -1] = 0.0
+        ct = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        c = np.hstack([ct, np.zeros((m, n - m))])
+        tf = transfer_rational(new_system(omega, c))
+        assert tf.measure[0].size == n - unreached
+        c0, block = mimo_coupling_gram(tf)
+        gram = c @ c.conj().T
+        assert np.abs(c0 @ c0.conj().T - gram).max() <= 1e-12 * np.abs(gram).max()
+        ut = np.linalg.solve(c0, ct)
+        oracle = ut @ omega[:m, :m] @ ut.conj().T
+        bound = 1e-13 * np.linalg.cond(ct) ** 2 * max(1.0, np.abs(omega).max())
+        assert np.abs(block - oracle).max() <= bound

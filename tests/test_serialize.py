@@ -126,7 +126,7 @@ class TestReadersRefuseWhatTheRulesRefuse:
             (("num", 0, 0, 0), {"re": 1.0, "im": True}, ValueError, "num " + ENTRY_REFUSAL),
             (("den",), [TF["den"]], DimensionMismatch, "den must be a rank-1 array, got shape (1, 4)"),
             (("num", 0, 0), TF["num"][0][0][0], DimensionMismatch,
-             "num must be a rank-1 array, got shape ()"),
+             "num must be a rank-3 array, got shape (1, 1)"),
         ],
         ids=repr,
     )
@@ -223,34 +223,36 @@ class TestTfFormat:
         assert back.m == tf.m
 
     def test_declared_m_disagreeing_with_num_rejected(self):
-        obj = dict(serialize.tf_to_obj(transfer_rational(chain_system())), m=2)
-        with pytest.raises(DimensionMismatch, match="^declared m = 2 but the numerator is 1-port"):
-            serialize.tf_from_obj(obj)
+        # a file holds one port's coefficients; a multiport function is its measure
+        for m in (0, 2):
+            obj = dict(serialize.tf_to_obj(transfer_rational(chain_system())), m=m)
+            with pytest.raises(DimensionMismatch,
+                               match=f"^declared m = {m}, but a function file holds one port$"):
+                serialize.tf_from_obj(obj)
 
-    def test_ragged_num_rows_rejected(self, rng):
-        obj = serialize.tf_to_obj(transfer_rational(random_passive(rng, 3, 2)))
-        obj["num"][1] = obj["num"][1][:1]
-        with pytest.raises(DimensionMismatch, match="^num must be a square array of polynomials$"):
+    def test_multiport_function_not_written(self, rng):
+        with pytest.raises(DimensionMismatch,
+                           match="^a 2-port function has no coefficients to write$"):
+            serialize.tf_to_obj(transfer_rational(random_passive(rng, 3, 2)))
+
+    def test_ragged_num_rows_rejected(self):
+        obj = dict(TF, num=[TF["num"][0], []])
+        with pytest.raises(DimensionMismatch, match=r"^num must be a rank-3 array, got shape \(2,\)$"):
             serialize.tf_from_obj(obj)
 
     def test_entries_of_different_lengths_padded(self):
+        # a numerator entry shorter than den reads as its padded form
         one, zero = {"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}
-        diag, off = [{"re": 0.5, "im": 0.0}, {"re": -0.2, "im": 0.1}, one], [zero]
-        obj = {"m": 2, "den": [{"re": 0.5, "im": 0.0}, {"re": 0.2, "im": 0.0}, one]}
-        ragged = serialize.tf_from_obj(dict(obj, num=[[diag, off], [off, diag]]))
-        off = [zero, zero, zero]
-        padded = serialize.tf_from_obj(dict(obj, num=[[diag, off], [off, diag]]))
-        np.testing.assert_array_equal(ragged.num, padded.num)
-        np.testing.assert_array_equal(ragged.den, padded.den)
+        obj = {"m": 1, "den": [{"re": 0.5, "im": 0.0}, {"re": 0.2, "im": 0.0}, one]}
+        short = serialize.tf_from_obj(dict(obj, num=[[[{"re": 0.5, "im": 0.0}]]]))
+        padded = serialize.tf_from_obj(dict(obj, num=[[[{"re": 0.5, "im": 0.0}, zero, zero]]]))
+        np.testing.assert_array_equal(short.num, padded.num)
+        np.testing.assert_array_equal(short.den, padded.den)
 
     def test_entry_beyond_den_degree_rejected(self):
-        import pytest
-
-        from qsysid import DimensionMismatch
-
         one = {"re": 1.0, "im": 0.0}
-        obj = {"m": 2, "den": [one, one], "num": [[[one], [one, one, one]], [[one], [one]]]}
-        with pytest.raises(DimensionMismatch):
+        obj = {"m": 1, "den": [one, one], "num": [[[one, one, one]]]}
+        with pytest.raises(DimensionMismatch, match="^numerator degree exceeds denominator degree$"):
             serialize.tf_from_obj(obj)
 
 

@@ -29,9 +29,10 @@ Two kinds of cell, each 10 seeded draws:
 
 - ``evaluation``: the exact function ``transfer_rational`` of a ``dense_system``
   draw (the benchmark's generator), for m in EVAL_PORTS and n in EVAL_SIZES,
-  on the same two routes; its error is the worst ``|tf.eval - transfer_at| /
-  max(1, |Xi|)`` over EVAL_POINTS points of the imaginary axis in [-3i, 3i],
-  inf when the function cannot be built.
+  on the ``measure`` route, and for m = 1 also on the ``coefficients`` one (a
+  multiport function has no monomial coefficients); its error is the worst
+  ``|tf.eval - transfer_at| / max(1, |Xi|)`` over EVAL_POINTS points of the
+  imaginary axis in [-3i, 3i], inf when the function cannot be built.
 
 An op's outcome is ``ok``, ``wrong`` or the class name of the exception it
 raised. Output is JSON lines: one per cell with its outcome counts; one per
@@ -174,7 +175,7 @@ def main() -> int:
         return float(error.max()) if np.isfinite(error).all() else float("inf")
 
     for m in EVAL_PORTS:
-        for route in ROUTES:
+        for route in ROUTES if m == 1 else ROUTES[:1]:
             largest = None
             for n in EVAL_SIZES:
                 worst = 0.0
