@@ -308,16 +308,15 @@ def transfer_rational(sys: PassiveSystem) -> RationalTF:
     """Rational form of the transfer function, carrying the measure ``(lam, cv)`` of
     ``sys.reached``, by whose Cayley form :meth:`~qsysid.ratfunc.RationalTF.eval` is exact.
 
-    The common denominator is the characteristic polynomial of A, multiplied out from
-    ``sys.poles``. For one port the numerator is det(sI + A†), since det Xi(s) = det(sI +
-    A†) / det(sI - A) by the matrix determinant lemma and A + A† = -c†c: its roots are the
-    poles mirrored, -conj(p_k), so its coefficients are (-1)^(n-k) conj(den_k). For m > 1
-    the function is its denominator and measure, with no numerator. ValueError when a
-    coefficient overflows.
+    For m > 1 the function is that measure alone, and no poles are formed. For one port the
+    denominator is the characteristic polynomial of A, multiplied out from ``sys.poles``, and
+    the numerator is det(sI + A†), since det Xi(s) = det(sI + A†) / det(sI - A) by the matrix
+    determinant lemma and A + A† = -c†c: its roots are the poles mirrored, -conj(p_k), so its
+    coefficients are (-1)^(n-k) conj(den_k). ValueError when a coefficient overflows.
     """
-    poles, r, num = sys.poles, sys.reached, None
-    with np.errstate(all="ignore"):  # an overflow gives inf or NaN, which RationalTF refuses
-        den = poly_from_roots(poles)
-        if sys.m == 1:
+    r, num, den = sys.reached, None, None
+    if sys.m == 1:
+        with np.errstate(all="ignore"):  # an overflow gives inf or NaN, which RationalTF refuses
+            den = poly_from_roots(sys.poles)
             num = (den.conj() * (-1.0) ** (sys.n - np.arange(sys.n + 1)))[None, None, :]
     return RationalTF(num, den, (r.lam, r.cv))

@@ -1,8 +1,8 @@
-"""Rational matrix transfer functions over a common monic denominator.
+"""Rational matrix transfer functions: one port's coefficients, or a spectral measure.
 
 Coefficients are stored in ascending degree order: ``den[k]`` multiplies
 ``s**k``. A single-port function keeps its numerator as a ``(1, 1, deg + 1)``
-array; an m-port one (m > 1) is its denominator and spectral measure alone.
+array over a monic denominator; an m-port one (m > 1) is its spectral measure alone.
 """
 
 from __future__ import annotations
@@ -105,42 +105,42 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RationalTF:
-    """Matrix rational function Xi(s) over a common monic denominator, immutable:
-    its arrays are made read-only at construction (:func:`make_rational_tf`
-    copies its input first).
+    """Matrix rational function Xi(s), immutable: its arrays are made read-only at
+    construction (:func:`make_rational_tf` copies its input first).
 
     Attributes
     ----------
     num : ndarray, shape (1, 1, deg + 1), or None
         Numerator coefficients, ascending degree, given exactly when m = 1.
-    den : ndarray, shape (deg + 1,)
-        Common denominator coefficients, ascending degree, monic: ``den[-1]``
-        is exactly 1.
+    den : ndarray, shape (deg + 1,), or None
+        Denominator coefficients, ascending degree, monic: ``den[-1]`` is exactly
+        1; given exactly when m = 1.
     measure : (lam, cv) or None
-        The spectral measure of Xi when it is known (the reached ``(lam, c V)`` of
-        :func:`~qsysid.model.transfer_rational`), else None: real lam of a length
-        k <= the degree, ascending, and couplings cv, m x k, no column 0, all
-        finite; taken as den's own. Xi is then its Cayley form, :func:`cayley`.
+        The spectral measure of Xi (the reached ``(lam, c V)`` of
+        :func:`~qsysid.model.transfer_rational`): real lam of a length k <= the degree,
+        ascending, and couplings cv, m x k, no column 0, all finite. Xi is then its Cayley
+        form, :func:`cayley`. One port may lack it (a fit or a file), and may carry one
+        that is not den's own: that is not checked.
     """
 
     num: np.ndarray | None
-    den: np.ndarray
+    den: np.ndarray | None
     measure: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         """Raise ValueError for a field, or part of ``measure``, not a finite ndarray, or
-        a measure's values not as above; NonMonic unless ``den`` is 1-D, of degree
+        a measure's values not as above; NonMonic unless a given ``den`` is 1-D, of degree
         >= 1 and ends in exactly 1; DimensionMismatch for any other shape not so, and
-        for a numerator given when m > 1 or missing when m = 1."""
+        unless num and den are both given when m = 1 and neither when m > 1."""
         measure = () if self.measure is None else self.measure
-        named = [("den", self.den), *(("measure", a) for a in measure)]
-        if self.num is not None:  # a multiport function carries none
-            named.insert(0, ("num", self.num))
+        given = [(name, a) for name, a in (("num", self.num), ("den", self.den)) if a is not None]
+        named = [*given, *(("measure", a) for a in measure)]
         for name, a in named:
             if not isinstance(a, np.ndarray):
                 raise ValueError(f"{name} must be an ndarray, got {type(a).__name__}")
             require_finite(a, name)
-        if self.den.ndim != 1 or len(self.den) < 2 or self.den[-1] != 1:
+        if self.den is not None and (self.den.ndim != 1 or len(self.den) < 2
+                                     or self.den[-1] != 1):
             raise NonMonic(f"denominator {reprlib.repr(self.den)} is not monic of degree >= 1")
         if self.measure is not None:
             shapes = [a.shape for a in measure]
@@ -153,9 +153,9 @@ class RationalTF:
                     and np.abs(cv).max(axis=0, initial=0.0).all()):
                 raise ValueError(f"measure must be real lam ascending and cv with no column 0, "
                                  f"got {reprlib.repr(measure)}")
-        if (self.num is None) != (self.m > 1):
-            raise DimensionMismatch(f"a numerator is given exactly when m = 1, got "
-                                    f"{'none' if self.num is None else 'one'} for m = {self.m}")
+        if len(given) != 2 * (self.m == 1):
+            raise DimensionMismatch(f"num and den are given exactly when m = 1, got "
+                                    f"{' and '.join(dict(given)) or 'neither'} for m = {self.m}")
         if self.num is not None and self.num.shape != (1, 1, len(self.den)):
             raise DimensionMismatch(f"numerator shape {self.num.shape} is not "
                                     f"(1, 1, {len(self.den)})")
@@ -169,7 +169,8 @@ class RationalTF:
 
     @property
     def degree(self) -> int:
-        return len(self.den) - 1
+        """Order of Xi: den's degree for one port, the measure's length for more."""
+        return self.measure[0].size if self.den is None else len(self.den) - 1
 
     def eval(self, s) -> np.ndarray:
         """Value at a complex point or an array of them, shape ``s.shape + (m, m)``, s passing

@@ -562,12 +562,38 @@ class TestTransferRational:
             direct = transfer_at(sys, s)
             assert np.abs(xi - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max())
 
+    def test_two_port_function_with_an_overflowing_den_builds(self):
+        # poles up to 1e3 at n = 128: a den would overflow past 1e308, but a two-port
+        # function is its measure alone; eval and the Gram read that measure
+        lam = np.sort(np.random.default_rng(0).uniform(-1e3, 1e3, 128))
+        c = np.vstack([np.ones(128), np.random.default_rng(1).standard_normal(128)])
+        sys = new_system(np.diag(lam), c)
+        tf = transfer_rational(sys)
+        points = 1j * np.concatenate([np.linspace(-1.1e3, 1.1e3, 45), -lam[::8], [5.0]])
+        for s, xi in zip(points, tf.eval(points)):
+            direct = transfer_at(sys, s)
+            assert np.abs(xi - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max())
+        c0, _ = qsysid.mimo_coupling_gram(tf)
+        gram = c @ c.conj().T
+        assert np.abs(c0 @ c0.conj().T - gram).max() <= 1e-12 * np.abs(gram).max()
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_poles_formed_for_one_port_only(self, rng, m):
+        # one port multiplies den out from the poles; more ports form none, and the
+        # degree is the measure's length, one short of n with an unreached mode
+        for sys, k in ((random_passive(rng, 8, m), 8), (planted_rank_system(rng, 8, m, 7), 7)):
+            tf = transfer_rational(sys)
+            assert ("poles" in sys.__dict__) == (m == 1)
+            assert (tf.num is None) == (tf.den is None) == (m > 1)
+            assert tf.measure[0].size == k and tf.degree == (8 if m == 1 else k)
+
     def test_repeat_is_bit_identical(self, rng):
         for m in (1, 2):
             sys = random_passive(rng, 6, m)
             first, second = transfer_rational(sys), transfer_rational(sys)
-            np.testing.assert_array_equal(first.den, poly_from_roots(sys.poles))
-            assert (first.num is None) == (m > 1)
+            if m == 1:
+                np.testing.assert_array_equal(first.den, poly_from_roots(sys.poles))
+            assert (first.num is None) == (first.den is None) == (m > 1)
             for a, b in zip((first.num, first.den, *first.measure),
                             (second.num, second.den, *second.measure)):
                 assert a is b is None or a.tobytes() == b.tobytes()
@@ -588,15 +614,15 @@ class TestRationalTF:
             make_rational_tf([1.0, np.nan], [0.5, 1.0])
 
     def test_port_count_is_the_measures(self, rng):
-        # coefficients are one port's; a multiport function is its den and measure
+        # coefficients are one port's; a multiport function is its measure alone
         assert "m" not in {f.name for f in dataclasses.fields(qsysid.RationalTF)}
         assert list(inspect.signature(make_rational_tf).parameters) == ["num", "den"]
         one, two = (transfer_rational(random_passive(rng, 3, m)) for m in (1, 2))
         assert one.m == one.measure[1].shape[0] == 1 and one.num.shape == (1, 1, 4)
-        assert two.m == two.measure[1].shape[0] == 2 and two.num is None
+        assert two.m == two.measure[1].shape[0] == 2 and two.num is None and two.den is None
         assert make_rational_tf(one.num, one.den).m == 1
         with pytest.raises(DimensionMismatch, match=r"^numerator array has shape \(2, 2, 4\), "):
-            make_rational_tf(np.ones((2, 2, 4)), two.den)
+            make_rational_tf(np.ones((2, 2, 4)), one.den)
 
     def test_non_square_numerator_rejected(self):
         with pytest.raises(DimensionMismatch, match=r"^numerator array has shape \(1, 2, 2\), "
@@ -620,11 +646,16 @@ class TestRationalTF:
                          np.ones(2), np.array([1.0, 1.0]), None, id="num-1d"),
             pytest.param(DimensionMismatch, r"^numerator shape \(2, 2, 3\) is not \(1, 1, 3\)$",
                          np.ones((2, 2, 3)), np.array([1.0, 2.0, 1.0]), None, id="num-two-port"),
-            pytest.param(DimensionMismatch, r"^a numerator is given exactly when m = 1, got none "
+            pytest.param(DimensionMismatch, r"^num and den are given exactly when m = 1, got den "
                          r"for m = 1$", None, np.array([1.0, 2.0, 1.0]), None, id="num-missing"),
-            pytest.param(DimensionMismatch, r"^a numerator is given exactly when m = 1, got none "
+            pytest.param(DimensionMismatch, r"^num and den are given exactly when m = 1, got den "
                          r"for m = 1$", None, np.array([1.0, 2.0, 1.0]),
                          (np.zeros(2), np.ones((1, 2))), id="num-missing-one-port-measure"),
+            pytest.param(DimensionMismatch, r"^num and den are given exactly when m = 1, got num "
+                         r"for m = 1$", np.ones((1, 1, 3)), None, (np.zeros(2), np.ones((1, 2))),
+                         id="den-missing"),
+            pytest.param(DimensionMismatch, r"^num and den are given exactly when m = 1, got "
+                         r"neither for m = 1$", None, None, None, id="coefficients-missing"),
             pytest.param(DimensionMismatch, r"^measure shapes \[\(2,\), \(1, 1\)\] are not \(k,\) "
                          r"and \(m, k\), k <= 2$", np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
                          (np.zeros(2), np.ones((1, 1))), id="measure-unequal"),
@@ -634,9 +665,12 @@ class TestRationalTF:
             pytest.param(DimensionMismatch, r"^measure shapes \[\(3,\), \(1, 3\)\] are not",
                          np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
                          (np.zeros(3), np.ones((1, 3))), id="measure-long"),
-            pytest.param(DimensionMismatch, r"^a numerator is given exactly when m = 1, got one "
-                         r"for m = 2$", np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
+            pytest.param(DimensionMismatch, r"^num and den are given exactly when m = 1, got num "
+                         r"and den for m = 2$", np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]),
                          (np.zeros(2), np.ones((2, 2))), id="measure-ports"),
+            pytest.param(DimensionMismatch, r"^num and den are given exactly when m = 1, got num "
+                         r"for m = 2$", np.ones((1, 1, 3)), None, (np.zeros(2), np.ones((2, 2))),
+                         id="measure-ports-num"),
             pytest.param(DimensionMismatch, r"^measure shapes \[\] are not",
                          np.ones((1, 1, 3)), np.array([1.0, 2.0, 1.0]), (), id="measure-empty"),
             *(pytest.param(ValueError, r"^measure must be finite$", np.ones((1, 1, 3)),

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsysid import (
@@ -745,11 +745,13 @@ class TestMimoCouplingGram:
         with pytest.raises(NotPassiveTF, match=NOT_VANISHING):
             mimo_coupling_gram(make_rational_tf([1.0, 2.0], [1.0, 1.0]))
 
-    def test_non_monic_function_refused(self, rng):
-        # den scaled by 2 is not monic: the function is refused before any moment
-        tf = transfer_rational(random_passive(rng, 3, 2))
-        with pytest.raises(NonMonic, match="is not monic of degree >= 1$"):
-            mimo_coupling_gram(RationalTF(num=None, den=2 * tf.den, measure=tf.measure))
+    def test_den_with_a_multiport_measure_refused(self, rng):
+        # a two-port function is its measure alone: a den beside it, even one port's
+        # monic den of the same degree, is refused before any moment
+        one, two = (transfer_rational(random_passive(rng, 3, m)) for m in (1, 2))
+        with pytest.raises(DimensionMismatch, match=r"^num and den are given exactly when "
+                           r"m = 1, got den for m = 2$"):
+            mimo_coupling_gram(RationalTF(num=None, den=one.den, measure=two.measure))
 
     def test_rank_deficient_coupling_rejected(self, rng):
         # two ports driving the same mode combination: singular gram
@@ -778,14 +780,17 @@ class TestMimoCouplingGram:
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.sampled_from([2, 4]), n=st.integers(5, 128), unreached=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_gram_and_block_from_the_measure_property(self, m, n, unreached, seed):
+           scale=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(m=2, n=128, unreached=True, scale=3.0, seed=0)
+    def test_gram_and_block_from_the_measure_property(self, m, n, unreached, scale, seed):
         # c = [ct, 0] couples to the first m modes; with ``unreached`` the last mode is
-        # cut off from the rest, and the measure drops it. The block error stays within
-        # 1.7 eps cond(ct)^2 max(1, max|omega|) over 300 draws
+        # cut off from the rest, and the measure drops it. At 10^scale = 1e3 the spectrum
+        # spans about +-2e3, where a characteristic polynomial overflows from n = 112. The
+        # block error stays within 11 eps cond(ct)^2 max(1, max|omega|) over 300 draws,
+        # a third of them at scale 3 and n >= 100
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        omega = 0.5 * (g + g.conj().T) / np.sqrt(n)
+        omega = 0.5 * (g + g.conj().T) / np.sqrt(n) * 10.0**scale
         if unreached:
             omega[-1, :-1] = omega[:-1, -1] = 0.0
         ct = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
