@@ -38,7 +38,7 @@ def _parse_freq_spec(spec: str) -> np.ndarray:
     if len(parts) != 4 or parts[3] not in ("log", "lin"):
         raise ValueError(f"bad --freqs spec {spec!r}, expected lo:hi:count:log|lin")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2 or hi <= lo:
+    if count < 2 or hi <= lo or not cmath.isfinite(hi - lo):
         raise ValueError(f"bad --freqs range in {spec!r}")
     if parts[3] == "log":
         if lo <= 0:

@@ -91,11 +91,6 @@ class PassiveSystem:
         return read_only(np.linalg.eigvals(self.drift))
 
     @cached_property
-    def zeros(self) -> np.ndarray:
-        """The poles mirrored, -conj(p_k): the zeros of det Xi(s)."""
-        return read_only(-self.poles.conj())
-
-    @cached_property
     def abscissa(self) -> float:
         """Spectral abscissa max_k Re p_k of the drift matrix."""
         return float(self.poles.real.max())
@@ -269,8 +264,8 @@ def require_unitary(u, n: int) -> np.ndarray:
 def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
     """Transfer function Xi(s) = I - c (sI - A)^{-1} c† at one point.
 
-    For one port Xi(s) = prod_k (s - z_k) / (s - p_k) over the poles p_k
-    (``sys.poles``) and the zeros z_k = -conj(p_k) (``sys.zeros``), by the
+    For one port Xi(s) = prod_k (s + conj p_k) / (s - p_k) over the poles p_k
+    (``sys.poles``), whose mirrors -conj(p_k) are the zeros, by the
     matrix determinant lemma and A + A† = -c†c, as in
     :func:`transfer_rational`; on the imaginary axis each factor has
     modulus 1 up to rounding. For m > 1 it is the Cayley form of ``sys.reached``.
@@ -298,7 +293,8 @@ def transfer_at(sys: PassiveSystem, s: complex) -> np.ndarray:
         if gap < bound:
             raise SingularResolvent(f"s={s} is within {gap:.3e} of an eigenvalue of A")
     if sys.m == 1:
-        q = s - sys.zeros
+        q = sys.poles.conj()
+        q += s
         q /= d
         return np.multiply.reduce(q, keepdims=True).reshape(1, 1)
     return cayley(sys.reached.lam, sys.reached.cv, np.array([s]))[0]

@@ -102,7 +102,9 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     With a companion a0 of a passive function and q = c0† c0, P = T†T for
     the similarity T onto a passive system: the classical construction.
-    No library path calls it; it is the one user of SciPy.
+    No library path calls it. The n² unknowns vec(P), column-major, solve
+    (I ⊗ a0† + a0ᵀ ⊗ I) vec(P) = -vec(q) by one LU: exact on defective a0
+    too, O(n⁶) time, and the matrix takes 16 n⁴ bytes, 268 MB at n = 64.
 
     Raises
     ------
@@ -118,9 +120,10 @@ def solve_lyapunov(a0: np.ndarray, q: np.ndarray) -> np.ndarray:
     if a0.shape != q.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionMismatch(f"shapes {a0.shape} and {q.shape} are incompatible")
     _require_hurwitz(np.linalg.eigvals(a0))
-    from scipy.linalg import solve_continuous_lyapunov  # slow; only this route needs it
     q = 0.5 * (q + q.conj().T)
-    p = solve_continuous_lyapunov(a0.conj().T, -q)
+    n, eye = len(a0), np.eye(len(a0))
+    kron = np.kron(eye, a0.conj().T) + np.kron(a0.T, eye)
+    p = np.linalg.solve(kron, -q.reshape(-1, order="F")).reshape(n, n, order="F")
     p = 0.5 * (p + p.conj().T)
     residual = np.abs(p @ a0 + a0.conj().T @ p + q).max()
     qscale = max(np.abs(q).max(), 1e-300)

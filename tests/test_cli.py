@@ -388,12 +388,22 @@ class TestProbeFitCompose:
         proc = run_cli("probe", chain_file, "--freqs", "10:1:5:log")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("spec", ["1:inf:3:log", "1:1e400:3:log", "-1e308:1e308:3:lin"])
+    def test_non_finite_freq_range_exit_two_without_warning(self, chain_file, spec):
+        # a leading "-" needs the --freqs=SPEC form, or argparse reads it as an option
+        proc = run_cli("probe", chain_file, f"--freqs={spec}")
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr) == {
+            "error": "ValueError", "detail": f"bad --freqs range in {spec!r}"}
+
 
 class TestLazyScipy:
-    """SciPy serves only solve_lyapunov, which no library path calls."""
+    """qsysid never imports SciPy."""
 
     def test_package_import_leaves_scipy_out(self):
-        proc = run_python("-c", "import sys, qsysid; print('scipy' in sys.modules)")
+        # a None entry in sys.modules blocks an import; only a module object is a loaded SciPy
+        proc = run_python("-c", "import sys, qsysid; print(sys.modules.get('scipy') is not None)")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
@@ -415,8 +425,23 @@ class TestLazyScipy:
             "data = qsysid.sample_response(chain, np.geomspace(0.01, 100, 200))\n"
             "qsysid.identify_pipeline(data, 3)\n"
             f"assert main(['reconstruct', {path!r}]) == 0\n"
-            "print('scipy' in sys.modules)\n"
+            "print(sys.modules.get('scipy') is not None)\n"
         )
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "False"
+
+    def test_lyapunov_and_reconstruct_run_with_scipy_blocked(self, tmp_path):
+        path = write_json(tmp_path / "tf.json", serialize.tf_to_obj(transfer_rational(chain_system())))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np, qsysid\n"
+            "from qsysid.cli import main\n"
+            "real = qsysid.companion_realization(qsysid.make_rational_tf([2.0, -0.3, 1.0], [2.0, 0.3, 1.0]))\n"
+            "p = qsysid.solve_lyapunov(real.a0, real.c0.conj().T @ real.c0)\n"
+            "assert np.abs(p - 0.6 * np.diag([2.0, 1.0])).max() <= 1e-10\n"
+            f"assert main(['reconstruct', {path!r}]) == 0\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr

@@ -165,17 +165,19 @@ class TestDriftMatrix:
         assert sys.reached is reached and not hasattr(sys, "spectrum")
         assert sys.drift is sys.drift and sys.poles is sys.poles
 
-    def test_zeros_and_abscissa_cached_and_read_only(self, rng):
+    def test_abscissa_cached_and_read_only(self, rng):
         sys = random_passive(rng, 5, 2)
-        assert sys.zeros is sys.zeros and sys.abscissa is sys.abscissa
-        assert sys.zeros.tobytes() == (-sys.poles.conj()).tobytes()
+        assert sys.abscissa is sys.abscissa
         assert sys.abscissa == sys.poles.real.max() and type(sys.abscissa) is float
-        with pytest.raises(ValueError):
-            sys.zeros[0] = 1.0
-        for name in ("zeros", "abscissa"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(sys, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.abscissa = 0.0
         assert structure_report(sys).spectral_abscissa == sys.abscissa
+        # the one-port factors (s + conj p_k) / (s - p_k) are those over the zeros -conj(p_k), bit for bit
+        one = random_passive(rng, 5, 1)
+        z = -one.poles.conj()
+        for s in (0.7j, -0.2 + 1.3j, 2.0 + 0j):
+            expected = np.multiply.reduce((s - z) / (s - one.poles))
+            assert transfer_at(one, s)[0, 0].tobytes() == expected.tobytes()
 
     def test_poles_are_drift_eigenvalues(self, rng):
         # every system off the secular route: below the crossover at n = 32 for
@@ -223,7 +225,9 @@ class TestDriftMatrix:
         dist = np.abs(p[:, None] - q[None, :])
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12 * np.abs(q).max()
         assert sys.abscissa < 0
-        assert sys.zeros.tobytes() == (-sys.poles.conj()).tobytes()
+        if m == 1:  # the pole product over the zeros -conj(p_k), bit for bit
+            expected = np.multiply.reduce((0.5j - (-sys.poles.conj())) / (0.5j - sys.poles))
+            assert transfer_at(sys, 0.5j)[0, 0].tobytes() == expected.tobytes()
 
     def test_unsettled_sweeps_fall_back_to_eigvals(self, rng, monkeypatch):
         monkeypatch.setattr(model, "_secular_roots", lambda lam, cv: (None, lam.size + 50))

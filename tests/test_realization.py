@@ -161,6 +161,24 @@ class TestSolveLyapunov:
         with pytest.raises(NotHurwitz):
             solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
 
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_companion_of_passive_function_residual(self, rng, n):
+        # P = T†T is not tested for definiteness: from n ≈ 16 its condition exceeds 1/eps
+        for _ in range(3):
+            real = companion_realization(transfer_rational(random_passive(rng, n, 1)))
+            q = real.c0.conj().T @ real.c0
+            p = solve_lyapunov(real.a0, q)
+            assert np.abs(p @ real.a0 + real.a0.conj().T @ p + q).max() <= 1e-10 * np.abs(q).max()
+
+    @pytest.mark.parametrize("num, den", [([1.0, -2.0, 1.0], [1.0, 2.0, 1.0]),
+                                          ([-1.0, 3.0, -3.0, 1.0], [1.0, 3.0, 3.0, 1.0])])
+    def test_defective_companion(self, num, den):
+        # Xi = ((s - 1) / (s + 1))^k: a0 is one Jordan block at -1
+        real = companion_realization(make_rational_tf(num, den))
+        q = real.c0.conj().T @ real.c0
+        p = solve_lyapunov(real.a0, q)
+        assert np.abs(p @ real.a0 + real.a0.conj().T @ p + q).max() <= 1e-10 * np.abs(q).max()
+
     @pytest.mark.parametrize("route", ["lyapunov", "coefficients"])
     def test_pole_within_rounding_refused_by_both(self, route):
         # Xi = (s - 1e-17) / (s + 1e-17): its pole -1e-17 is negative by sign
